@@ -242,7 +242,8 @@ def cmd_baseline(args) -> int:
         return 1
     try:
         train = io.read_sequences_dir(args.train)
-        gt_seqs = io.read_sequences_dir(args.gt)
+        same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
+        gt_seqs = train if same_dir else io.read_sequences_dir(args.gt)
     except (OSError, MalformedFile) as exc:
         return _fail_io(exc)
     if not train:
@@ -251,9 +252,10 @@ def cmd_baseline(args) -> int:
         return _fail_io(f"no ground-truth sequences under {args.gt}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    mean_pose = static_baseline(train, n=args.n).joints
     for gt in gt_seqs:
         gt_res = resample(gt.motion, args.n)
-        pred = static_baseline(train, n=args.n, fps=gt_res.fps)
+        pred = MotionSequence(gt_res.fps, mean_pose)
         scale = (args.n - 1) / (gt.motion.n_frames - 1)
         seq = replace(gt, motion=pred, goal_pose=pred.joints[-1],
                       prime_frame_index=int(round(gt.prime_frame_index * scale)))

@@ -6,6 +6,15 @@ Doubles are serialized at full precision (shortest round-tripping repr),
 so write-then-read reproduces in-memory values bit-exactly. Unknown
 record kinds are skipped with a warning; structural violations raise
 MalformedFile with the offending path and line number.
+
+Recordings and sequences are validated in one pass per file. A reader
+parses each line and checks there only what is cheap: the row is an
+object with the required keys, its lists have the right length and its
+times are in order. Numeric fields (joints, gaze directions, camera
+poses, trajectory points) are gathered per column, and each column is
+converted to float64 and checked for finite values once; a bad value is
+still reported by its line. Writers encode every row with one
+shared encoder, which spells floats as json.dumps does.
 """
 
 from __future__ import annotations
@@ -32,9 +41,7 @@ SCHEMA_VERSION = 1
 RECORDING_SUFFIX = ".rec.jsonl"
 SEQUENCE_SUFFIX = ".seq.jsonl"
 
-
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _require(cond, path, line_no, reason):
@@ -42,10 +49,77 @@ def _require(cond, path, line_no, reason):
         raise MalformedFile(path, line_no, reason)
 
 
-def _finite_list(values, path, line_no, what):
-    arr = np.asarray(values, dtype=np.float64)
+def _records(path):
+    """(line number, parsed value) of every non-blank line. Lines are split
+    as text-mode file iteration splits them, never with str.splitlines:
+    ids are written unescaped, and splitlines would also break them at
+    U+2028 and other separators."""
+    with path.open("r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield line_no, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}") from None
+
+
+def _float(value, path, line_no, what) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise MalformedFile(path, line_no, f"{what} must be a number") from None
+
+
+def _vector(values, n, path, line_no, what, name=None) -> np.ndarray:
+    """One value as a flat array of n finite floats (any shape when n is
+    None), converted and checked on its own; ``what`` names it in the
+    non-finite error, ``name`` in the others."""
+    name = name or what
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedFile(path, line_no, f"{name} must be a list of numbers") from None
     _require(np.all(np.isfinite(arr)), path, line_no, f"non-finite {what}")
+    _require(n is None or arr.shape == (n,), path, line_no, f"{name} must have {n} entries")
     return arr
+
+
+class _Column:
+    """One numeric field of a file with n values per row: joints, a gaze
+    direction, a camera rotation. ``add`` gives a row only a cheap shape
+    check; ``array`` converts all rows to float64 and checks them for
+    finite values at once, and still reports a bad row by its line."""
+
+    def __init__(self, path, n, what, name=None):
+        self.path, self.n, self.what, self.name = path, n, what, name
+        self.rows, self.line_nos = [], []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, values, line_no) -> None:
+        if type(values) is not list or len(values) != self.n:
+            values = self._vector(values, line_no)
+        self.rows.append(values)
+        self.line_nos.append(line_no)
+
+    def array(self) -> np.ndarray:
+        """All rows as one (len(self), n) array."""
+        try:
+            arr = np.array(self.rows, dtype=np.float64).reshape(len(self.rows), self.n)
+        except (TypeError, ValueError, OverflowError):
+            # some item is not a number; converting row by row names the first
+            arr = np.array([self._vector(v, at) for v, at in zip(self.rows, self.line_nos)])
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise MalformedFile(self.path, self.line_nos[int(np.argmin(finite))],
+                                f"non-finite {self.what}")
+        return arr
+
+    def _vector(self, values, line_no):
+        return _vector(values, self.n, self.path, line_no, self.what, self.name)
 
 
 # --------------------------------------------------------------------------
@@ -98,96 +172,110 @@ def write_recording(rec: Recording, path) -> None:
 def read_recording(path) -> Recording:
     path = Path(path)
     header = None
-    gaze_rows, frame_rows, event_rows = [], [], []
+    gaze_t = []
+    rotations = _Column(path, 9, "cam rotation", "cam_pose.r")
+    points_cam = _Column(path, 3, "gaze direction", "dir_cam")
+    translations = _Column(path, 3, "cam translation", "cam_pose.t")
+    joints = _Column(path, 3 * N_JOINTS, "joints")
+    event_rows = []
     objects: dict[str, ObjectTarget] = {}
-    traj_rows: dict[str, list] = {}
+    traj_rows: dict[str, tuple] = {}  # id -> (times, position column)
     last_t = {}
-    with path.open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
-            if header is None:
-                _require(isinstance(row, dict) and "schema_version" in row,
-                         path, line_no, "first line must be the header")
-                for key in ("id", "video_id", "fps"):
-                    _require(key in row, path, line_no, f"header missing {key}")
-                _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
-                         path, line_no, "fps must be a positive number")
-                header = row
-                continue
-            kind = row.get("k")
-            if kind in ("gaze", "frame", "event"):
-                t = row.get("t", row.get("t_e"))
-                _require(isinstance(t, (int, float)), path, line_no, "record missing time")
-                prev = last_t.get(kind)
-                _require(prev is None or t >= prev, path, line_no,
-                         f"{kind} times must be non-decreasing")
-                last_t[kind] = t
-            if kind == "gaze":
-                _require("dir_cam" in row and "cam_pose" in row, path, line_no,
-                         "gaze record needs dir_cam and cam_pose")
-                r = _finite_list(row["cam_pose"]["r"], path, line_no, "cam rotation")
-                _require(r.size == 9, path, line_no, "cam_pose.r must have 9 entries")
-                gaze_rows.append((
-                    float(row["t"]),
-                    _finite_list(row["dir_cam"], path, line_no, "gaze direction"),
-                    r.reshape(3, 3),
-                    _finite_list(row["cam_pose"]["t"], path, line_no, "cam translation"),
-                ))
-            elif kind == "frame":
-                joints = _finite_list(row["joints"], path, line_no, "joints")
-                _require(joints.size == 3 * N_JOINTS, path, line_no,
-                         f"joints must have {3 * N_JOINTS} entries")
-                frame_rows.append(joints.reshape(N_JOINTS, 3))
-            elif kind == "object":
-                oid = row.get("id")
-                _require(isinstance(oid, str), path, line_no, "object record needs id")
-                if "t" in row:
-                    _require("point" in row, path, line_no,
-                             "timed object records carry a point")
-                    traj_rows.setdefault(oid, []).append(
-                        (float(row["t"]),
-                         _finite_list(row["point"], path, line_no, "object point")))
-                elif "box" in row:
-                    mn = _finite_list(row["box"]["min"], path, line_no, "box min")
-                    mx = _finite_list(row["box"]["max"], path, line_no, "box max")
-                    _require(np.all(mn <= mx), path, line_no, "box min exceeds max")
-                    objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
-                elif "point" in row:
-                    objects[oid] = ObjectTarget(
-                        oid, point=_finite_list(row["point"], path, line_no, "point"))
-                else:
-                    raise MalformedFile(path, line_no, "object record needs box or point")
-            elif kind == "event":
-                _require(row.get("kind") in ("pick", "put"), path, line_no,
-                         "event kind must be pick or put")
-                _require("object_id" in row, path, line_no, "event needs object_id")
-                event_rows.append((row["kind"], float(row["t_e"]), row["object_id"], line_no))
+    for line_no, row in _records(path):
+        if header is None:
+            _require(isinstance(row, dict) and "schema_version" in row,
+                     path, line_no, "first line must be the header")
+            for key in ("id", "video_id", "fps"):
+                _require(key in row, path, line_no, f"header missing {key}")
+            _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
+                     path, line_no, "fps must be a positive number")
+            header = row
+            continue
+        _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
+        kind = row.get("k")
+        if kind in ("gaze", "frame", "event"):
+            t = row.get("t_e" if kind == "event" else "t")
+            _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+            prev = last_t.get(kind)
+            _require(prev is None or t >= prev, path, line_no,
+                     f"{kind} times must be non-decreasing")
+            _require(kind != "gaze" or t != prev, path, line_no,
+                     "gaze times must be strictly increasing")
+            last_t[kind] = t
+        if kind == "gaze":
+            _require("dir_cam" in row and "cam_pose" in row, path, line_no,
+                     "gaze record needs dir_cam and cam_pose")
+            pose = row["cam_pose"]
+            _require(isinstance(pose, dict) and "r" in pose and "t" in pose, path, line_no,
+                     "cam_pose needs r and t")
+            rotations.add(pose["r"], line_no)
+            points_cam.add(row["dir_cam"], line_no)
+            translations.add(pose["t"], line_no)
+            gaze_t.append(t)
+        elif kind == "frame":
+            _require("joints" in row, path, line_no, "frame record needs joints")
+            joints.add(row["joints"], line_no)
+        elif kind == "object":
+            oid = row.get("id")
+            _require(isinstance(oid, str), path, line_no, "object record needs id")
+            if "t" in row:
+                _require("point" in row, path, line_no,
+                         "timed object records carry a point")
+                traj_t, positions = traj_rows.setdefault(
+                    oid, ([], _Column(path, 3, "object point", "point")))
+                traj_t.append(_float(row["t"], path, line_no, "object time"))
+                positions.add(row["point"], line_no)
+            elif "box" in row:
+                box = row["box"]
+                _require(isinstance(box, dict) and "min" in box and "max" in box,
+                         path, line_no, "box needs min and max")
+                # corners are compared before their shapes are checked, so
+                # a scalar corner that exceeds the other is reported as such
+                mn = _vector(box["min"], None, path, line_no, "box min")
+                mx = _vector(box["max"], None, path, line_no, "box max")
+                try:
+                    ordered = np.all(mn <= mx)
+                except ValueError:  # corners of different lengths
+                    ordered = True
+                _require(ordered, path, line_no, "box min exceeds max")
+                _require(mn.shape == mx.shape == (3,), path, line_no,
+                         "box corners must have 3 entries")
+                objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
+            elif "point" in row:
+                objects[oid] = ObjectTarget(
+                    oid, point=_vector(row["point"], 3, path, line_no, "point"))
             else:
-                log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+                raise MalformedFile(path, line_no, "object record needs box or point")
+        elif kind == "event":
+            _require(row.get("kind") in ("pick", "put"), path, line_no,
+                     "event kind must be pick or put")
+            _require("object_id" in row, path, line_no, "event needs object_id")
+            event_rows.append((row["kind"], float(t), row["object_id"], line_no))
+        else:
+            log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
     _require(header is not None, path, 1, "empty file")
-    _require(len(gaze_rows) >= 1, path, 1, "recording has no gaze samples")
-    _require(len(frame_rows) >= 2, path, 1, "recording has fewer than 2 frames")
+    _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
+    _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
 
-    track = GazeTrack(
-        np.array([r[0] for r in gaze_rows]),
-        np.array([r[1] for r in gaze_rows]),
-        np.array([r[2] for r in gaze_rows]),
-        np.array([r[3] for r in gaze_rows]),
-    )
-    motion = MotionSequence(float(header["fps"]), np.array(frame_rows))
-    trajectories = {
-        oid: Trajectory3(np.array([t for t, _ in rows]), np.array([p for _, p in rows]))
-        for oid, rows in traj_rows.items()
-    }
+    times = np.array(gaze_t, dtype=np.float64)
+    finite = np.isfinite(times)
+    _require(finite.all(), path, rotations.line_nos[int(np.argmin(finite))],
+             "non-finite gaze time")
+    track = GazeTrack(times, points_cam.array(), rotations.array().reshape(-1, 3, 3),
+                      translations.array())
+    motion = MotionSequence(float(header["fps"]), joints.array().reshape(-1, N_JOINTS, 3))
+    trajectories = {}
+    for oid, (traj_t, positions) in traj_rows.items():
+        traj_t = np.array(traj_t)
+        stalls = np.diff(traj_t) <= 0
+        if stalls.any():
+            raise MalformedFile(path, positions.line_nos[int(np.argmax(stalls)) + 1],
+                                "object trajectory times must be strictly increasing")
+        trajectories[oid] = Trajectory3(traj_t, positions.array())
     events = []
     for kind, t_e, oid, line_no in event_rows:
-        _require(oid in objects, path, line_no, f"event references unknown object {oid!r}")
+        _require(isinstance(oid, str) and oid in objects, path, line_no,
+                 f"event references unknown object {oid!r}")
         events.append(InteractionEvent(kind, t_e, objects[oid]))
     return Recording(
         id=str(header["id"]),
@@ -236,52 +324,55 @@ def write_sequence(seq: PnRSequence, path) -> None:
 def read_sequence(path) -> PnRSequence:
     path = Path(path)
     header = None
-    joints_rows, gaze_rows = [], []
-    with path.open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
-            if header is None:
-                _require("schema_version" in row, path, line_no,
-                         "first line must be the header")
-                for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
-                            "goal", "prime_frame_index", "initial_velocity"):
-                    _require(key in row, path, line_no, f"header missing {key}")
-                header = row
-                continue
-            kind = row.get("k")
-            if kind == "frame":
-                joints = _finite_list(row["joints"], path, line_no, "joints")
-                _require(joints.size == 3 * N_JOINTS, path, line_no,
-                         f"joints must have {3 * N_JOINTS} entries")
-                joints_rows.append(joints.reshape(N_JOINTS, 3))
-                if "gaze" in row:
-                    gaze_rows.append(_finite_list(row["gaze"], path, line_no, "gaze"))
-            else:
-                log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+    joints = _Column(path, 3 * N_JOINTS, "joints")
+    gaze = _Column(path, 3, "gaze")
+    for line_no, row in _records(path):
+        if header is None:
+            _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
+                     "first line must be the header")
+            for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
+                        "goal", "prime_frame_index", "initial_velocity"):
+                _require(key in row, path, line_no, f"header missing {key}")
+            header = row
+            continue
+        _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
+        kind = row.get("k")
+        if kind == "frame":
+            _require("joints" in row, path, line_no, "frame record needs joints")
+            joints.add(row["joints"], line_no)
+            if "gaze" in row:
+                gaze.add(row["gaze"], line_no)
+        else:
+            log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
     _require(header is not None, path, 1, "empty file")
-    _require(len(joints_rows) >= 2, path, 1, "sequence has fewer than 2 frames")
-    fps = float(header["fps"])
-    span = float(header["t_e"]) - float(header.get("t_start", header["t_p"] - 2.0))
-    _require(abs((len(joints_rows) - 1) - span * fps) <= 1.0, path, 1,
+    joints, gaze = joints.array(), gaze.array()
+    _require(len(joints) >= 2, path, 1, "sequence has fewer than 2 frames")
+    fps = _float(header["fps"], path, 1, "fps")
+    t_p = _float(header["t_p"], path, 1, "t_p")
+    t_e = _float(header["t_e"], path, 1, "t_e")
+    t_start = _float(header["t_start"], path, 1, "t_start") if "t_start" in header else t_p - 2.0
+    _require(abs((len(joints) - 1) - (t_e - t_start) * fps) <= 1.0, path, 1,
              "frame count does not match the header time span")
-    gaze = None
-    if gaze_rows:
-        _require(len(gaze_rows) == len(joints_rows), path, 1,
-                 "gaze must cover every frame or none")
-        gaze = np.array(gaze_rows)
-    motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
-    goal = _finite_list(header["goal"], path, 1, "goal")
-    velocity = np.asarray(header["initial_velocity"], dtype=np.float64).reshape(N_JOINTS, 3)
+    _require(len(gaze) in (0, len(joints)), path, 1, "gaze must cover every frame or none")
+    _require(fps > 0, path, 1, "fps must be positive")
+    motion = MotionSequence(fps, joints.reshape(-1, N_JOINTS, 3),
+                            gaze=gaze if len(gaze) else None)
+    goal = _vector(header["goal"], 3, path, 1, "goal")
+    velocity = _vector(header["initial_velocity"], 3 * N_JOINTS, path, 1,
+                       "initial velocity", "initial_velocity")
+    _require(header["kind"] in ("pick", "put"), path, 1, "kind must be pick or put")
+    try:
+        prime_frame_index = int(header["prime_frame_index"])
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedFile(path, 1, "prime_frame_index must be an integer") from None
+    try:
+        flags = tuple(header.get("flags", ()))
+    except TypeError:
+        raise MalformedFile(path, 1, "flags must be a list") from None
     target = ObjectTarget("goal", point=goal)
     event = PrimedEvent(
-        InteractionEvent(str(header["kind"]), float(header["t_e"]), target),
-        float(header["t_p"]),
+        InteractionEvent(header["kind"], t_e, target),
+        t_p,
         str(header.get("prime_mode", "direct_hit")),
     )
     return PnRSequence(
@@ -291,9 +382,9 @@ def read_sequence(path) -> PnRSequence:
         motion=motion,
         goal_location=goal,
         goal_pose=motion.joints[-1],
-        initial_state=InitialState(motion.joints[0], velocity),
-        prime_frame_index=int(header["prime_frame_index"]),
-        flags=tuple(header.get("flags", ())),
+        initial_state=InitialState(motion.joints[0], velocity.reshape(N_JOINTS, 3)),
+        prime_frame_index=prime_frame_index,
+        flags=flags,
     )
 
 

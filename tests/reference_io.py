@@ -1,0 +1,285 @@
+"""Row-wise reference readers and writers for the recording and sequence
+JSONL formats, kept for tests only.
+
+These are the per-row implementations that ``pnr.io_jsonl`` replaced with
+per-file batching: every row is converted and checked on its own and
+written with its own ``json.dumps`` call. ``test_io_reference.py``
+requires the batched code to write the same bytes, read the same values
+and report malformed input at the same line with the same reason.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+from pathlib import Path
+
+import numpy as np
+
+from pnr.curation import InitialState, PnRSequence, Recording
+from pnr.errors import MalformedFile
+from pnr.events import Trajectory3
+from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
+from pnr.geometry import Aabb
+from pnr.motion import MotionSequence
+from pnr.skeleton import N_JOINTS
+
+log = logging.getLogger(__name__)
+
+SCHEMA_VERSION = 1
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _require(cond, path, line_no, reason):
+    if not cond:
+        raise MalformedFile(path, line_no, reason)
+
+
+def _finite_list(values, path, line_no, what):
+    arr = np.asarray(values, dtype=np.float64)
+    _require(np.all(np.isfinite(arr)), path, line_no, f"non-finite {what}")
+    return arr
+
+
+def write_recording(rec: Recording, path) -> None:
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(_dump({
+            "schema_version": SCHEMA_VERSION,
+            "id": rec.id,
+            "video_id": rec.video_id,
+            "fps": rec.motion.fps,
+            "up_axis": "y",
+            "units": "m/s/rad",
+        }) + "\n")
+        for oid in rec.objects:
+            tgt = rec.objects[oid]
+            row = {"k": "object", "id": oid}
+            if tgt.box is not None:
+                row["box"] = {"min": tgt.box.min.tolist(), "max": tgt.box.max.tolist()}
+            else:
+                row["point"] = tgt.point.tolist()
+            f.write(_dump(row) + "\n")
+        for oid, traj in rec.object_trajectories.items():
+            for t, p in zip(traj.times, traj.positions):
+                f.write(_dump({"k": "object", "id": oid, "t": float(t),
+                               "point": p.tolist()}) + "\n")
+        g = rec.gaze
+        for i in range(len(g)):
+            f.write(_dump({
+                "k": "gaze",
+                "t": float(g.times[i]),
+                "dir_cam": g.points_cam[i].tolist(),
+                "cam_pose": {"r": g.rotations[i].reshape(9).tolist(),
+                             "t": g.translations[i].tolist()},
+            }) + "\n")
+        for i in range(rec.motion.n_frames):
+            f.write(_dump({
+                "k": "frame",
+                "t": i / rec.motion.fps,
+                "joints": rec.motion.joints[i].reshape(66).tolist(),
+            }) + "\n")
+        for ev in sorted(rec.events, key=lambda e: e.t_e):
+            f.write(_dump({"k": "event", "kind": ev.kind, "t_e": ev.t_e,
+                           "object_id": ev.target.id}) + "\n")
+
+
+def read_recording(path) -> Recording:
+    path = Path(path)
+    header = None
+    gaze_rows, frame_rows, event_rows = [], [], []
+    objects: dict[str, ObjectTarget] = {}
+    traj_rows: dict[str, list] = {}
+    last_t = {}
+    with path.open("r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
+            if header is None:
+                _require(isinstance(row, dict) and "schema_version" in row,
+                         path, line_no, "first line must be the header")
+                for key in ("id", "video_id", "fps"):
+                    _require(key in row, path, line_no, f"header missing {key}")
+                _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
+                         path, line_no, "fps must be a positive number")
+                header = row
+                continue
+            kind = row.get("k")
+            if kind in ("gaze", "frame", "event"):
+                t = row.get("t", row.get("t_e"))
+                _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+                prev = last_t.get(kind)
+                _require(prev is None or t >= prev, path, line_no,
+                         f"{kind} times must be non-decreasing")
+                last_t[kind] = t
+            if kind == "gaze":
+                _require("dir_cam" in row and "cam_pose" in row, path, line_no,
+                         "gaze record needs dir_cam and cam_pose")
+                r = _finite_list(row["cam_pose"]["r"], path, line_no, "cam rotation")
+                _require(r.size == 9, path, line_no, "cam_pose.r must have 9 entries")
+                gaze_rows.append((
+                    float(row["t"]),
+                    _finite_list(row["dir_cam"], path, line_no, "gaze direction"),
+                    r.reshape(3, 3),
+                    _finite_list(row["cam_pose"]["t"], path, line_no, "cam translation"),
+                ))
+            elif kind == "frame":
+                joints = _finite_list(row["joints"], path, line_no, "joints")
+                _require(joints.size == 3 * N_JOINTS, path, line_no,
+                         f"joints must have {3 * N_JOINTS} entries")
+                frame_rows.append(joints.reshape(N_JOINTS, 3))
+            elif kind == "object":
+                oid = row.get("id")
+                _require(isinstance(oid, str), path, line_no, "object record needs id")
+                if "t" in row:
+                    _require("point" in row, path, line_no,
+                             "timed object records carry a point")
+                    traj_rows.setdefault(oid, []).append(
+                        (float(row["t"]),
+                         _finite_list(row["point"], path, line_no, "object point")))
+                elif "box" in row:
+                    mn = _finite_list(row["box"]["min"], path, line_no, "box min")
+                    mx = _finite_list(row["box"]["max"], path, line_no, "box max")
+                    _require(np.all(mn <= mx), path, line_no, "box min exceeds max")
+                    objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
+                elif "point" in row:
+                    objects[oid] = ObjectTarget(
+                        oid, point=_finite_list(row["point"], path, line_no, "point"))
+                else:
+                    raise MalformedFile(path, line_no, "object record needs box or point")
+            elif kind == "event":
+                _require(row.get("kind") in ("pick", "put"), path, line_no,
+                         "event kind must be pick or put")
+                _require("object_id" in row, path, line_no, "event needs object_id")
+                event_rows.append((row["kind"], float(row["t_e"]), row["object_id"], line_no))
+            else:
+                log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+    _require(header is not None, path, 1, "empty file")
+    _require(len(gaze_rows) >= 1, path, 1, "recording has no gaze samples")
+    _require(len(frame_rows) >= 2, path, 1, "recording has fewer than 2 frames")
+
+    track = GazeTrack(
+        np.array([r[0] for r in gaze_rows]),
+        np.array([r[1] for r in gaze_rows]),
+        np.array([r[2] for r in gaze_rows]),
+        np.array([r[3] for r in gaze_rows]),
+    )
+    motion = MotionSequence(float(header["fps"]), np.array(frame_rows))
+    trajectories = {
+        oid: Trajectory3(np.array([t for t, _ in rows]), np.array([p for _, p in rows]))
+        for oid, rows in traj_rows.items()
+    }
+    events = []
+    for kind, t_e, oid, line_no in event_rows:
+        _require(oid in objects, path, line_no, f"event references unknown object {oid!r}")
+        events.append(InteractionEvent(kind, t_e, objects[oid]))
+    return Recording(
+        id=str(header["id"]),
+        video_id=str(header["video_id"]),
+        gaze=track,
+        motion=motion,
+        objects=objects,
+        events=events,
+        object_trajectories=trajectories,
+    )
+
+
+def write_sequence(seq: PnRSequence, path) -> None:
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(_dump({
+            "schema_version": SCHEMA_VERSION,
+            "id": seq.id,
+            "video_id": seq.video_id,
+            "fps": seq.motion.fps,
+            "kind": seq.event.event.kind,
+            "t_p": seq.t_p,
+            "t_e": seq.t_e,
+            "t_start": seq.t_e - seq.motion.duration,
+            "prime_mode": seq.event.prime_mode,
+            "goal": seq.goal_location.tolist(),
+            "prime_frame_index": seq.prime_frame_index,
+            "initial_velocity": seq.initial_state.velocity.reshape(66).tolist(),
+            "flags": list(seq.flags),
+        }) + "\n")
+        for i in range(seq.motion.n_frames):
+            row = {
+                "k": "frame",
+                "t": i / seq.motion.fps,
+                "joints": seq.motion.joints[i].reshape(66).tolist(),
+            }
+            if seq.motion.gaze is not None:
+                row["gaze"] = seq.motion.gaze[i].tolist()
+            f.write(_dump(row) + "\n")
+
+
+def read_sequence(path) -> PnRSequence:
+    path = Path(path)
+    header = None
+    joints_rows, gaze_rows = [], []
+    with path.open("r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
+            if header is None:
+                _require("schema_version" in row, path, line_no,
+                         "first line must be the header")
+                for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
+                            "goal", "prime_frame_index", "initial_velocity"):
+                    _require(key in row, path, line_no, f"header missing {key}")
+                header = row
+                continue
+            kind = row.get("k")
+            if kind == "frame":
+                joints = _finite_list(row["joints"], path, line_no, "joints")
+                _require(joints.size == 3 * N_JOINTS, path, line_no,
+                         f"joints must have {3 * N_JOINTS} entries")
+                joints_rows.append(joints.reshape(N_JOINTS, 3))
+                if "gaze" in row:
+                    gaze_rows.append(_finite_list(row["gaze"], path, line_no, "gaze"))
+            else:
+                log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+    _require(header is not None, path, 1, "empty file")
+    _require(len(joints_rows) >= 2, path, 1, "sequence has fewer than 2 frames")
+    fps = float(header["fps"])
+    span = float(header["t_e"]) - float(header.get("t_start", header["t_p"] - 2.0))
+    _require(abs((len(joints_rows) - 1) - span * fps) <= 1.0, path, 1,
+             "frame count does not match the header time span")
+    gaze = None
+    if gaze_rows:
+        _require(len(gaze_rows) == len(joints_rows), path, 1,
+                 "gaze must cover every frame or none")
+        gaze = np.array(gaze_rows)
+    motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
+    goal = _finite_list(header["goal"], path, 1, "goal")
+    velocity = np.asarray(header["initial_velocity"], dtype=np.float64).reshape(N_JOINTS, 3)
+    target = ObjectTarget("goal", point=goal)
+    event = PrimedEvent(
+        InteractionEvent(str(header["kind"]), float(header["t_e"]), target),
+        float(header["t_p"]),
+        str(header.get("prime_mode", "direct_hit")),
+    )
+    return PnRSequence(
+        id=str(header["id"]),
+        video_id=str(header["video_id"]),
+        event=event,
+        motion=motion,
+        goal_location=goal,
+        goal_pose=motion.joints[-1],
+        initial_state=InitialState(motion.joints[0], velocity),
+        prime_frame_index=int(header["prime_frame_index"]),
+        flags=tuple(header.get("flags", ())),
+    )

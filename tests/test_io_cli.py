@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ from pnr import io_jsonl as io
 from pnr.cli import main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
-from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario
+from pnr.motion import resample
+from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,89 @@ class TestRecordingValidation:
             io.read_recording(p)
 
 
+def _edit_row(row, edit):
+    if edit == "drop_joints":
+        del row["joints"]
+    elif edit == "pose_not_object":
+        row["cam_pose"] = [1.0, 2.0]
+    elif edit == "short_dir_cam":
+        row["dir_cam"] = row["dir_cam"][:2]
+    elif edit == "short_gaze":
+        row["gaze"] = row["gaze"][:2]
+    elif edit == "short_velocity":
+        row["initial_velocity"] = row["initial_velocity"][:65]
+    elif edit == "nan_velocity":
+        row["initial_velocity"][7] = float("nan")
+    elif edit == "short_goal":
+        row["goal"] = row["goal"][:2]
+    return json.dumps(row)
+
+
+def _malformed(lines, k, edit, tmp_path, read, name):
+    """Apply one edit to line k (0-based) and return the reader's error."""
+    lines = list(lines)
+    lines[k] = '[1, 2]' if edit == "not_object" else _edit_row(json.loads(lines[k]), edit)
+    p = tmp_path / name
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        read(p)
+    return err.value
+
+
+class TestMalformedRows:
+    """Bad row shapes raise MalformedFile at their line, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def rec_lines(self, scenario, tmp_path_factory):
+        p = tmp_path_factory.mktemp("rec") / "ok.rec.jsonl"
+        io.write_recording(scenario[0], p)
+        return p.read_text(encoding="utf-8").splitlines()
+
+    @pytest.fixture(scope="class")
+    def seq_lines(self, scenario, tmp_path_factory):
+        p = tmp_path_factory.mktemp("seq") / "ok.seq.jsonl"
+        io.write_sequence(curate(scenario[0]).sequences[0], p)
+        return p.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("kind, edit, reason", [
+        ("frame", "drop_joints", "frame record needs joints"),
+        ("frame", "not_object", "record must be a JSON object"),
+        ("gaze", "pose_not_object", "cam_pose needs r and t"),
+        ("gaze", "short_dir_cam", "dir_cam must have 3 entries"),
+    ])
+    def test_recording_row(self, rec_lines, tmp_path, kind, edit, reason):
+        k = next(i for i, line in enumerate(rec_lines) if f'"k":"{kind}"' in line) + 3
+        err = _malformed(rec_lines, k, edit, tmp_path, io.read_recording, "bad.rec.jsonl")
+        assert (err.line_no, err.reason) == (k + 1, reason)
+        assert f"bad.rec.jsonl:{k + 1}:" in str(err)
+
+    def test_repeated_gaze_time(self, rec_lines, tmp_path):
+        k = next(i for i, line in enumerate(rec_lines) if '"k":"gaze"' in line) + 1
+        lines = list(rec_lines)
+        row = json.loads(lines[k])
+        row["t"] = json.loads(lines[k - 1])["t"]
+        lines[k] = json.dumps(row)
+        p = tmp_path / "repeat.rec.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            io.read_recording(p)
+        assert (err.value.line_no, err.value.reason) == \
+            (k + 1, "gaze times must be strictly increasing")
+
+    def test_sequence_gaze_row(self, seq_lines, tmp_path):
+        err = _malformed(seq_lines, 4, "short_gaze", tmp_path, io.read_sequence, "g.seq.jsonl")
+        assert (err.line_no, err.reason) == (5, "gaze must have 3 entries")
+
+    @pytest.mark.parametrize("edit, reason", [
+        ("short_velocity", "initial_velocity must have 66 entries"),
+        ("nan_velocity", "non-finite initial velocity"),
+        ("short_goal", "goal must have 3 entries"),
+    ])
+    def test_sequence_header_arrays(self, seq_lines, tmp_path, edit, reason):
+        err = _malformed(seq_lines, 0, edit, tmp_path, io.read_sequence, "h.seq.jsonl")
+        assert (err.line_no, err.reason) == (1, reason)
+
+
 def write_corpus(tmp_path, n=3, seed=5):
     rec_dir = tmp_path / "recordings"
     rec_dir.mkdir(exist_ok=True)
@@ -298,6 +383,42 @@ class TestCliPipeline:
         assert "zzz-bad.rec.jsonl:1" in err
         # the well-formed recordings were still curated
         assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+    def test_malformed_row_exit_2_continues(self, tmp_path, capsys):
+        rec_dir = write_corpus(tmp_path, n=2)
+        lines = next(rec_dir.glob("*.rec.jsonl")).read_text(encoding="utf-8").splitlines()
+        k = next(i for i, line in enumerate(lines) if '"k":"frame"' in line)
+        row = json.loads(lines[k])
+        del row["joints"]
+        lines[k] = json.dumps(row)
+        (rec_dir / "zzz-bad.rec.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
+        assert f"zzz-bad.rec.jsonl:{k + 1}: frame record needs joints" in capsys.readouterr().err
+        assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+    def test_baseline_same_dir_read_once_same_bytes(self, tmp_path):
+        rec_dir = write_corpus(tmp_path, n=2)
+        seq_dir, copy_dir = tmp_path / "seqs", tmp_path / "seqs-copy"
+        main(["curate", "--in", str(rec_dir), "--out", str(seq_dir)])
+        shutil.copytree(seq_dir, copy_dir)
+        same, split = tmp_path / "same", tmp_path / "split"
+        assert main(["baseline", "static", "--train", str(seq_dir),
+                     "--gt", str(seq_dir / ".." / "seqs"), "--out", str(same)]) == 0
+        assert main(["baseline", "static", "--train", str(seq_dir),
+                     "--gt", str(copy_dir), "--out", str(split)]) == 0
+        names = sorted(p.name for p in same.iterdir())
+        assert names == sorted(p.name for p in split.iterdir()) and len(names) == 2
+        for name in names:
+            assert (same / name).read_bytes() == (split / name).read_bytes()
+        # each prediction is the mean pose of all training frames, retimed to
+        # its ground truth resampled to --n frames
+        train = io.read_sequences_dir(seq_dir)
+        for gt in train:
+            pred = io.read_sequence(same / f"{gt.id}{io.SEQUENCE_SUFFIX}")
+            expected = static_baseline(train, n=150, fps=resample(gt.motion, 150).fps)
+            assert pred.motion.fps == expected.fps
+            assert np.array_equal(pred.motion.joints, expected.joints)
 
     def test_bad_flag_exit_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,339 @@
+"""The per-file readers and writers of pnr.io_jsonl against the row-wise
+reference in reference_io.py.
+
+Writers must produce the same bytes and readers the same values. On
+mutated files the new readers must agree with the reference: the same
+line and reason where it raises MalformedFile, an equal result where it
+returns, and a MalformedFile (never another exception) where it crashed.
+Lists are flat in the written schema; the mutations never nest them.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_io as ref
+from pnr import io_jsonl as io
+from pnr.curation import InitialState, PnRSequence, Recording, curate
+from pnr.errors import MalformedFile
+from pnr.events import Trajectory3
+from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
+from pnr.geometry import Aabb
+from pnr.motion import MotionSequence
+from pnr.synth import ScenarioSpec, generate_scenario
+
+# Ids carry non-ASCII characters and U+2028, which the writers leave
+# unescaped and a reader must not treat as a line break.
+# Full-precision values plus ones whose repr is unusual: signed zero,
+# exponent forms at both ends, a subnormal and integral floats
+AWKWARD = [-0.0, 1e-7, 1.5e-5, 1e16, 123456789012345.0, 5e-324, 2.0, -3.0, 0.1]
+
+
+def _values(rng, shape):
+    v = rng.normal(size=shape) * 3.0
+    flat = v.reshape(-1)
+    flat[: len(AWKWARD)] = AWKWARD[: flat.size]
+    return v
+
+
+def small_recording(seed=0, n_gaze=7, n_frames=6, trajectories=True):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 0.05, n_gaze))
+    gaze = GazeTrack(times, _values(rng, (n_gaze, 3)), _values(rng, (n_gaze, 3, 3)),
+                     _values(rng, (n_gaze, 3)))
+    cup = ObjectTarget("cup", box=Aabb.from_center(_values(rng, 3), np.abs(_values(rng, 3))))
+    mark = ObjectTarget("mark\u2028\u00e9", point=_values(rng, 3))
+    trajs = {"cup": Trajectory3(times[:4], _values(rng, (4, 3)))} if trajectories else {}
+    return Recording(
+        id=f"rec{seed}-\u00fc\u2028x",
+        video_id=f"vid{seed}",
+        gaze=gaze,
+        motion=MotionSequence(30.0, _values(rng, (n_frames, 22, 3))),
+        objects={"cup": cup, "mark\u2028\u00e9": mark},
+        events=[InteractionEvent("put", 0.2, mark), InteractionEvent("pick", 0.1, cup)],
+        object_trajectories=trajs,
+    )
+
+
+def small_sequence(seed=0, n_frames=6, with_gaze=True):
+    rng = np.random.default_rng(seed)
+    motion = MotionSequence(30.0, _values(rng, (n_frames, 22, 3)),
+                            gaze=_values(rng, (n_frames, 3)) if with_gaze else None)
+    goal = _values(rng, 3)
+    t_e = 2.0 + 1.0 / 3.0
+    event = PrimedEvent(InteractionEvent("pick", t_e, ObjectTarget("goal", point=goal)),
+                        t_e - 0.1, "near_miss")
+    return PnRSequence(
+        id=f"seq{seed}-é", video_id=f"vid{seed}", event=event, motion=motion,
+        goal_location=goal, goal_pose=motion.joints[-1],
+        initial_state=InitialState(motion.joints[0], _values(rng, (22, 3))),
+        prime_frame_index=2, flags=("clamped_start",) if seed % 2 else (),
+    )
+
+
+def corpus():
+    rec, _ = generate_scenario(ScenarioSpec(seed=3, prime_mode="near_miss"))
+    seq = curate(rec).sequences[0]
+    recordings = [small_recording(0), small_recording(1, trajectories=False), rec,
+                  replace(rec, object_trajectories={
+                      "cup": Trajectory3(np.arange(5) * 0.25, np.ones((5, 3)))})]
+    sequences = [small_sequence(0), small_sequence(1, with_gaze=False), seq,
+                 replace(seq, motion=MotionSequence(seq.motion.fps, seq.motion.joints))]
+    return recordings, sequences
+
+
+RECORDINGS, SEQUENCES = corpus()
+
+
+def same(a, b):
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                          equal_nan=True)
+
+
+def assert_recordings_equal(a, b):
+    assert (a.id, a.video_id) == (b.id, b.video_id)
+    assert same(a.motion.fps, b.motion.fps) and same(a.motion.joints, b.motion.joints)
+    for name in ("times", "points_cam", "rotations", "translations"):
+        assert same(getattr(a.gaze, name), getattr(b.gaze, name))
+    assert list(a.objects) == list(b.objects)
+    for oid, ta in a.objects.items():
+        tb = b.objects[oid]
+        assert ta.id == tb.id and (ta.box is None) == (tb.box is None)
+        if ta.box is None:
+            assert same(ta.point, tb.point)
+        else:
+            assert same(ta.box.min, tb.box.min) and same(ta.box.max, tb.box.max)
+    assert [(e.kind, e.target.id) for e in a.events] == [(e.kind, e.target.id) for e in b.events]
+    assert same([e.t_e for e in a.events], [e.t_e for e in b.events])
+    assert list(a.object_trajectories) == list(b.object_trajectories)
+    for oid, ta in a.object_trajectories.items():
+        tb = b.object_trajectories[oid]
+        assert same(ta.times, tb.times) and same(ta.positions, tb.positions)
+
+
+def assert_sequences_equal(a, b):
+    assert (a.id, a.video_id, a.event.event.kind, a.event.prime_mode, a.flags) == \
+        (b.id, b.video_id, b.event.event.kind, b.event.prime_mode, b.flags)
+    assert a.prime_frame_index == b.prime_frame_index
+    assert same(a.t_p, b.t_p) and same(a.t_e, b.t_e) and same(a.motion.fps, b.motion.fps)
+    assert same(a.motion.joints, b.motion.joints)
+    assert (a.motion.gaze is None) == (b.motion.gaze is None)
+    if a.motion.gaze is not None:
+        assert same(a.motion.gaze, b.motion.gaze)
+    assert same(a.goal_location, b.goal_location) and same(a.goal_pose, b.goal_pose)
+    assert same(a.initial_state.pose, b.initial_state.pose)
+    assert same(a.initial_state.velocity, b.initial_state.velocity)
+
+
+@pytest.mark.parametrize("i", range(len(RECORDINGS)))
+def test_write_recording_bytes_match_reference(i, tmp_path):
+    ref.write_recording(RECORDINGS[i], tmp_path / "ref.rec.jsonl")
+    io.write_recording(RECORDINGS[i], tmp_path / "new.rec.jsonl")
+    assert (tmp_path / "new.rec.jsonl").read_bytes() == (tmp_path / "ref.rec.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("i", range(len(SEQUENCES)))
+def test_write_sequence_bytes_match_reference(i, tmp_path):
+    ref.write_sequence(SEQUENCES[i], tmp_path / "ref.seq.jsonl")
+    io.write_sequence(SEQUENCES[i], tmp_path / "new.seq.jsonl")
+    assert (tmp_path / "new.seq.jsonl").read_bytes() == (tmp_path / "ref.seq.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("i", range(len(RECORDINGS)))
+def test_read_recording_matches_reference(i, tmp_path):
+    p = tmp_path / "r.rec.jsonl"
+    ref.write_recording(RECORDINGS[i], p)
+    assert_recordings_equal(io.read_recording(p), ref.read_recording(p))
+    rec = RECORDINGS[i]
+    written = replace(rec, events=sorted(rec.events, key=lambda e: e.t_e))
+    assert_recordings_equal(io.read_recording(p), written)
+
+
+@pytest.mark.parametrize("i", range(len(SEQUENCES)))
+def test_read_sequence_matches_reference(i, tmp_path):
+    p = tmp_path / "s.seq.jsonl"
+    ref.write_sequence(SEQUENCES[i], p)
+    assert_sequences_equal(io.read_sequence(p), ref.read_sequence(p))
+    assert_sequences_equal(io.read_sequence(p), SEQUENCES[i])
+
+
+@pytest.mark.parametrize("item, reason", [(float("inf"), "non-finite joints"),
+                                          ("x", "joints must be a list of numbers")])
+@pytest.mark.parametrize("frame", [0, 63, 64, 128, -1])
+def test_bad_joint_reported_at_its_line(frame, item, reason, tmp_path):
+    seq = SEQUENCES[2]
+    frame %= seq.motion.n_frames
+    p = tmp_path / "s.seq.jsonl"
+    io.write_sequence(seq, p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    row = json.loads(lines[1 + frame])
+    row["joints"][5] = item
+    lines[1 + frame] = json.dumps(row)
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        io.read_sequence(p)
+    assert (err.value.line_no, err.value.reason) == (frame + 2, reason)
+
+
+def test_nested_lists_rejected(tmp_path):
+    # The reference accepted joints written as 22 lists of 3, as they have
+    # 66 numbers in all; the schema writes flat lists, and so must a file.
+    p = tmp_path / "nested.rec.jsonl"
+    io.write_recording(RECORDINGS[0], p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    frames = [i for i, line in enumerate(lines) if '"k":"frame"' in line]
+    for i in frames:
+        row = json.loads(lines[i])
+        row["joints"] = np.reshape(row["joints"], (22, 3)).tolist()
+        lines[i] = json.dumps(row)
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        io.read_recording(p)
+    assert (err.value.line_no, err.value.reason) == (frames[0] + 1, "joints must have 66 entries")
+
+
+def test_zero_fps_sequence_rejected(tmp_path):
+    p = tmp_path / "still.seq.jsonl"
+    io.write_sequence(small_sequence(n_frames=2), p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    header["fps"] = 0
+    lines[0] = json.dumps(header)
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        io.read_sequence(p)
+    assert (err.value.line_no, err.value.reason) == (1, "fps must be positive")
+
+
+# --------------------------------------------------------------------------
+# mutated files
+
+WRONG_TYPES = [None, "x", 7, True, {}, []]
+BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], {}]
+NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
+MUTATIONS = ["delete_key", "wrong_type", "non_finite", "bad_item", "short_list",
+             "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
+             "non_object"]
+
+
+def _key_paths(row, prefix=()):
+    for key, value in row.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _get(row, path):
+    for key in path:
+        row = row[key]
+    return row
+
+
+def _set(row, path, value):
+    _get(row, path[:-1])[path[-1]] = value
+
+
+def _mutate(data, lines):
+    """One drawn mutation of one drawn line; a mutation with nothing to act
+    on leaves the file as it is."""
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "truncate":
+        lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
+    elif kind == "non_object":
+        lines[i] = data.draw(st.sampled_from(NON_OBJECTS), label="value")
+    elif kind == "swap_lines":
+        j = i + 1 if i + 1 < len(lines) else i - 1
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "drop_line":
+        del lines[i]
+    else:
+        row = json.loads(lines[i])
+        paths = list(_key_paths(row))
+        lists = [p for p in paths if isinstance(_get(row, p), list) and _get(row, p)]
+        numbers = [p for p in paths if isinstance(_get(row, p), float)]
+        if kind == "delete_key":
+            path = data.draw(st.sampled_from(paths), label="key")
+            del _get(row, path[:-1])[path[-1]]
+        elif kind == "wrong_type":
+            _set(row, data.draw(st.sampled_from(paths), label="key"),
+                 data.draw(st.sampled_from(WRONG_TYPES), label="value"))
+        elif kind == "non_finite" and numbers:
+            _set(row, data.draw(st.sampled_from(numbers), label="key"),
+                 data.draw(st.sampled_from(BAD_ITEMS[:3]), label="value"))
+        elif kind == "bad_item" and lists:
+            values = _get(row, data.draw(st.sampled_from(lists), label="key"))
+            values[data.draw(st.integers(0, len(values) - 1), label="item")] = \
+                data.draw(st.sampled_from(BAD_ITEMS), label="value")
+        elif kind in ("short_list", "long_list") and lists:
+            values = _get(row, data.draw(st.sampled_from(lists), label="key"))
+            if kind == "short_list":
+                values.pop()
+            else:
+                values.append(0.5)
+        elif kind == "repeat_time" and i > 0:
+            prev = json.loads(lines[i - 1])
+            for key in ("t", "t_e"):
+                if key in row and isinstance(prev, dict) and key in prev:
+                    row[key] = prev[key]
+        lines[i] = json.dumps(row, ensure_ascii=False)
+    return lines
+
+
+def _outcome(read, path):
+    try:
+        return "ok", read(path)
+    except MalformedFile as exc:
+        return "malformed", (exc.line_no, exc.reason)
+    except Exception as exc:  # noqa: BLE001 - the reference may crash in any way
+        return "crash", f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture(scope="module")
+def clean_lines(tmp_path_factory):
+    """The lines of the first two recordings and sequences, written once."""
+    d = tmp_path_factory.mktemp("clean")
+    lines = {}
+    for i in (0, 1):
+        io.write_recording(RECORDINGS[i], d / "r.jsonl")
+        io.write_sequence(SEQUENCES[i], d / "s.jsonl")
+        lines["rec", i] = (d / "r.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+        lines["seq", i] = (d / "s.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    return d, lines
+
+
+def _check_against_reference(new_read, ref_read, assert_equal, data, d, lines):
+    mutated = d / "mutated.jsonl"
+    mutated.write_text("\n".join(_mutate(data, lines)) + "\n", encoding="utf-8")
+    ref_kind, ref_value = _outcome(ref_read, mutated)
+    new_kind, new_value = _outcome(new_read, mutated)
+    assert new_kind != "crash", new_value
+    if ref_kind == "crash":
+        assert new_kind == "malformed"
+    else:
+        assert new_kind == ref_kind, (ref_value, new_value)
+        if ref_kind == "malformed":
+            assert new_value == ref_value
+        else:
+            assert_equal(new_value, ref_value)
+
+
+@given(data=st.data(), i=st.integers(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_mutated_recording_agrees_with_reference(data, i, clean_lines):
+    d, lines = clean_lines
+    _check_against_reference(io.read_recording, ref.read_recording, assert_recordings_equal,
+                             data, d, lines["rec", i])
+
+
+@given(data=st.data(), i=st.integers(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_mutated_sequence_agrees_with_reference(data, i, clean_lines):
+    d, lines = clean_lines
+    _check_against_reference(io.read_sequence, ref.read_sequence, assert_sequences_equal,
+                             data, d, lines["seq", i])
