@@ -27,7 +27,7 @@ print(f"  prime modes: {modes.count('direct_hit')} direct hits, "
       f"{modes.count('near_miss')} near misses")
 
 print("\n== Curating ==")
-results = curate_corpus(recordings, max_workers=4)
+results = curate_corpus(recordings)
 sequences = [s for r in results for s in r.sequences]
 drops = [d for r in results for d in r.drops]
 print(f"  {len(sequences)} sequences curated, {len(drops)} events dropped")

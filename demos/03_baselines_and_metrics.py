@@ -23,7 +23,7 @@ N_FRAMES = 150
 
 print("== Building a 120-scenario corpus ==")
 corpus = generate_corpus(ScenarioSpec(), 120, seed=77)
-results = curate_corpus([rec for rec, _ in corpus], max_workers=4)
+results = curate_corpus([rec for rec, _ in corpus])
 sequences = [s for r in results for s in r.sequences]
 manifest = split(sequences, ratio=0.7, seed=3)
 train = [s for s in sequences if manifest.assignments[s.id] == "train"]

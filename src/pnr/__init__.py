@@ -68,7 +68,6 @@ from .metrics import (
     reach_success,
 )
 from .motion import (
-    MotionFrame,
     MotionSequence,
     body_movement,
     canonicalize,

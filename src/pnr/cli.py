@@ -2,15 +2,13 @@
 baseline, over the JSONL interchange formats.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input.
-Angles are degrees at this boundary and radians inside. PNR_THREADS caps
-the curation worker count.
+Angles are degrees at this boundary and radians inside.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import io_jsonl as io
 from .curation import curate_corpus, split, stats
-from .errors import MalformedFile, MissingGaze, PnrError
+from .errors import MalformedFile, PnrError
 from .gaze import DEFAULT_TAU, DEFAULT_WINDOW
 from .metrics import (
     DEFAULT_N_FRAMES,
@@ -31,7 +29,7 @@ from .metrics import (
     prime_success_sweep,
 )
 from .curation import DEFAULT_MIN_MOVEMENT, DEFAULT_PREPEND
-from .motion import MotionSequence, resample
+from .motion import MotionSequence, resample, resampled_index
 from .synth import ScenarioSpec, generate_corpus, static_baseline
 
 
@@ -39,16 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _workers() -> int | None:
-    env = os.environ.get("PNR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return None
 
 
 def _fail_io(exc) -> int:
@@ -79,7 +67,6 @@ def cmd_curate(args) -> int:
         seen.add(rec.id)
     results = curate_corpus(
         recordings,
-        max_workers=_workers(),
         prepend=args.prepend,
         w=args.w,
         tau=args.tau,
@@ -121,44 +108,34 @@ def cmd_split(args) -> int:
             overrides = json.loads(Path(args.override).read_text(encoding="utf-8"))
         except OSError as exc:
             return _fail_io(exc)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            return _fail_io(f"{args.override}: not a JSON file: {exc}")
+        if not isinstance(overrides, dict):
+            return _fail_io(f"{args.override}: must be a JSON object of video_id -> side")
+        for video, side in overrides.items():
+            if side not in ("train", "test"):
+                return _fail_io(f"{args.override}: side of {video!r} must be "
+                                f"train or test, got {side!r}")
     manifest = split(sequences, ratio=args.ratio, seed=args.seed,
                      video_overrides=overrides)
     _emit(manifest.to_dict(), args.out)
     return 0
 
 
-def _paired(pred_dir, gt_dir, n):
-    gt_seqs = io.read_sequences_dir(gt_dir)
-    preds = {p.id: p for p in io.read_sequences_dir(pred_dir)}
-    pairs = []
-    missing = []
-    for gt in gt_seqs:
-        pred = preds.get(gt.id)
-        if pred is None:
-            missing.append(gt.id)
-            continue
-        if gt.motion.gaze is None:
-            raise MissingGaze(f"{gt.id}: ground-truth sequence carries no gaze")
-        gt_res = resample(gt.motion, n)
-        pred_res = resample(pred.motion, n)
-        aligned = MotionSequence(gt_res.fps, pred_res.joints)
-        gaze = gt.motion.gaze[gt.prime_frame_index]
-        pairs.append(EvalPair(
-            id=gt.id,
-            predicted=aligned,
-            ground_truth=gt_res,
-            prime_frame_index=int(round(gt.prime_frame_index * (n - 1)
-                                        / (gt.motion.n_frames - 1))),
-            goal_location=gt.goal_location,
-            prime_gaze=gaze / np.linalg.norm(gaze),
-        ))
-    return pairs, missing
+def _pairs(args):
+    """EvalPairs on args.n frames for every ground-truth sequence with a
+    prediction of the same id, and the ids of those without one."""
+    gt_seqs = io.read_sequences_dir(args.gt)
+    preds = {p.id: p.motion for p in io.read_sequences_dir(args.pred)}
+    pairs = [EvalPair.from_sequences(preds[gt.id], gt, args.n)
+             for gt in gt_seqs if gt.id in preds]
+    return pairs, [gt.id for gt in gt_seqs if gt.id not in preds]
 
 
 def cmd_evaluate(args) -> int:
     try:
-        pairs, missing = _paired(args.pred, args.gt, args.n)
-    except (OSError, MalformedFile, PnrError) as exc:
+        pairs, missing = _pairs(args)
+    except (OSError, PnrError) as exc:
         return _fail_io(exc)
     for mid in missing:
         print(f"warning: no prediction for {mid}", file=sys.stderr)
@@ -188,8 +165,8 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        pairs, _ = _paired(args.pred, args.gt, args.n)
-    except (OSError, MalformedFile, PnrError) as exc:
+        pairs, _ = _pairs(args)
+    except (OSError, PnrError) as exc:
         return _fail_io(exc)
     if not pairs:
         return _fail_io("no (prediction, ground truth) pairs to sweep")
@@ -197,10 +174,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         io.write_sweep_csv(thetas, sigmas, grid, args.out)
     else:
-        print("theta_deg,sigma_s,prime_success_pct")
-        for k, sigma in enumerate(sigmas):
-            for j, theta in enumerate(thetas):
-                print(f"{theta},{sigma},{grid[k, j]!r}")
+        print(io.sweep_csv(thetas, sigmas, grid), end="")
     return 0
 
 
@@ -237,9 +211,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    if args.kind != "static":
-        print(f"error: unknown baseline {args.kind!r}", file=sys.stderr)
-        return 1
     try:
         train = io.read_sequences_dir(args.train)
         same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
@@ -256,9 +227,9 @@ def cmd_baseline(args) -> int:
     for gt in gt_seqs:
         gt_res = resample(gt.motion, args.n)
         pred = MotionSequence(gt_res.fps, mean_pose)
-        scale = (args.n - 1) / (gt.motion.n_frames - 1)
         seq = replace(gt, motion=pred, goal_pose=pred.joints[-1],
-                      prime_frame_index=int(round(gt.prime_frame_index * scale)))
+                      prime_frame_index=resampled_index(gt.prime_frame_index,
+                                                        gt.motion.n_frames, args.n))
         io.write_sequence(seq, out_dir / f"{seq.id}{io.SEQUENCE_SUFFIX}")
     print(f"wrote {len(gt_seqs)} static predictions to {out_dir}")
     return 0

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,15 +202,9 @@ def curate(
     return CurationResult(recording.id, sequences, drops)
 
 
-def curate_corpus(recordings, max_workers=None, **kwargs) -> list:
-    """curate() across a corpus, in input order. Per-recording work is
-    independent; results do not depend on scheduling."""
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    if max_workers <= 1 or len(recordings) <= 1:
-        return [curate(r, **kwargs) for r in recordings]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda r: curate(r, **kwargs), recordings))
+def curate_corpus(recordings, **kwargs) -> list:
+    """curate() across a corpus, in input order."""
+    return [curate(r, **kwargs) for r in recordings]
 
 
 @dataclass(frozen=True)

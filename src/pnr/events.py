@@ -99,7 +99,6 @@ def object_speeds(obj: Trajectory3, smoothing: float = SPEED_SMOOTHING) -> np.nd
     speed = np.linalg.norm(v, axis=1)
     if smoothing <= 0 or len(t) < 3:
         return speed
-    out = np.empty_like(speed)
     half = smoothing / 2.0
     lo = np.searchsorted(t, t - half, side="left")
     hi = np.searchsorted(t, t + half, side="right")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .motion import MotionSequence, heading_angles
+from .motion import MotionSequence, heading_angles, yaw_matrices
 from .skeleton import CONTACT_JOINTS, DEFAULT_SKELETON, N_JOINTS, PARENTS, PELVIS
 
 FEATURE_DIM = 263
@@ -95,15 +95,6 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _yaw_matrices(angles: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    m = np.zeros((len(angles), 3, 3))
-    m[:, 0, 0], m[:, 0, 2] = c, s
-    m[:, 1, 1] = 1.0
-    m[:, 2, 0], m[:, 2, 2] = -s, c
-    return m
-
-
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -113,14 +104,12 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     joints = motion.joints
     n = motion.n_frames
     psi = heading_angles(joints)
-    inv_rot = _yaw_matrices(-psi)
+    inv_rot = yaw_matrices(-psi)
 
     feats = np.zeros((n, FEATURE_DIM))
     feats[:-1, ROOT_ROT_VEL] = _wrap_angle(np.diff(psi))
 
     pelvis = joints[:, PELVIS]
-    ground = pelvis.copy()
-    ground[:, 1] = 0.0
     step = pelvis[1:] - pelvis[:-1]
     step[:, 1] = 0.0
     local_step = np.einsum("nij,nj->ni", inv_rot[:-1], step)
@@ -164,7 +153,7 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
         raise ValueError(f"features must be (N, {FEATURE_DIM}), got {feats.shape}")
     n = feats.shape[0]
     psi = np.concatenate([[0.0], np.cumsum(feats[:-1, ROOT_ROT_VEL])])
-    rot = _yaw_matrices(psi)
+    rot = yaw_matrices(psi)
 
     local_step = np.zeros((n - 1, 3))
     local_step[:, [0, 2]] = feats[:-1, ROOT_LIN_VEL]

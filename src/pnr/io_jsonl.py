@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ RECORDING_SUFFIX = ".rec.jsonl"
 SEQUENCE_SUFFIX = ".seq.jsonl"
 
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
 
 
 def _require(cond, path, line_no, reason):
@@ -53,12 +55,15 @@ def _records(path):
     """(line number, parsed value) of every non-blank line. Lines are split
     as text-mode file iteration splits them, never with str.splitlines:
     ids are written unescaped, and splitlines would also break them at
-    U+2028 and other separators."""
-    with path.open("r", encoding="utf-8") as f:
+    U+2028 and other separators. Bytes that are not UTF-8 arrive as lone
+    surrogates and are reported at their line."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and _UNDECODED.search(line):
+                raise MalformedFile(path, line_no, "not valid UTF-8")
             try:
                 yield line_no, json.loads(line)
             except json.JSONDecodeError as exc:
@@ -365,6 +370,7 @@ def read_sequence(path) -> PnRSequence:
         prime_frame_index = int(header["prime_frame_index"])
     except (TypeError, ValueError, OverflowError):
         raise MalformedFile(path, 1, "prime_frame_index must be an integer") from None
+    _require(0 <= prime_frame_index < len(joints), path, 1, "prime_frame_index out of range")
     try:
         flags = tuple(header.get("flags", ()))
     except TypeError:
@@ -429,21 +435,22 @@ def write_report(report: MetricsReport, path) -> None:
     Path(path).write_text(_dump(report.to_dict()) + "\n", encoding="utf-8")
 
 
-def read_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_json(payload: dict, path) -> None:
     Path(path).write_text(_dump(payload) + "\n", encoding="utf-8")
 
 
-def write_sweep_csv(thetas_deg, sigmas, grid, path) -> None:
+def sweep_csv(thetas_deg, sigmas, grid) -> str:
+    """The sweep grid as CSV text, one line per (sigma, theta) cell."""
     lines = ["theta_deg,sigma_s,prime_success_pct"]
     grid = np.asarray(grid)
     for k, sigma in enumerate(sigmas):
         for j, theta in enumerate(thetas_deg):
             lines.append(f"{theta},{sigma},{grid[k, j]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_sweep_csv(thetas_deg, sigmas, grid, path) -> None:
+    Path(path).write_text(sweep_csv(thetas_deg, sigmas, grid), encoding="utf-8")
 
 
 def write_labels(labels, path) -> None:

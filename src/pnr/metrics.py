@@ -18,7 +18,7 @@ import numpy as np
 from .curation import PnRSequence
 from .errors import EmptyCorpus, MissingGaze
 from .geometry import as_vec3
-from .motion import MotionSequence, head_forward_batch, resample
+from .motion import MotionSequence, head_forward_batch, resample, resampled_index
 from .skeleton import L_ANKLE, L_FOOT, L_WRIST, PELVIS, R_ANKLE, R_FOOT, R_WRIST
 
 DEFAULT_THETA_DEG = 16.0
@@ -95,9 +95,11 @@ class EvalPair:
 
     @staticmethod
     def from_sequences(predicted: MotionSequence, gt: PnRSequence, n: int | None = None) -> "EvalPair":
-        """Pair a prediction with a curated sequence, resampling the GT to
-        n frames (default: the prediction's frame count). The prime gaze
-        is read from the unresampled GT at its own prime frame."""
+        """Pair a prediction with a curated sequence on n frames (default:
+        the prediction's frame count). The GT is resampled to n frames; the
+        prediction is resampled only when its frame count differs, and is
+        put on the resampled GT's fps. The prime gaze is read from the
+        unresampled GT at its own prime frame."""
         if gt.motion.gaze is None:
             raise MissingGaze(f"{gt.id}: ground truth carries no gaze")
         n = n if n is not None else predicted.n_frames
@@ -105,15 +107,15 @@ class EvalPair:
         if not np.all(np.isfinite(gaze_at_prime)):
             raise MissingGaze(f"{gt.id}: gaze missing at the prime frame")
         resampled = resample(gt.motion, n)
-        scale = (n - 1) / (gt.motion.n_frames - 1)
-        prime_idx = int(round(gt.prime_frame_index * scale))
         if predicted.n_frames != n:
-            raise ValueError("prediction frame count must equal n")
+            predicted = resample(predicted, n)
+        if predicted.fps != resampled.fps:
+            predicted = MotionSequence(resampled.fps, predicted.joints)
         return EvalPair(
             id=gt.id,
             predicted=predicted,
             ground_truth=resampled,
-            prime_frame_index=prime_idx,
+            prime_frame_index=resampled_index(gt.prime_frame_index, gt.motion.n_frames, n),
             goal_location=gt.goal_location,
             prime_gaze=gaze_at_prime / np.linalg.norm(gaze_at_prime),
         )

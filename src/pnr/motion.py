@@ -27,16 +27,7 @@ from .skeleton import (
     R_WRIST,
 )
 
-UP = np.array([0.0, 1.0, 0.0])
-
 _DEGENERATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MotionFrame:
-    t: float
-    joints: np.ndarray
-    gaze_world: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,6 @@ class MotionSequence:
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.fps
 
-    def frame(self, i: int) -> MotionFrame:
-        gaze = None if self.gaze is None else self.gaze[i]
-        return MotionFrame(i / self.fps, self.joints[i], gaze)
-
     def transformed(self, t: RigidTransform) -> "MotionSequence":
         gaze = None if self.gaze is None else t.apply_dirs(self.gaze)
         return MotionSequence(self.fps, t.apply_points(self.joints), gaze)
@@ -105,6 +92,12 @@ def resample(motion: MotionSequence, n: int) -> MotionSequence:
     return MotionSequence(fps, joints, gaze)
 
 
+def resampled_index(i: int, src: int, n: int) -> int:
+    """Frame of an ``n``-frame resample nearest to frame ``i`` of ``src``;
+    one division of exact integers, so an exact half rounds to even."""
+    return round(i * (n - 1) / (src - 1))
+
+
 def _across_vectors(joints: np.ndarray) -> np.ndarray:
     """Left-to-right body axis per frame from hips and shoulders, (N, 3)."""
     return (joints[:, L_HIP] - joints[:, R_HIP]) + (
@@ -126,9 +119,20 @@ def heading_angles(joints: np.ndarray) -> np.ndarray:
     return np.arctan2(fx, fz)
 
 
+def yaw_matrices(angles) -> np.ndarray:
+    """Rotations about +y, one (3, 3) matrix per angle; a positive angle
+    turns +z toward +x."""
+    angles = np.asarray(angles, dtype=np.float64)
+    c, s = np.cos(angles), np.sin(angles)
+    m = np.zeros(angles.shape + (3, 3))
+    m[..., 0, 0], m[..., 0, 2] = c, s
+    m[..., 1, 1] = 1.0
+    m[..., 2, 0], m[..., 2, 2] = -s, c
+    return m
+
+
 def yaw_rotation(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return yaw_matrices(angle)
 
 
 def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform]:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
-from .gaze import GazeTrack, InteractionEvent, ObjectTarget
+from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
 from .geometry import Aabb, as_vec3
-from .motion import MotionSequence, heading_angles, yaw_rotation
+from .motion import MotionSequence, heading_angles, yaw_matrices, yaw_rotation
 from .skeleton import (
     DEFAULT_SKELETON,
     HEAD,
@@ -39,9 +39,6 @@ REST = DEFAULT_SKELETON.rest_pose()
 REST_LOCAL = REST - REST[0]
 ROOT_HEIGHT = REST[0, 1]
 HEAD_LEN = float(np.linalg.norm(REST[HEAD] - REST[NECK]))
-
-DIRECT_HIT = "direct_hit"
-NEAR_MISS = "near_miss"
 
 STAND_DISTANCE = 0.45  # m from the goal where the walk ends
 NEAR_MISS_GAP = 0.03  # m planted over-the-top clearance
@@ -107,19 +104,14 @@ def _shortest_turn(a, b):
 
 
 def _pose_track(times, root_xz, headings, look_targets,
-                wrist_side=None, wrist_goal=None, wrist_weights=None,
-                feet=None):
+                wrist_side, wrist_goal, wrist_weights, feet):
     """Assemble (N, 22, 3) joints: the rigid rest body carried along the
     root path and yaw headings, with the head re-aimed at per-frame look
-    targets, an optional wrist lerp onto a goal, and optional foot tracks
-    from the gait generator."""
+    targets, a wrist lerp onto a goal, and the foot tracks from the gait
+    generator."""
     n = len(times)
     joints = np.empty((n, N_JOINTS, 3))
-    cos, sin = np.cos(headings), np.sin(headings)
-    rot = np.zeros((n, 3, 3))
-    rot[:, 0, 0], rot[:, 0, 2] = cos, sin
-    rot[:, 1, 1] = 1.0
-    rot[:, 2, 0], rot[:, 2, 2] = -sin, cos
+    rot = yaw_matrices(headings)
     roots = np.stack([root_xz[:, 0], np.full(n, ROOT_HEIGHT), root_xz[:, 1]], axis=1)
     joints[:] = np.einsum("nij,kj->nki", rot, REST_LOCAL) + roots[:, None, :]
 
@@ -134,18 +126,26 @@ def _pose_track(times, root_xz, headings, look_targets,
     up_h = np.cross(f_perp, across)
     joints[ok, HEAD] = neck[ok] + HEAD_LEN * up_h[ok]
 
-    if feet is not None:
-        l_toe, r_toe = feet
-        joints[:, L_FOOT] = l_toe
-        joints[:, R_FOOT] = r_toe
-        back = np.einsum("nij,j->ni", rot, np.array([0.0, 0.06, -0.13]))
-        joints[:, L_ANKLE] = l_toe + back
-        joints[:, R_ANKLE] = r_toe + back
+    l_toe, r_toe = feet
+    joints[:, L_FOOT] = l_toe
+    joints[:, R_FOOT] = r_toe
+    back = np.einsum("nij,j->ni", rot, np.array([0.0, 0.06, -0.13]))
+    joints[:, L_ANKLE] = l_toe + back
+    joints[:, R_ANKLE] = r_toe + back
 
-    if wrist_side is not None:
-        w = wrist_weights[:, None]
-        joints[:, wrist_side] = (1.0 - w) * joints[:, wrist_side] + w * wrist_goal
+    w = wrist_weights[:, None]
+    joints[:, wrist_side] = (1.0 - w) * joints[:, wrist_side] + w * wrist_goal
     return joints
+
+
+def _nearer_wrist(stand_xz, heading, goal):
+    """The wrist of the rest body, standing at stand_xz and facing heading,
+    that is nearer to the goal; the left one on a tie."""
+    rot = yaw_rotation(heading)
+    root = np.array([stand_xz[0], ROOT_HEIGHT, stand_xz[1]])
+    l_w = rot @ REST_LOCAL[L_WRIST] + root
+    r_w = rot @ REST_LOCAL[R_WRIST] + root
+    return L_WRIST if np.linalg.norm(l_w - goal) <= np.linalg.norm(r_w - goal) else R_WRIST
 
 
 def _gait_tracks(times, root_xz, headings, walk_start, walk_end):
@@ -316,11 +316,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
     decoy_dir = yaw_rotation(decoy_yaw) @ (u0 / np.linalg.norm(u0))
     look[pre] = np.array([start_xz[0], cam_height, start_xz[1]]) + 5.0 * decoy_dir
 
-    stand_root = np.array([stand_xz[0], ROOT_HEIGHT, stand_xz[1]])
-    stand_rot = yaw_rotation(theta)
-    l_w = stand_rot @ REST_LOCAL[L_WRIST] + stand_root
-    r_w = stand_rot @ REST_LOCAL[R_WRIST] + stand_root
-    wrist_side = L_WRIST if np.linalg.norm(l_w - goal) <= np.linalg.norm(r_w - goal) else R_WRIST
+    wrist_side = _nearer_wrist(stand_xz, theta, goal)
     w = _smoothstep((times - (t_e - REACH_TIME)) / REACH_TIME)
 
     joints = _pose_track(times, root_xz, headings, look,
@@ -339,11 +335,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
     if spec.gaze_noise_std > 0.0 and spec.prime_mode == DIRECT_HIT:
         dirs = _perturb_gaze(rng, dirs, cam_pos, box, pre, spec.gaze_noise_std)
 
-    rotations = np.zeros((n_frames, 3, 3))
-    cos, sin = np.cos(headings), np.sin(headings)
-    rotations[:, 0, 0], rotations[:, 0, 2] = cos, sin
-    rotations[:, 1, 1] = 1.0
-    rotations[:, 2, 0], rotations[:, 2, 2] = -sin, cos
+    rotations = yaw_matrices(headings)
     points_cam = np.einsum("nji,nj->ni", rotations, dirs)  # R^T @ dir
     track = GazeTrack(times, points_cam, rotations, cam_pos)
 
@@ -463,11 +455,7 @@ def procedural_pnr(initial: InitialState, goal, event_kind: str, n: int,
     feet = _gait_tracks(times, root_xz, headings, walk_start, arrive)
     look = np.tile(goal, (n, 1))
 
-    stand_rot = yaw_rotation(theta)
-    root_world = np.array([stand_xz[0], ROOT_HEIGHT, stand_xz[1]])
-    l_w = stand_rot @ REST_LOCAL[L_WRIST] + root_world
-    r_w = stand_rot @ REST_LOCAL[R_WRIST] + root_world
-    wrist_side = L_WRIST if np.linalg.norm(l_w - goal) <= np.linalg.norm(r_w - goal) else R_WRIST
+    wrist_side = _nearer_wrist(stand_xz, theta, goal)
     w = _smoothstep((times - 0.85 * total) / max(0.15 * total, 1e-9))
 
     joints = _pose_track(times, root_xz, headings, look,

@@ -6,6 +6,8 @@ per-file batching: every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires the batched code to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
+One check was added to them since: ``read_sequence`` rejects a
+``prime_frame_index`` outside the frames, as ``pnr.io_jsonl`` does.
 """
 
 from __future__ import annotations
@@ -266,6 +268,8 @@ def read_sequence(path) -> PnRSequence:
     motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
     goal = _finite_list(header["goal"], path, 1, "goal")
     velocity = np.asarray(header["initial_velocity"], dtype=np.float64).reshape(N_JOINTS, 3)
+    prime_frame_index = int(header["prime_frame_index"])
+    _require(0 <= prime_frame_index < motion.n_frames, path, 1, "prime_frame_index out of range")
     target = ObjectTarget("goal", point=goal)
     event = PrimedEvent(
         InteractionEvent(str(header["kind"]), float(header["t_e"]), target),
@@ -280,6 +284,6 @@ def read_sequence(path) -> PnRSequence:
         goal_location=goal,
         goal_pose=motion.joints[-1],
         initial_state=InitialState(motion.joints[0], velocity),
-        prime_frame_index=int(header["prime_frame_index"]),
+        prime_frame_index=prime_frame_index,
         flags=tuple(header.get("flags", ())),
     )

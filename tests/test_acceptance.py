@@ -171,7 +171,7 @@ def test_03_defaults_pinned():
 def corpus():
     n = 500
     recordings = generate_corpus(ScenarioSpec(), n, seed=7)
-    results = curate_corpus([rec for rec, _ in recordings], max_workers=4)
+    results = curate_corpus([rec for rec, _ in recordings])
     sequences = [s for r in results for s in r.sequences]
     assert len(sequences) == n, "every planted event must curate"
     manifest = split(sequences, ratio=0.7, seed=13)
@@ -374,7 +374,7 @@ def test_09_throughput():
         recs = [generate_scenario(replace(spec, seed=int(s)))[0]
                 for s in child_seeds[lo:lo + batch]]
         start = time.perf_counter()
-        results = curate_corpus(recs, max_workers=8)
+        results = curate_corpus(recs)
         curate_time += time.perf_counter() - start
         n_sequences += sum(len(r.sequences) for r in results)
     assert n_sequences == n_total

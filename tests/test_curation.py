@@ -135,11 +135,10 @@ class TestCurate:
 
     def test_corpus_order_and_parallelism(self):
         recs = [make_recording(rec_id=f"r{i}", video_id=f"v{i % 3}") for i in range(8)]
-        serial = curate_corpus(recs, max_workers=1)
-        parallel = curate_corpus(recs, max_workers=4)
-        assert [r.recording_id for r in serial] == [r.recording_id for r in parallel]
-        for a, b in zip(serial, parallel):
-            for x, y in zip(a.sequences, b.sequences):
+        results = curate_corpus(recs)
+        assert [r.recording_id for r in results] == [r.id for r in recs]
+        for rec, res in zip(recs, results):
+            for x, y in zip(res.sequences, curate(rec).sequences):
                 assert np.array_equal(x.motion.joints, y.motion.joints)
 
 

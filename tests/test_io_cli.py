@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pnr import io_jsonl as io
 from pnr.cli import main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
+from pnr.metrics import EvalPair
 from pnr.motion import resample
 from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
 
@@ -180,6 +182,8 @@ def _edit_row(row, edit):
         row["initial_velocity"][7] = float("nan")
     elif edit == "short_goal":
         row["goal"] = row["goal"][:2]
+    elif edit == "negative_prime":
+        row["prime_frame_index"] = -1
     return json.dumps(row)
 
 
@@ -234,6 +238,19 @@ class TestMalformedRows:
         assert (err.value.line_no, err.value.reason) == \
             (k + 1, "gaze times must be strictly increasing")
 
+    def test_not_utf8_reported_at_its_line(self, seq_lines, tmp_path):
+        # U+2028 in the id must not count as a line break before the bad byte
+        header = json.loads(seq_lines[0])
+        header["id"] = "seq\u2028x"
+        lines = [json.dumps(header, ensure_ascii=False)] + seq_lines[1:]
+        data = "\n".join(lines).encode("utf-8").split(b"\n")
+        data[3] = data[3].replace(b'"frame"', b'"fr\xffame"')
+        p = tmp_path / "u.seq.jsonl"
+        p.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(MalformedFile) as err:
+            io.read_sequence(p)
+        assert (err.value.line_no, err.value.reason) == (4, "not valid UTF-8")
+
     def test_sequence_gaze_row(self, seq_lines, tmp_path):
         err = _malformed(seq_lines, 4, "short_gaze", tmp_path, io.read_sequence, "g.seq.jsonl")
         assert (err.line_no, err.reason) == (5, "gaze must have 3 entries")
@@ -242,6 +259,7 @@ class TestMalformedRows:
         ("short_velocity", "initial_velocity must have 66 entries"),
         ("nan_velocity", "non-finite initial velocity"),
         ("short_goal", "goal must have 3 entries"),
+        ("negative_prime", "prime_frame_index out of range"),
     ])
     def test_sequence_header_arrays(self, seq_lines, tmp_path, edit, reason):
         err = _malformed(seq_lines, 0, edit, tmp_path, io.read_sequence, "h.seq.jsonl")
@@ -397,6 +415,17 @@ class TestCliPipeline:
         assert f"zzz-bad.rec.jsonl:{k + 1}: frame record needs joints" in capsys.readouterr().err
         assert len(list(out.glob("*.seq.jsonl"))) == 2
 
+    def test_not_utf8_recording_exit_2_continues(self, tmp_path, capsys):
+        rec_dir = write_corpus(tmp_path, n=2)
+        lines = next(rec_dir.glob("*.rec.jsonl")).read_bytes().split(b"\n")
+        k = next(i for i, line in enumerate(lines) if b'"k":"frame"' in line)
+        lines[k] = lines[k].replace(b'"frame"', b'"fr\xffame"')
+        (rec_dir / "zzz-bad.rec.jsonl").write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
+        assert f"zzz-bad.rec.jsonl:{k + 1}: not valid UTF-8" in capsys.readouterr().err
+        assert len(list(out.glob("*.seq.jsonl"))) == 2
+
     def test_baseline_same_dir_read_once_same_bytes(self, tmp_path):
         rec_dir = write_corpus(tmp_path, n=2)
         seq_dir, copy_dir = tmp_path / "seqs", tmp_path / "seqs-copy"
@@ -462,12 +491,52 @@ def test_evaluate_gazeless_gt_fails_cleanly(tmp_path, capsys):
     assert "gaze" in capsys.readouterr().err
 
 
-def test_pnr_threads_env_respected(tmp_path, monkeypatch):
+def test_evaluate_prime_index_past_end_exit_2(tmp_path, capsys):
     rec_dir = write_corpus(tmp_path, n=2)
-    monkeypatch.setenv("PNR_THREADS", "1")
-    out = tmp_path / "seqs"
-    assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 0
-    assert len(list(out.glob("*.seq.jsonl"))) == 2
+    seq_dir = tmp_path / "seqs"
+    main(["curate", "--in", str(rec_dir), "--out", str(seq_dir)])
+    p = sorted(seq_dir.glob("*.seq.jsonl"))[0]
+    lines = p.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["prime_frame_index"] = len(lines) - 1  # the frame count
+    lines[0] = json.dumps(header)
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--pred", str(seq_dir), "--gt", str(seq_dir)]) == 2
+    assert f"{p.name}:1: prime_frame_index out of range" in capsys.readouterr().err
+
+
+def test_prime_remap_rounds_exact_half_to_even(scenario, tmp_path):
+    # 575 * 149 / 1150 is exactly 74.5; multiplying by the rounded
+    # 149 / 1150 lands just above the half and gives 75
+    seq = curate(scenario[0]).sequences[0]
+    long = replace(seq, motion=resample(seq.motion, 1151), prime_frame_index=575)
+    pred = resample(long.motion, 150)
+    assert EvalPair.from_sequences(pred, long, n=150).prime_frame_index == 74
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "preds"
+    io.write_sequences_dir([long], gt_dir)
+    assert main(["baseline", "static", "--train", str(gt_dir), "--gt", str(gt_dir),
+                 "--out", str(pred_dir), "--n", "150"]) == 0
+    (pred,) = io.read_sequences_dir(pred_dir)
+    assert pred.prime_frame_index == 74
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"{oops", "not a JSON file"),
+    (b"\xff{}", "not a JSON file"),
+    (b'["video-0001"]', "must be a JSON object of video_id -> side"),
+    (b'{"video-0001": "validation"}', "must be train or test, got 'validation'"),
+], ids=["not_json", "not_utf8", "not_object", "bad_side"])
+def test_split_bad_override_exit_2(tmp_path, capsys, content, reason):
+    rec_dir = write_corpus(tmp_path, n=2)
+    seq_dir = tmp_path / "seqs"
+    main(["curate", "--in", str(rec_dir), "--out", str(seq_dir)])
+    override = tmp_path / "override.json"
+    override.write_bytes(content)
+    capsys.readouterr()
+    code = main(["split", "--in", str(seq_dir), "--seed", "1", "--override", str(override)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(override) in err and reason in err
 
 
 def test_split_override_via_cli(tmp_path):
