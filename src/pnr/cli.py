@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -183,8 +184,10 @@ def cmd_synth(args) -> int:
         payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except OSError as exc:
         return _fail_io(exc)
-    except json.JSONDecodeError as exc:
-        return _fail_io(f"{args.spec}: {exc}")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        return _fail_io(f"{args.spec}: not a JSON file: {exc}")
+    if not isinstance(payload, dict):
+        return _fail_io(f"{args.spec}: must be a JSON object of scenario fields")
     n_recordings = int(payload.pop("n_recordings", 1))
     prime_mode = payload.pop("prime_mode", "direct_hit")
     room = payload.pop("room", None)
@@ -235,6 +238,28 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _frame_count(text: str) -> int:
+    """argparse type of --n: an integer of at least 2 frames."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return n
+
+
+def _split_ratio(text: str) -> float:
+    """argparse type of --ratio: a number strictly between 0 and 1."""
+    try:
+        ratio = float(text)
+    except ValueError:
+        ratio = math.nan
+    if not 0.0 < ratio < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return ratio
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pnr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,7 +280,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="video-level train/test split")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--ratio", type=float, default=0.7)
+    p.add_argument("--ratio", type=_split_ratio, default=0.7)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--override", help="JSON file of video_id -> side")
     p.add_argument("--out")
@@ -266,7 +291,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--theta", type=float, default=DEFAULT_THETA_DEG)
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p.add_argument("--n", type=int, default=DEFAULT_N_FRAMES)
+    p.add_argument("--n", type=_frame_count, default=DEFAULT_N_FRAMES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -275,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--thetas", default="0:90:2", help="start:stop:step or comma list")
     p.add_argument("--sigmas", default="0,0.2,0.4,0.8,1.0")
-    p.add_argument("--n", type=int, default=DEFAULT_N_FRAMES)
+    p.add_argument("--n", type=_frame_count, default=DEFAULT_N_FRAMES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -290,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=DEFAULT_N_FRAMES)
+    p.add_argument("--n", type=_frame_count, default=DEFAULT_N_FRAMES)
     p.set_defaults(func=cmd_baseline)
     return parser
 

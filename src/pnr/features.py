@@ -73,16 +73,21 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     c = np.sum(u * v, axis=-1)
     out = np.empty(u.shape[:-1] + (3, 3))
     safe = c > -1.0 + 1e-8
-    cs = np.where(safe, c, 0.0)
-    aa = a[..., :, None] * a[..., None, :]
-    k = np.zeros_like(aa)
-    k[..., 0, 1], k[..., 0, 2] = -a[..., 2], a[..., 1]
-    k[..., 1, 0], k[..., 1, 2] = a[..., 2], -a[..., 0]
-    k[..., 2, 0], k[..., 2, 1] = -a[..., 1], a[..., 0]
+    den = 1.0 + np.where(safe, c, 0.0)
     norm2 = np.sum(a * a, axis=-1)
-    out[...] = np.eye(3)
-    out += k
-    out += (aa - norm2[..., None, None] * np.eye(3)) / (1.0 + cs)[..., None, None]
+    # Rodrigues entry by entry: (I + K) + (a a^T - |a|^2 I) / (1 + c), with
+    # K the cross-product matrix of a = u x v. The identity's off-diagonal
+    # zeros are added too, so signed zeros come out as in the matrix form.
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    out[..., 0, 0] = 1.0 + (a0 * a0 - norm2) / den
+    out[..., 0, 1] = (0.0 - a2) + a0 * a1 / den
+    out[..., 0, 2] = (0.0 + a1) + a0 * a2 / den
+    out[..., 1, 0] = (0.0 + a2) + a1 * a0 / den
+    out[..., 1, 1] = 1.0 + (a1 * a1 - norm2) / den
+    out[..., 1, 2] = (0.0 - a0) + a1 * a2 / den
+    out[..., 2, 0] = (0.0 - a1) + a2 * a0 / den
+    out[..., 2, 1] = (0.0 + a0) + a2 * a1 / den
+    out[..., 2, 2] = 1.0 + (a2 * a2 - norm2) / den
     if not np.all(safe):
         flipped = np.argwhere(~safe)
         for idx in flipped:
@@ -93,6 +98,15 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             perp /= np.linalg.norm(perp)
             out[tuple(idx)] = 2.0 * np.outer(perp, perp) - np.eye(3)
     return out
+
+
+def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrices m (..., 3, 3) applied to vectors v (..., 3), leading dims
+    broadcast: out_i = m_i0*x + m_i1*y + m_i2*z, summed in that order from
+    +0.0 as a matrix product does, so an all-zero sum is +0.0."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([0.0 + m[..., i, 0] * x + m[..., i, 1] * y + m[..., i, 2] * z
+                     for i in range(3)], axis=-1)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -112,17 +126,17 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     pelvis = joints[:, PELVIS]
     step = pelvis[1:] - pelvis[:-1]
     step[:, 1] = 0.0
-    local_step = np.einsum("nij,nj->ni", inv_rot[:-1], step)
+    local_step = _rotate(inv_rot[:-1], step)
     feats[:-1, ROOT_LIN_VEL] = local_step[:, [0, 2]]
     feats[:, ROOT_HEIGHT] = pelvis[:, 1]
 
     rel = joints[:, 1:] - pelvis[:, None, :]
-    local_pos = np.einsum("nij,nkj->nki", inv_rot, rel)
+    local_pos = _rotate(inv_rot[:, None], rel)
     feats[:, LOCAL_POS] = local_pos.reshape(n, -1)
 
     rest_dirs = DEFAULT_SKELETON.bone_directions()
     bones = joints[:, 1:] - joints[:, PARENTS[1:]]
-    bones = np.einsum("nij,nkj->nki", inv_rot, bones)
+    bones = _rotate(inv_rot[:, None], bones)
     lengths = np.linalg.norm(bones, axis=-1)
     safe = np.where(lengths < 1e-9, 1.0, lengths)
     obs_dirs = bones / safe[..., None]
@@ -133,7 +147,7 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     feats[:, ROTATIONS] = matrix_to_rot6d(rots).reshape(n, -1)
 
     vel = joints[1:] - joints[:-1]
-    local_vel = np.einsum("nij,nkj->nki", inv_rot[:-1], vel)
+    local_vel = _rotate(inv_rot[:-1, None], vel)
     feats[:-1, VELOCITIES] = local_vel.reshape(n - 1, -1)
 
     speeds = np.linalg.norm(vel[:, CONTACT_JOINTS], axis=-1) * motion.fps
@@ -157,7 +171,7 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
 
     local_step = np.zeros((n - 1, 3))
     local_step[:, [0, 2]] = feats[:-1, ROOT_LIN_VEL]
-    world_step = np.einsum("nij,nj->ni", rot[:-1], local_step)
+    world_step = _rotate(rot[:-1], local_step)
     ground = np.zeros((n, 3))
     ground[1:] = np.cumsum(world_step, axis=0)
 
@@ -165,6 +179,6 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
     root[:, 1] = feats[:, ROOT_HEIGHT]
     joints = np.zeros((n, N_JOINTS, 3))
     local_pos = feats[:, LOCAL_POS].reshape(n, N_JOINTS - 1, 3)
-    joints[:, 1:] = np.einsum("nij,nkj->nki", rot, local_pos) + root[:, None, :]
+    joints[:, 1:] = _rotate(rot[:, None], local_pos) + root[:, None, :]
     joints[:, PELVIS] = root
     return MotionSequence(fps, joints)

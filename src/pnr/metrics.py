@@ -121,20 +121,28 @@ class EvalPair:
         )
 
 
-def _window_indices(pair: EvalPair, sigma: float) -> np.ndarray:
+def _window(pair: EvalPair, sigma: float) -> slice:
+    """Frames within sigma seconds of the prime frame; windows of larger
+    sigmas contain those of smaller ones."""
     half = int(round(sigma * pair.predicted.fps))
     lo = max(0, pair.prime_frame_index - half)
     hi = min(pair.predicted.n_frames - 1, pair.prime_frame_index + half)
-    return np.arange(lo, hi + 1)
+    return slice(lo, hi + 1)
 
 
 def prime_window_errors(pair: EvalPair, sigma: float) -> np.ndarray:
     """Angular error between the GT prime gaze and the predicted head
-    forward, per frame of the +/- sigma window."""
-    idx = _window_indices(pair, sigma)
-    forwards = head_forward_batch(pair.predicted.joints[idx])
-    dots = np.clip(forwards @ pair.prime_gaze, -1.0, 1.0)
-    return np.arccos(dots)
+    forward, per frame of the +/- sigma window.
+
+    The dot product is summed elementwise, f0*g0 + f1*g1 + f2*g2, so a
+    frame's error does not depend on the window it is computed in (a
+    matrix-vector product may round differently with the row count).
+    prime_success_sweep relies on that to read every sigma's window out
+    of the widest one and agree with prime_success to the bit."""
+    forwards = head_forward_batch(pair.predicted.joints[_window(pair, sigma)])
+    g = pair.prime_gaze
+    dots = forwards[:, 0] * g[0] + forwards[:, 1] * g[1] + forwards[:, 2] * g[2]
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 def prime_success(pair: EvalPair, theta_deg: float = DEFAULT_THETA_DEG,
@@ -288,7 +296,9 @@ def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     """Prime-success percentage grid, shape (len(sigmas), len(thetas)).
 
     Per-frame angular errors are computed once per pair over the widest
-    window, then each (theta, sigma) cell reads its sub-window minimum."""
+    window; each sigma's window is nested in it, so its minimum is read
+    from a slice, and cell (k, j) equals the mean of
+    prime_success(pair, thetas_deg[j], sigmas[k]) over the pairs, times 100."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCorpus("sweep over zero pairs")
@@ -297,10 +307,16 @@ def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     if np.any(sigmas < 0):
         raise ValueError("sigmas must be >= 0")
     grid = np.zeros((len(sigmas), len(thetas)))
+    if not len(sigmas):
+        return grid
+    widest = float(sigmas.max())
     mins = np.zeros((len(pairs), len(sigmas)))
     for i, pair in enumerate(pairs):
+        errors = prime_window_errors(pair, widest)
+        first = _window(pair, widest).start
         for k, sigma in enumerate(sigmas):
-            mins[i, k] = prime_window_errors(pair, float(sigma)).min()
+            w = _window(pair, float(sigma))
+            mins[i, k] = errors[w.start - first:w.stop - first].min()
     theta_rad = np.radians(thetas)
     for k in range(len(sigmas)):
         grid[k] = 100.0 * np.mean(mins[:, k][:, None] <= theta_rad[None, :], axis=0)

@@ -551,3 +551,42 @@ def test_split_override_via_cli(tmp_path):
           "--override", str(override_file), "--out", str(tmp_path / "m.json")])
     manifest = json.loads((tmp_path / "m.json").read_text())
     assert vid in manifest["test_video_ids"]
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff{}", "not a JSON file"),
+    (b"[1]", "must be a JSON object of scenario fields"),
+], ids=["not_utf8", "not_object"])
+def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(spec) in err and reason in err
+
+
+@pytest.fixture(scope="module")
+def curated_dir(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("curated")
+    seq_dir = tmp_path / "seqs"
+    assert main(["curate", "--in", str(write_corpus(tmp_path, n=2)), "--out", str(seq_dir)]) == 0
+    return str(seq_dir)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--n", "1"], "--n"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--n", "1"], "--n"),
+    (["baseline", "static", "--train", "{seqs}", "--gt", "{seqs}", "--out", "{out}",
+      "--n", "1"], "--n"),
+    (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "0"], "--ratio"),
+    (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "1"], "--ratio"),
+    (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "1.5"], "--ratio"),
+], ids=["evaluate_n_1", "sweep_n_1", "baseline_n_1", "split_ratio_0", "split_ratio_1",
+        "split_ratio_1.5"])
+def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option):
+    argv = [a.format(seqs=curated_dir, out=tmp_path / "preds") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"argument {option}:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from pnr.metrics import (
     mpjpe,
     prime_success,
     prime_success_sweep,
+    prime_window_errors,
     reach_success,
 )
 from pnr.motion import MotionSequence, yaw_rotation
 from pnr.skeleton import L_FOOT, L_WRIST, R_WRIST
 
-from builders import REST, glide_motion, standing_motion
+from builders import REST, glide_motion, posed_frames, standing_motion
 
 FPS = 30.0
 N = 60
@@ -233,6 +235,52 @@ class TestSweep:
         grid = prime_success_sweep(self.pairs(), thetas, sigmas)
         assert np.all(np.diff(grid, axis=1) >= 0.0)
         assert np.all(np.diff(grid, axis=0) >= 0.0)
+
+    def turning_pairs(self):
+        """Predictions whose head turns every frame, at random, toward the
+        gaze or away from it, primed at the first, the middle and the last
+        frame; the steady turns make a frame just outside any window
+        better than every frame in it."""
+        rng = np.random.default_rng(3)
+        pairs = []
+        for headings, jitter in ((np.cumsum(rng.normal(0.0, 0.15, size=N)), 0.01),
+                                 (np.linspace(-0.8, 0.0, N), 0.001),
+                                 (np.linspace(0.4, 1.2, N), 0.001)):
+            joints = posed_frames(np.tile(REST[0], (N, 1)), headings)
+            pred = MotionSequence(FPS, joints + rng.normal(0.0, jitter, size=joints.shape))
+            pairs += [make_pair(pred=pred, prime_idx=i, gaze=(0.3, -0.1, 1.0))
+                      for i in (0, N // 2, N - 1)]
+        return pairs
+
+    def test_cells_equal_prime_success(self):
+        pairs = self.turning_pairs()
+        sigmas = [0.0, 0.01, 0.05, 0.1, 0.35, 0.5, 1.0, 2.5, 0.2]
+        # thresholds halfway between adjacent frame errors: a minimum read
+        # from a wrong frame moves some cell
+        errors = np.unique(np.concatenate([prime_window_errors(p, 2.5) for p in pairs]))
+        thetas = list(range(0, 91, 3)) + list(np.degrees((errors[1:] + errors[:-1]) / 2))
+        grid = prime_success_sweep(pairs, thetas, sigmas)
+        for k, sigma in enumerate(sigmas):
+            for j, theta in enumerate(thetas):
+                expected = 100.0 * np.mean([prime_success(p, theta, sigma) for p in pairs])
+                assert grid[k, j] == expected, (sigma, theta)
+
+    def test_window_minimum_is_brute_force(self):
+        for pair in self.turning_pairs():
+            # each frame's error on its own, from a one-frame window
+            alone = [prime_window_errors(replace(pair, prime_frame_index=f), 0.0)[0]
+                     for f in range(N)]
+            for sigma in (0.0, 0.05, 0.1, 0.35, 1.0, 2.5):
+                half = round(sigma * FPS)
+                frames = [f for f in range(N) if abs(f - pair.prime_frame_index) <= half]
+                errors = prime_window_errors(pair, sigma)
+                assert len(errors) == len(frames)
+                assert errors.min() == min(alone[f] for f in frames)
+                assert np.array_equal(errors, [alone[f] for f in frames])
+
+    def test_empty_sigmas_give_empty_grid(self):
+        grid = prime_success_sweep(self.pairs(), [0.0, 10.0, 20.0], [])
+        assert grid.shape == (0, 3)
 
 
 def transformed_pair(pair, rig):
