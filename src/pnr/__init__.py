@@ -39,8 +39,6 @@ from .gaze import (
     PrimedEvent,
     find_prime_time,
     gaze_ray,
-    prime_events,
-    target_primed,
 )
 from .geometry import (
     Aabb,
@@ -49,10 +47,8 @@ from .geometry import (
     Ray,
     RigidTransform,
     angular_error,
-    closest_point_on_ray,
     near_miss,
     slab_intersect,
-    transform_point,
 )
 from .metrics import (
     EvalPair,

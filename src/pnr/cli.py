@@ -20,6 +20,7 @@ from . import io_jsonl as io
 from .curation import curate_corpus, split, stats
 from .errors import MalformedFile, PnrError
 from .gaze import DEFAULT_TAU, DEFAULT_WINDOW
+from .geometry import Aabb
 from .metrics import (
     DEFAULT_N_FRAMES,
     DEFAULT_SIGMA,
@@ -148,34 +149,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_thetas(text):
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        if len(parts) != 3:
-            raise ValueError("theta range must be start:stop:step")
-        start, stop, step = parts
-        return list(np.arange(start, stop + step * 0.5, step))
-    return [float(x) for x in text.split(",")]
-
-
 def cmd_sweep(args) -> int:
-    try:
-        thetas = _parse_thetas(args.thetas)
-        sigmas = [float(x) for x in args.sigmas.split(",")]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         pairs, _ = _pairs(args)
     except (OSError, PnrError) as exc:
         return _fail_io(exc)
     if not pairs:
         return _fail_io("no (prediction, ground truth) pairs to sweep")
-    grid = prime_success_sweep(pairs, thetas, sigmas)
+    grid = prime_success_sweep(pairs, args.thetas, args.sigmas)
     if args.out:
-        io.write_sweep_csv(thetas, sigmas, grid, args.out)
+        io.write_sweep_csv(args.thetas, args.sigmas, grid, args.out)
     else:
-        print(io.sweep_csv(thetas, sigmas, grid), end="")
+        print(io.sweep_csv(args.thetas, args.sigmas, grid), end="")
     return 0
 
 
@@ -188,17 +173,17 @@ def cmd_synth(args) -> int:
         return _fail_io(f"{args.spec}: not a JSON file: {exc}")
     if not isinstance(payload, dict):
         return _fail_io(f"{args.spec}: must be a JSON object of scenario fields")
-    n_recordings = int(payload.pop("n_recordings", 1))
-    prime_mode = payload.pop("prime_mode", "direct_hit")
-    room = payload.pop("room", None)
-    if room is not None:
-        from .geometry import Aabb
-
-        payload["room"] = Aabb(room["min"], room["max"])
-    mixed = prime_mode == "mixed"
-    if not mixed:
-        payload["prime_mode"] = prime_mode
     try:
+        n_recordings = payload.pop("n_recordings", 1)
+        if type(n_recordings) is not int or n_recordings < 0:
+            raise ValueError(f"n_recordings must be an integer >= 0, got {n_recordings!r}")
+        prime_mode = payload.pop("prime_mode", "direct_hit")
+        room = payload.pop("room", None)
+        if room is not None:
+            payload["room"] = Aabb(**room)
+        mixed = prime_mode == "mixed"
+        if not mixed:
+            payload["prime_mode"] = prime_mode
         base = ScenarioSpec(**payload)
     except (TypeError, ValueError) as exc:
         print(f"error: bad scenario spec: {exc}", file=sys.stderr)
@@ -238,6 +223,48 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _number(text: str, ok, what: str) -> float:
+    """A finite float for which ok(x) holds, else an argparse usage error."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and ok(x)):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return x
+
+
+def _nonnegative(text: str) -> float:
+    """argparse type of --w, --tau, --prepend, --min-movement and --sigma."""
+    return _number(text, lambda x: x >= 0.0, "a finite number >= 0")
+
+
+def _angle(text: str) -> float:
+    """argparse type of --theta: degrees in [0, 180]."""
+    return _number(text, lambda x: 0.0 <= x <= 180.0, "an angle in [0, 180] degrees")
+
+
+def _thetas(text: str) -> list:
+    """argparse type of --thetas: start:stop:step (stop included when the
+    steps reach it) or a comma list, in degrees within [0, 180]."""
+    if ":" not in text:
+        return [_angle(x) for x in text.split(",")]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("theta range must be start:stop:step")
+    start, stop = _angle(parts[0]), _angle(parts[1])
+    step = _number(parts[2], lambda x: x > 0.0, "a range step > 0")
+    thetas = list(np.arange(start, stop + step * 0.5, step))
+    if not thetas or thetas[-1] > 180.0:
+        raise argparse.ArgumentTypeError(f"range {text!r} must give angles in [0, 180]")
+    return thetas
+
+
+def _sigmas(text: str) -> list:
+    """argparse type of --sigmas: a comma list of finite numbers >= 0."""
+    return [_nonnegative(x) for x in text.split(",")]
+
+
 def _frame_count(text: str) -> int:
     """argparse type of --n: an integer of at least 2 frames."""
     try:
@@ -251,13 +278,7 @@ def _frame_count(text: str) -> int:
 
 def _split_ratio(text: str) -> float:
     """argparse type of --ratio: a number strictly between 0 and 1."""
-    try:
-        ratio = float(text)
-    except ValueError:
-        ratio = math.nan
-    if not 0.0 < ratio < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
-    return ratio
+    return _number(text, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 
 
 def build_parser() -> _Parser:
@@ -267,10 +288,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("curate", help="slice recordings into sequences")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
-    p.add_argument("--w", type=float, default=DEFAULT_WINDOW)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--prepend", type=float, default=DEFAULT_PREPEND)
-    p.add_argument("--min-movement", type=float, default=DEFAULT_MIN_MOVEMENT)
+    p.add_argument("--w", type=_nonnegative, default=DEFAULT_WINDOW)
+    p.add_argument("--tau", type=_nonnegative, default=DEFAULT_TAU)
+    p.add_argument("--prepend", type=_nonnegative, default=DEFAULT_PREPEND)
+    p.add_argument("--min-movement", type=_nonnegative, default=DEFAULT_MIN_MOVEMENT)
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("stats", help="corpus statistics")
@@ -289,8 +310,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--theta", type=float, default=DEFAULT_THETA_DEG)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--theta", type=_angle, default=DEFAULT_THETA_DEG)
+    p.add_argument("--sigma", type=_nonnegative, default=DEFAULT_SIGMA)
     p.add_argument("--n", type=_frame_count, default=DEFAULT_N_FRAMES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
@@ -298,8 +319,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="prime-success threshold sweep")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--thetas", default="0:90:2", help="start:stop:step or comma list")
-    p.add_argument("--sigmas", default="0,0.2,0.4,0.8,1.0")
+    p.add_argument("--thetas", type=_thetas, default="0:90:2",
+                   help="start:stop:step or comma list")
+    p.add_argument("--sigmas", type=_sigmas, default="0,0.2,0.4,0.8,1.0")
     p.add_argument("--n", type=_frame_count, default=DEFAULT_N_FRAMES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -125,8 +125,10 @@ def _first_moving_near(times, moving, anchor_idx, lo_t, hi_t):
 
 
 def _last_moving_near(times, moving, anchor_idx, lo_t, hi_t):
-    """Mirror of _first_moving_near: latest frame of the moving stretch
-    containing (or preceding) the anchor; the put lands one frame after."""
+    """Mirror of _first_moving_near: index of the latest frame of the
+    moving stretch that contains (or precedes) the anchor, restricted to
+    [lo_t, hi_t]; the put is placed at that last moving frame. None if the
+    object never moves there."""
     window = np.nonzero((times >= lo_t) & (times <= hi_t))[0]
     if window.size == 0:
         return None

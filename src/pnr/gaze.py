@@ -5,7 +5,6 @@ gaze ray lands on (or near-misses) the event's target.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,13 +15,9 @@ from .geometry import (
     Ray,
     RigidTransform,
     as_vec3,
-    near_miss,
     near_miss_batch,
-    slab_intersect,
     slab_intersect_batch,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_WINDOW = 10.0  # s
 DEFAULT_TAU = 0.05  # m
@@ -155,83 +150,41 @@ class PrimedEvent:
 
 
 def gaze_ray(sample: GazeSample) -> Ray:
-    """World gaze ray of one sample: from the camera position through the
-    world-transformed gaze point."""
-    d = sample.cam_pose.rotation @ sample.gaze_point_cam
-    n = float(np.linalg.norm(d))
-    if n < _DEGENERATE_TOL:
-        raise DegenerateGaze(f"gaze point coincides with camera origin at t={sample.t}")
-    return Ray(sample.cam_pose.translation, d / n)
-
-
-def target_primed(ray: Ray, target: ObjectTarget, tau: float = DEFAULT_TAU) -> str | None:
-    """Prime mode of a single ray against a target, or None.
-
-    Direct hit is checked first; the near-miss rule is the fallback.
-    """
-    box = target.as_box()
-    if slab_intersect(ray, box).hit:
-        return DIRECT_HIT
-    if near_miss(ray, box, tau).primed:
-        return NEAR_MISS
-    return None
-
-
-def _as_track(gaze) -> GazeTrack:
-    if isinstance(gaze, GazeTrack):
-        return gaze
-    return GazeTrack.from_samples(gaze)
+    """World gaze ray of one sample (GazeTrack.world_rays for one row): from
+    the camera position through the world-transformed gaze point."""
+    origins, dirs = GazeTrack.from_samples([sample]).world_rays()
+    return Ray(origins[0], dirs[0])
 
 
 def find_prime_time(
-    gaze,
+    track: GazeTrack,
     event: InteractionEvent,
     w: float = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
 ) -> PrimedEvent | None:
-    """Earliest sample in [t_e - w, t_e] whose gaze ray primes the target.
+    """Earliest sample in [t_e - w, t_e] whose gaze ray primes the target:
+    a direct hit of its box, or else a near miss within tau.
 
     Prime times are quantized to sample timestamps. Returns None when no
     sample in the window primes; raises EmptyWindow when the window holds
     no samples at all (stream/event misalignment).
     """
-    track = _as_track(gaze)
     lo, hi = event.t_e - w, event.t_e
-    idx = np.nonzero((track.times >= lo) & (track.times <= hi))[0]
-    if idx.size == 0:
+    i0 = int(np.searchsorted(track.times, lo, side="left"))
+    i1 = int(np.searchsorted(track.times, hi, side="right"))
+    if i0 >= i1:
         raise EmptyWindow(f"no gaze samples in [{lo:.3f}, {hi:.3f}]")
     origins, dirs = track.world_rays()
-    origins, dirs = origins[idx], dirs[idx]
+    origins, dirs = origins[i0:i1], dirs[i0:i1]
     box = event.target.as_box()
     hit, _, _ = slab_intersect_batch(origins, dirs, box.min, box.max)
+    miss = ~hit
+    near, _, _ = near_miss_batch(origins[miss], dirs[miss], box.min, box.max, tau)
     primed = hit.copy()
-    if not hit.all():
-        nm, _, _ = near_miss_batch(origins[~hit], dirs[~hit], box.min, box.max, tau)
-        primed[~hit] = nm
+    primed[miss] = near
     where = np.nonzero(primed)[0]
     if where.size == 0:
         return None
     first = int(where[0])
     mode = DIRECT_HIT if hit[first] else NEAR_MISS
-    return PrimedEvent(event, float(track.times[idx[first]]), mode)
-
-
-def prime_events(
-    gaze,
-    events,
-    w: float = DEFAULT_WINDOW,
-    tau: float = DEFAULT_TAU,
-) -> list[PrimedEvent]:
-    """find_prime_time over a list of events, dropping unprimed ones and
-    skipping (with a warning) events whose window holds no samples."""
-    track = _as_track(gaze)
-    out = []
-    for event in events:
-        try:
-            primed = find_prime_time(track, event, w, tau)
-        except EmptyWindow as exc:
-            log.warning("skipping %s event at t_e=%.3f: %s", event.kind, event.t_e, exc)
-            continue
-        if primed is not None:
-            out.append(primed)
-    return out
+    return PrimedEvent(event, float(track.times[i0 + first]), mode)

@@ -9,7 +9,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +111,6 @@ class RigidTransform:
         return np.asarray(dirs, dtype=np.float64) @ self.rotation.T
 
 
-def transform_point(t: RigidTransform, p) -> np.ndarray:
-    """rotation @ p + translation."""
-    return t.rotation @ as_vec3(p) + t.translation
-
-
 @dataclass(frozen=True)
 class Ray:
     origin: np.ndarray
@@ -167,8 +162,16 @@ class Aabb:
 
 @dataclass(frozen=True)
 class IntersectResult:
-    """Slab-test outcome. t_near/t_far are reported even on a miss, where
-    they are the raw per-axis extrema and only diagnostic."""
+    """Slab-test outcome of one ray (see slab_intersect_batch).
+
+    On a hit the ray's line is inside the box for t in [t_near, t_far],
+    with t_near < 0 when the origin is inside. On a miss the two are only
+    diagnostic: the largest per-axis entry and smallest per-axis exit
+    parameter, so t_near >= t_far when the slab intervals do not overlap
+    and t_far < 0 when the box lies behind the origin. An axis the ray
+    runs parallel to bounds neither, even when its slab is what excludes
+    the ray.
+    """
 
     hit: bool
     t_near: float
@@ -181,102 +184,46 @@ class NearMissResult:
     delta: float
     t_closest: float
     p_closest: np.ndarray
-    p_intersect: np.ndarray | None = field(default=None)
-
-
-def _slab_interval(origin, direction, bmin, bmax):
-    """Per-ray parametric interval across all three slabs.
-
-    Axes with |direction| < PARALLEL_EPS are resolved by containment:
-    origin inside the slab leaves the interval unconstrained, origin
-    outside empties it. Returns (ok, t_near, t_far); ok=False means some
-    parallel slab excluded the ray entirely.
-    """
-    t_near, t_far = -np.inf, np.inf
-    for i in range(3):
-        d = direction[i]
-        if abs(d) < PARALLEL_EPS:
-            if not (bmin[i] <= origin[i] <= bmax[i]):
-                return False, t_near, t_far
-            continue
-        inv = 1.0 / d
-        t1 = (bmin[i] - origin[i]) * inv
-        t2 = (bmax[i] - origin[i]) * inv
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > t_near:
-            t_near = t1
-        if t2 < t_far:
-            t_far = t2
-    return True, t_near, t_far
 
 
 def slab_intersect(ray: Ray, box: Aabb) -> IntersectResult:
-    """Ray/box test as the overlap of per-axis slab intervals.
-
-    Hit iff t_near < t_far (strict) and t_far >= 0, so the overlap is
-    non-empty and not entirely behind the origin. Degenerate zero-extent
-    boxes can never satisfy the strict inequality.
-    """
-    ok, t_near, t_far = _slab_interval(ray.origin, ray.dir, box.min, box.max)
-    hit = ok and t_near < t_far and t_far >= 0.0
-    return IntersectResult(hit, float(t_near), float(t_far))
-
-
-def closest_point_on_ray(ray: Ray, target) -> tuple[float, np.ndarray]:
-    """Orthogonal projection of ``target`` onto the ray's supporting line.
-
-    t_closest may be negative when the target lies behind the origin.
-    """
-    target = as_vec3(target)
-    t = float(np.dot(target - ray.origin, ray.dir))
-    return t, ray.at(t)
+    """slab_intersect_batch for one ray."""
+    hit, t_near, t_far = slab_intersect_batch(ray.origin[None], ray.dir[None], box.min, box.max)
+    return IntersectResult(bool(hit[0]), float(t_near[0]), float(t_far[0]))
 
 
 def near_miss(ray: Ray, box: Aabb, tau: float = 0.05) -> NearMissResult:
-    """Proximity check for rays that pass close to a box without entering it.
-
-    Projects the box center onto the ray (p_closest), then walks from the
-    center toward p_closest to the box surface (exit parameter of an
-    interior ray) giving p_intersect. delta is the gap between the two;
-    primed iff delta <= tau and the closest point lies in front of the
-    origin. A ray through the exact center has delta = 0 by definition.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    center = box.center
-    t_closest, p_closest = closest_point_on_ray(ray, center)
-    offset = p_closest - center
-    dist = float(np.linalg.norm(offset))
-    if dist < _UNIT_TOL:
-        return NearMissResult(t_closest >= 0.0, 0.0, t_closest, p_closest, None)
-    d_center = offset / dist
-    ok, _, t_far = _slab_interval(center, d_center, box.min, box.max)
-    # center is inside (or on) the box, so the interval exists and t_far >= 0
-    assert ok
-    p_intersect = center + t_far * d_center
-    delta = float(np.linalg.norm(p_intersect - p_closest))
-    primed = delta <= tau and t_closest >= 0.0
-    return NearMissResult(primed, delta, t_closest, p_closest, p_intersect)
+    """near_miss_batch for one ray; p_closest is the ray point at t_closest."""
+    primed, delta, t = near_miss_batch(ray.origin[None], ray.dir[None], box.min, box.max, tau)
+    return NearMissResult(bool(primed[0]), float(delta[0]), float(t[0]), ray.at(float(t[0])))
 
 
 def angular_error(u, v) -> float:
-    """Angle between two unit vectors, in [0, pi]. The dot product is
-    clamped: float rounding can push it past +/-1 by ~1e-16."""
-    d = float(np.dot(as_unit(u), as_unit(v)))
-    return float(np.arccos(np.clip(d, -1.0, 1.0)))
+    """Angle between two unit vectors, in [0, pi], as atan2(|u x v|, u . v):
+    unlike arccos of the dot product it keeps full relative precision for
+    nearly parallel and nearly antiparallel vectors."""
+    u, v = as_unit(u), as_unit(v)
+    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels. Same semantics as the scalar ops, vectorized over rays;
-# the priming scan and corpus curation run through these.
+# Batch kernels: the one implementation of each test, vectorized over rays.
+# The scalar forms above wrap them; the priming scan and curation call them
+# directly.
 
 
 def slab_intersect_batch(origins, dirs, bmin, bmax):
-    """Vectorized slab test of N rays against one box, or N boxes when
-    bmin/bmax are (N, 3).
+    """Slab test of N rays against one box, or N boxes when bmin/bmax are
+    (N, 3): the overlap of the per-axis slab intervals.
 
-    origins, dirs: (N, 3). Returns (hit (N,) bool, t_near (N,), t_far (N,)).
+    Axes with |direction| < PARALLEL_EPS are resolved by containment:
+    origin inside the slab leaves the axis unconstrained, origin outside
+    excludes the ray. Hit iff no axis excludes it, t_near < t_far (strict)
+    and t_far >= 0, so the overlap is non-empty and not entirely behind the
+    origin; zero-extent boxes never satisfy the strict inequality.
+
+    origins, dirs: (N, 3). Returns (hit (N,) bool, t_near (N,), t_far (N,)),
+    see IntersectResult for their meaning on a miss.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -301,11 +248,20 @@ def slab_intersect_batch(origins, dirs, bmin, bmax):
 
 
 def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
-    """Vectorized near-miss check of N rays against one box, or N boxes
-    when bmin/bmax are (N, 3).
+    """Near-miss check of N rays against one box, or N boxes when bmin/bmax
+    are (N, 3), for rays that pass close to a box without entering it.
 
-    Returns (primed (N,) bool, delta (N,), t_closest (N,)).
+    Projects the box center onto each ray (p_closest, at t_closest), then
+    walks from the center toward p_closest to the box surface. delta is the
+    gap between that surface point and p_closest; primed iff delta <= tau
+    and the closest point lies in front of the origin (t_closest >= 0). A
+    ray through the center has delta = 0 by definition.
+
+    Returns (primed (N,) bool, delta (N,), t_closest (N,)). Raises
+    ValueError unless tau >= 0.
     """
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     bmin = np.asarray(bmin, dtype=np.float64)

@@ -90,3 +90,38 @@ def sample_box_surface(box, n=20_000, rng=None):
         pts[m & (face_side == 0), i] = mn[i]
         pts[m & (face_side == 1), i] = mx[i]
     return pts
+
+
+def near_miss_oracle(origins, dirs, bmins, bmaxs, tau, n_steps=200):
+    """Near-miss rule without slab intervals: (primed, delta, t_closest).
+
+    The surface point is found by bisection on containment along the
+    center -> p_closest direction u. The box is convex and holds its
+    center, and each coordinate of c + s*u is monotone in s, so the
+    contained s form one interval [0, s*]; after n_steps halvings of
+    [0, |half-diagonal| + 1] the last contained s is s* to the float
+    resolution. delta is the distance from c + s*u to p_closest. A ray
+    whose closest point is within 1e-9 of the center has delta = 0, the
+    rule's definition for rays through the center. The projection t_closest
+    uses the kernel's own float expression, so a comparison isolates the
+    surface search.
+    """
+    centers = 0.5 * (bmins + bmaxs)
+    t_closest = np.einsum("ij,ij->i", centers - origins, dirs)
+    p_closest = origins + t_closest[:, None] * dirs
+    offset = p_closest - centers
+    dist = np.linalg.norm(offset, axis=1)
+    central = dist < 1e-9
+    u = offset / np.where(central, 1.0, dist)[:, None]
+    lo = np.zeros(len(origins))
+    hi = np.linalg.norm(0.5 * (bmaxs - bmins), axis=-1) + 1.0
+    for _ in range(n_steps):
+        mid = 0.5 * (lo + hi)
+        p = centers + mid[:, None] * u
+        inside = np.all((p >= bmins) & (p <= bmaxs), axis=1)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    surface = centers + lo[:, None] * u
+    delta = np.where(central, 0.0, np.linalg.norm(surface - p_closest, axis=1))
+    primed = (delta <= tau) & (t_closest >= 0.0)
+    return primed, delta, t_closest

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pnr.curation import Recording, curate
 from pnr.errors import DegenerateGaze, EmptyWindow
 from pnr.gaze import (
     DIRECT_HIT,
@@ -13,10 +14,11 @@ from pnr.gaze import (
     ObjectTarget,
     find_prime_time,
     gaze_ray,
-    prime_events,
-    target_primed,
 )
-from pnr.geometry import Aabb, Ray, RigidTransform, unit, vec3
+from pnr.geometry import Aabb, RigidTransform, vec3
+
+from builders import glide_motion
+from oracles import focused_hit_batch, near_miss_oracle
 
 
 def identity_sample(t, point):
@@ -51,26 +53,31 @@ class TestGazeRay:
 
 
 class TestTargetPrimed:
+    """Prime mode of a single gaze ray: find_prime_time on a one-sample
+    track looking along +x from height offset_y."""
+
     BOX = ObjectTarget("box", box=Aabb(vec3(2, -0.5, -0.5), vec3(3, 0.5, 0.5)))
     POINT = ObjectTarget("pt", point=vec3(5, 0, 0))
 
-    def ray_towards(self, offset_y):
-        return Ray(vec3(0, offset_y, 0), unit(vec3(1, 0, 0)))
+    def mode(self, offset_y, target, tau=0.05):
+        track = GazeTrack(np.zeros(1), np.array([[1.0, 0.0, 0.0]]), np.eye(3)[None],
+                          np.array([[0.0, offset_y, 0.0]]))
+        primed = find_prime_time(track, InteractionEvent("pick", 0.0, target), tau=tau)
+        return None if primed is None else primed.prime_mode
 
     def test_center_ray_direct_hit(self):
-        assert target_primed(self.ray_towards(0.0), self.BOX) == DIRECT_HIT
+        assert self.mode(0.0, self.BOX) == DIRECT_HIT
 
     def test_point_target_within_tau(self):
         # derived: perpendicular distance from the ray to the point is the
         # ray's y offset, so 3 cm vs tau=5 cm primes
-        assert target_primed(self.ray_towards(0.03), self.POINT, tau=0.05) == NEAR_MISS
+        assert self.mode(0.03, self.POINT, tau=0.05) == NEAR_MISS
 
     def test_point_target_beyond_tau(self):
-        assert target_primed(self.ray_towards(0.08), self.POINT, tau=0.05) is None
+        assert self.mode(0.08, self.POINT, tau=0.05) is None
 
     def test_point_target_never_direct(self):
-        through = Ray(vec3(0, 0, 0), unit(vec3(1, 0, 0)))
-        assert target_primed(through, self.POINT, tau=0.05) == NEAR_MISS
+        assert self.mode(0.0, self.POINT, tau=0.05) == NEAR_MISS
 
 
 def straight_track(times, direction=(0, 0, 1)):
@@ -130,9 +137,19 @@ class TestFindPrimeTime:
         with pytest.raises(EmptyWindow):
             find_prime_time(track, self.event(t_e=10.0), w=5.0)
 
+    @pytest.mark.parametrize("tau", [-0.01, math.nan])
+    def test_bad_tau_raises_even_when_every_ray_hits(self, tau):
+        track = straight_track(np.arange(0.0, 10.5, 0.5), direction=(0, 0, 1))
+        with pytest.raises(ValueError, match="tau"):
+            find_prime_time(track, self.event(), tau=tau)
+
     def test_prime_time_is_minimal(self):
-        # exhaustive re-scan: no earlier sample primes
+        # exhaustive re-scan with the oracles: the sample at t_p primes and
+        # no earlier one in the window does. The tracks have identity
+        # camera rotations at the origin, so each ray is the normalized
+        # gaze point from the origin.
         rng = np.random.default_rng(0)
+        box = self.TARGET.as_box()
         for _ in range(25):
             on_from = float(rng.integers(2, 18)) * 0.5
             times = np.arange(0.0, 10.5, 0.5)
@@ -142,11 +159,14 @@ class TestFindPrimeTime:
             if primed is None:
                 assert on_from > 10.0
                 continue
-            for i in range(len(track)):
-                t = float(track.times[i])
-                if ev.t_e - 10.0 <= t < primed.t_p:
-                    ray = gaze_ray(track.sample(i))
-                    assert target_primed(ray, ev.target) is None
+            n = len(track)
+            dirs = track.points_cam / np.linalg.norm(track.points_cam, axis=1, keepdims=True)
+            bmins, bmaxs = np.tile(box.min, (n, 1)), np.tile(box.max, (n, 1))
+            hit = focused_hit_batch(track.translations, dirs, bmins, bmaxs)
+            near, _, _ = near_miss_oracle(track.translations, dirs, bmins, bmaxs, 0.05)
+            in_window = track.times >= ev.t_e - 10.0
+            assert not np.any((hit | near) & in_window & (track.times < primed.t_p))
+            assert (hit | near)[track.times == primed.t_p].all()
 
     def test_shrinking_window_never_earlier(self):
         times = np.arange(0.0, 10.5, 0.5)
@@ -178,40 +198,48 @@ class TestFindPrimeTime:
 
 
 class TestPrimeEvents:
+    """Priming over all of a recording's events, as curate applies
+    find_prime_time to each: unprimed events become drops."""
+
+    GOOD = ObjectTarget("g", box=Aabb.from_center(vec3(0, 0, 5), vec3(0.2, 0.2, 0.2)))
+    BAD = ObjectTarget("b", box=Aabb.from_center(vec3(5, 0, 0), vec3(0.2, 0.2, 0.2)))
+
+    def recording(self, track, events, duration=20.0):
+        motion = glide_motion(speed=0.3, n=int(round(duration * 30.0)) + 1)
+        return Recording("rec", "vid", track, motion, events=events)
+
     def test_filters_and_preserves_order(self):
         times = np.arange(0.0, 20.0, 0.5)
         track = sweeping_track(times, on_from=5.0, target_dir=(0, 0, 1))
-        good = ObjectTarget("g", box=Aabb.from_center(vec3(0, 0, 5), vec3(0.2, 0.2, 0.2)))
-        bad = ObjectTarget("b", box=Aabb.from_center(vec3(5, 0, 0), vec3(0.2, 0.2, 0.2)))
         events = [
-            InteractionEvent("pick", 8.0, good),
-            InteractionEvent("put", 9.0, bad),
-            InteractionEvent("pick", 12.0, good),
+            InteractionEvent("pick", 8.0, self.GOOD),
+            InteractionEvent("put", 9.0, self.BAD),
+            InteractionEvent("pick", 12.0, self.GOOD),
         ]
-        out = prime_events(track, events)
-        assert [p.event.t_e for p in out] == [8.0, 12.0]
+        res = curate(self.recording(track, events))
+        assert [s.t_e for s in res.sequences] == [8.0, 12.0]
+        assert [(d.event_index, d.reason) for d in res.drops] == [(1, "unprimed")]
 
     def test_empty_events(self):
-        track = straight_track([0.0, 1.0])
-        assert prime_events(track, []) == []
+        res = curate(self.recording(straight_track([0.0, 1.0]), []))
+        assert res.sequences == [] and res.drops == []
 
     def test_empty_window_skips_with_warning(self, caplog):
         track = straight_track([0.0, 1.0])
-        tgt = ObjectTarget("g", box=Aabb.from_center(vec3(0, 0, 5), vec3(0.2, 0.2, 0.2)))
-        events = [InteractionEvent("pick", 50.0, tgt)]
-        with caplog.at_level("WARNING", logger="pnr.gaze"):
-            out = prime_events(track, events, w=5.0)
-        assert out == []
-        assert any("skipping" in r.message for r in caplog.records)
+        events = [InteractionEvent("pick", 50.0, self.GOOD)]
+        with caplog.at_level("WARNING", logger="pnr.curation"):
+            res = curate(self.recording(track, events, duration=50.0), w=5.0)
+        assert res.sequences == []
+        assert [d.reason for d in res.drops] == ["unprimed"]
+        assert any("no gaze samples" in r.getMessage() for r in caplog.records)
 
     def test_boundary_priming_at_window_start(self):
         # all events primeable exactly at t_e - w
         times = np.arange(0.0, 30.0, 0.5)
         track = sweeping_track(times, on_from=0.0, target_dir=(0, 0, 1))
-        tgt = ObjectTarget("g", box=Aabb.from_center(vec3(0, 0, 5), vec3(0.2, 0.2, 0.2)))
-        events = [InteractionEvent("pick", te, tgt) for te in (6.0, 8.0, 10.0)]
-        out = prime_events(track, events, w=4.0)
-        assert [p.t_p for p in out] == [2.0, 4.0, 6.0]
+        events = [InteractionEvent("pick", te, self.GOOD) for te in (6.0, 8.0, 10.0)]
+        res = curate(self.recording(track, events), w=4.0)
+        assert [s.t_p for s in res.sequences] == [2.0, 4.0, 6.0]
 
 
 def test_track_from_samples_roundtrip():

@@ -566,6 +566,24 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     assert str(spec) in err and reason in err
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_recordings": "many"},
+    {"n_recordings": -3},
+    {"n_recordings": 2.5},
+    {"n_recordings": True},
+    {"room": 5},
+    {"room": {"min": [-5, 0, -5]}},
+], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max"])
+def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "bad scenario spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def curated_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("curated")
@@ -582,8 +600,24 @@ def curated_dir(tmp_path_factory):
     (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "0"], "--ratio"),
     (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "1"], "--ratio"),
     (["split", "--in", "{seqs}", "--seed", "1", "--ratio", "1.5"], "--ratio"),
+    (["curate", "--in", "{seqs}", "--out", "{out}", "--tau", "-1"], "--tau"),
+    (["curate", "--in", "{seqs}", "--out", "{out}", "--w", "-1"], "--w"),
+    (["curate", "--in", "{seqs}", "--out", "{out}", "--min-movement", "nan"],
+     "--min-movement"),
+    (["curate", "--in", "{seqs}", "--out", "{out}", "--prepend", "nan"], "--prepend"),
+    (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--sigma", "-1"], "--sigma"),
+    (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--theta", "nan"], "--theta"),
+    (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--theta", "181"], "--theta"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--sigmas", "-1"], "--sigmas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:90:0"], "--thetas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:10:-1"], "--thetas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "10:0:1"], "--thetas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:180:100"], "--thetas"),
 ], ids=["evaluate_n_1", "sweep_n_1", "baseline_n_1", "split_ratio_0", "split_ratio_1",
-        "split_ratio_1.5"])
+        "split_ratio_1.5", "curate_tau_-1", "curate_w_-1", "curate_min_movement_nan",
+        "curate_prepend_nan", "evaluate_sigma_-1", "evaluate_theta_nan", "evaluate_theta_181",
+        "sweep_sigmas_-1", "sweep_thetas_step_0", "sweep_thetas_step_-1", "sweep_thetas_empty",
+        "sweep_thetas_past_180"])
 def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option):
     argv = [a.format(seqs=curated_dir, out=tmp_path / "preds") for a in argv]
     with pytest.raises(SystemExit) as exc:

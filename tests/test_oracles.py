@@ -1,14 +1,19 @@
-"""The bisection oracle against brute-force dense sampling of the same points.
+"""The test oracles against what they stand in for.
 
 `focused_hit_batch` finds the sampled points inside the box by bisection
 instead of testing all of them; this checks that it gives the answer of
 testing every sample o + (t0 + k*step)*d, k = 0..N_SAMPLES-1, one pair at a
 time, on pairs drawn like the acceptance test's and on the edge cases.
+`near_miss_oracle` finds the near-miss surface point by containment
+bisection; it is checked against the slab-based `near_miss_batch` on rays
+that pass close to the box surface.
 """
 
 import numpy as np
 
-from oracles import N_SAMPLES, T_MAX, focused_hit_batch, support_windows
+from pnr.geometry import near_miss_batch
+
+from oracles import N_SAMPLES, T_MAX, focused_hit_batch, near_miss_oracle, support_windows
 
 
 def dense_sampled_hit(origin, direction, bmin, bmax, t0, t1, n_samples=N_SAMPLES):
@@ -114,3 +119,52 @@ def test_focused_hit_batch_matches_dense_sampling():
         assert 0 < hits[name].sum() < len(hits[name]), name
     assert hits["inside"].all()
     assert not hits["empty"].any()
+
+
+def test_near_miss_oracle_matches_kernel():
+    rng = np.random.default_rng(11)
+    tau = 0.05
+    n = 5000
+    groups = {}
+
+    # aimed at a point up to 2*tau outside the surface, in a random direction
+    # from the center
+    centers = rng.uniform(-5.0, 5.0, (n, 3))
+    halves = rng.uniform(0.0, 1.0, (n, 3))
+    origins = rng.uniform(-5.0, 5.0, (n, 3))
+    u = _unit(rng.normal(size=(n, 3)))
+    surface = np.min(halves / np.abs(u), axis=1)
+    aim = centers + (surface + rng.uniform(0.0, 2.0 * tau, n))[:, None] * u
+    groups["near-surface"] = (origins, _unit(aim - origins), centers, halves)
+
+    # point boxes, aimed within 2*tau of the point
+    centers = rng.uniform(-5.0, 5.0, (n, 3))
+    origins = rng.uniform(-5.0, 5.0, (n, 3))
+    aim = centers + rng.uniform(0.0, 2.0 * tau, (n, 1)) * _unit(rng.normal(size=(n, 3)))
+    groups["point"] = (origins, _unit(aim - origins), centers, np.zeros((n, 3)))
+
+    # rays through the center, of boxes and of points
+    centers = rng.uniform(-5.0, 5.0, (n, 3))
+    halves = np.where(np.arange(n)[:, None] < n // 2, 0.0, rng.uniform(0.0, 1.0, (n, 3)))
+    origins = rng.uniform(-5.0, 5.0, (n, 3))
+    groups["center"] = (origins, _unit(centers - origins), centers, halves)
+
+    # origin inside the box, any direction
+    centers = rng.uniform(-5.0, 5.0, (n, 3))
+    halves = rng.uniform(0.0, 1.0, (n, 3))
+    origins = centers + rng.uniform(-1.0, 1.0, (n, 3)) * halves
+    groups["inside"] = (origins, _unit(rng.normal(size=(n, 3))), centers, halves)
+
+    for name, (origins, dirs, centers, halves) in groups.items():
+        bmins, bmaxs = centers - halves, centers + halves
+        primed, delta, t_closest = near_miss_batch(origins, dirs, bmins, bmaxs, tau)
+        o_primed, o_delta, o_t = near_miss_oracle(origins, dirs, bmins, bmaxs, tau)
+        assert np.abs(delta - o_delta).max() <= 1e-12, name
+        decisive = np.abs(o_delta - tau) > 1e-12
+        bad = np.nonzero(decisive & (primed != o_primed))[0]
+        assert bad.size == 0, f"{name}: disagreements at {bad[:10]}"
+        assert o_primed.sum() >= 300, name
+        if name == "center":
+            assert np.all(o_delta == 0.0)
+        else:
+            assert not o_primed.all(), name
