@@ -244,9 +244,14 @@ def _angle(text: str) -> float:
     return _number(text, lambda x: 0.0 <= x <= 180.0, "an angle in [0, 180] degrees")
 
 
+# Most angles a --thetas range may give: a 0.01 degree step over [0, 180].
+MAX_THETAS = 18_001
+
+
 def _thetas(text: str) -> list:
     """argparse type of --thetas: start:stop:step (stop included when the
-    steps reach it) or a comma list, in degrees within [0, 180]."""
+    steps reach it, at most MAX_THETAS angles) or a comma list, in degrees
+    within [0, 180]."""
     if ":" not in text:
         return [_angle(x) for x in text.split(",")]
     parts = text.split(":")
@@ -254,6 +259,11 @@ def _thetas(text: str) -> list:
         raise argparse.ArgumentTypeError("theta range must be start:stop:step")
     start, stop = _angle(parts[0]), _angle(parts[1])
     step = _number(parts[2], lambda x: x > 0.0, "a range step > 0")
+    # np.arange below yields ceil(span / step) angles; it exceeds the cap
+    # exactly when span / step does
+    if (stop + step * 0.5 - start) / step > MAX_THETAS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} gives more than {MAX_THETAS} angles")
     thetas = list(np.arange(start, stop + step * 0.5, step))
     if not thetas or thetas[-1] > 180.0:
         raise argparse.ArgumentTypeError(f"range {text!r} must give angles in [0, 180]")

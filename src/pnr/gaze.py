@@ -15,8 +15,7 @@ from .geometry import (
     Ray,
     RigidTransform,
     as_vec3,
-    near_miss_batch,
-    slab_intersect_batch,
+    prime_batch,
 )
 
 DEFAULT_WINDOW = 10.0  # s
@@ -165,9 +164,13 @@ def find_prime_time(
     """Earliest sample in [t_e - w, t_e] whose gaze ray primes the target:
     a direct hit of its box, or else a near miss within tau.
 
-    Prime times are quantized to sample timestamps. Returns None when no
-    sample in the window primes; raises EmptyWindow when the window holds
-    no samples at all (stream/event misalignment).
+    The window's rays go through geometry.prime_batch: a ray whose line
+    passes farther from the box center than the half-diagonal plus tau
+    (plus that kernel's rounding margin) is never slab- or near-miss-tested,
+    since it can prime in neither way. Prime times are quantized to sample
+    timestamps. Returns None when no sample in the window primes; raises
+    EmptyWindow when the window holds no samples at all (stream/event
+    misalignment).
     """
     lo, hi = event.t_e - w, event.t_e
     i0 = int(np.searchsorted(track.times, lo, side="left"))
@@ -175,14 +178,9 @@ def find_prime_time(
     if i0 >= i1:
         raise EmptyWindow(f"no gaze samples in [{lo:.3f}, {hi:.3f}]")
     origins, dirs = track.world_rays()
-    origins, dirs = origins[i0:i1], dirs[i0:i1]
     box = event.target.as_box()
-    hit, _, _ = slab_intersect_batch(origins, dirs, box.min, box.max)
-    miss = ~hit
-    near, _, _ = near_miss_batch(origins[miss], dirs[miss], box.min, box.max, tau)
-    primed = hit.copy()
-    primed[miss] = near
-    where = np.nonzero(primed)[0]
+    hit, near = prime_batch(origins[i0:i1], dirs[i0:i1], box.min, box.max, tau)
+    where = np.nonzero(hit | near)[0]
     if where.size == 0:
         return None
     first = int(where[0])

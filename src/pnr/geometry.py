@@ -208,8 +208,9 @@ def angular_error(u, v) -> float:
 
 # ---------------------------------------------------------------------------
 # Batch kernels: the one implementation of each test, vectorized over rays.
-# The scalar forms above wrap them; the priming scan and curation call them
-# directly.
+# The scalar forms above wrap them. The priming scan (gaze.find_prime_time)
+# calls prime_batch, which culls the rays that cannot reach the box and runs
+# the slab and near-miss kernels on the rest.
 
 
 def slab_intersect_batch(origins, dirs, bmin, bmax):
@@ -230,7 +231,7 @@ def slab_intersect_batch(origins, dirs, bmin, bmax):
     bmin = np.asarray(bmin, dtype=np.float64)
     bmax = np.asarray(bmax, dtype=np.float64)
     parallel = np.abs(dirs) < PARALLEL_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / dirs
         t1 = (bmin - origins) * inv
         t2 = (bmax - origins) * inv
@@ -262,20 +263,19 @@ def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    if len(origins) == 0:  # prime_batch's call when the cull leaves nothing
+        return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0)
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     bmin = np.asarray(bmin, dtype=np.float64)
     bmax = np.asarray(bmax, dtype=np.float64)
     center = 0.5 * (bmin + bmax)
-    t_closest = np.einsum("ij,ij->i", center - origins, dirs)
-    p_closest = origins + t_closest[:, None] * dirs
-    offset = p_closest - center
-    dist = np.linalg.norm(offset, axis=1)
+    t_closest, offset, dist = _closest_approach(origins, dirs, center)
     central = dist < _UNIT_TOL
     safe = np.where(central, 1.0, dist)
     d_center = offset / safe[:, None]
     parallel = np.abs(d_center) < PARALLEL_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / d_center
         t1 = (bmin - center) * inv
         t2 = (bmax - center) * inv
@@ -285,3 +285,97 @@ def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     delta = np.where(central, 0.0, delta)
     primed = (delta <= tau) & (t_closest >= 0.0)
     return primed, delta, t_closest
+
+
+def _closest_approach(origins, dirs, center):
+    """Projection of the box center onto each ray: (t_closest, offset from
+    the center to the ray's closest point, its length dist). The near-miss
+    rule and the cull in prime_batch share these operations, so both see
+    the same dist for a ray."""
+    t_closest = np.einsum("ij,ij->i", center - origins, dirs)
+    p_closest = origins + t_closest[:, None] * dirs
+    offset = p_closest - center
+    sq = offset * offset
+    # np.linalg.norm(offset, axis=1) bit for bit (same sum order), in less time
+    return t_closest, offset, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
+def prime_batch(origins, dirs, bmin, bmax, tau: float):
+    """Priming test of N rays against one box, or N boxes when bmin/bmax
+    are (N, 3): hit is slab_intersect_batch's hit, near is near_miss_batch's
+    primed for the rays that do not hit. Returns (hit (N,) bool, near (N,)
+    bool); raises ValueError unless tau >= 0.
+
+    Rays whose line passes farther from the box center than
+
+        bound = (r + tau)(1 + 1e-9) + 1e-9 + 2 PARALLEL_EPS (|t_closest| + r),
+
+    r the box half-diagonal, are culled: neither kernel sees them and they
+    are neither hit nor near. The slab test then runs on the survivors, and
+    near_miss_batch on the survivors that miss; it is called even when none
+    survive, so it stays the one check of tau.
+
+    The cull is exact (a culled ray could neither hit nor near-miss) for
+    finite inputs without overflow, boxes with bmin <= bmax, directions of
+    unit length to rounding (v / |v|, as GazeTrack.world_rays gives) and
+    box centers c within 1e5 m of the world origin. With u = 2^-53:
+
+    - Near miss, central case. dist is computed by the same operations as
+      in near_miss_batch, so it is that kernel's dist bit for bit. The
+      bound is at least 1e-9, the kernel's threshold for a ray through the
+      center (dist < 1e-9 gives delta = 0), so a culled ray is not central
+      and its delta is |dist - t_far|.
+    - Near miss, PARALLEL_EPS axis handling. t_far is the least h_i / |w_i|
+      over the axes of the unit offset direction w with |w_i| >=
+      PARALLEL_EPS, h the half-extents. If s is that least value, then
+      s |w_i| <= h_i on each such axis, and the skipped axes hold under
+      2 PARALLEL_EPS^2 of |w|^2 = 1, so s <= r (1 + 1e-23). Rounding the
+      center, the half-extents, w and the division adds at most
+      7u r + u |c|, so computed t_far <= r + 1e-15 r + 2e-11. A culled ray
+      thus has dist - t_far > tau (1 + 1e-10) + 1e-10, and delta, rounded,
+      stays above tau.
+    - Hit, rounding in the slab test. A computed entry or exit parameter
+      (b_i - o_i) / d_i is off by at most 3u relative, which moves the
+      point o + t d by at most 3u |b_i - o_i| on axis i; for a t inside
+      the computed overlap that is under 3u (|t| + 2r) over all axes.
+    - Hit, PARALLEL_EPS axis handling. An axis with |d_i| < PARALLEL_EPS
+      and the origin inside its slab is left unconstrained, so the point
+      at t may lie outside that slab by up to PARALLEL_EPS |t|. A unit d
+      can have two such axes, so the point is within r + sqrt(2)
+      PARALLEL_EPS |t| of the center, plus the rounding above. Its distance
+      bounds |t - t_closest|, so |t| <= (|t_closest| + r)(1 + 2e-12), and
+      the exact line passes within r + 1.5 PARALLEL_EPS (|t_closest| + r)
+      of the center. The factor 2 in the bound covers this sqrt(2): with a
+      single PARALLEL_EPS, a ray 1e7 m away with two parallel axes that
+      grazes a box edge would be culled and its hit lost.
+    - Hit, the computed dist. It differs from the exact distance from the
+      center to the line by under 16u (|t_closest| + |c| + dist),
+      cancellation in p_closest - center included: for centers within
+      1e5 m, under 1e-14 |t_closest| + 2e-15 dist + 2e-10.
+
+    A hit therefore has dist under r (1 + 1e-14) + 1.6 PARALLEL_EPS
+    (|t_closest| + r) + 2e-10, and a near miss has dist <= t_far + tau;
+    both stay below the bound, rounding of the bound itself included.
+    """
+    origins = np.asarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    bmin = np.asarray(bmin, dtype=np.float64)
+    bmax = np.asarray(bmax, dtype=np.float64)
+    t_closest, _, dist = _closest_approach(origins, dirs, 0.5 * (bmin + bmax))
+    r = np.linalg.norm(0.5 * (bmax - bmin), axis=-1)
+    slack = (r + tau) * (1.0 + 1e-9) + _UNIT_TOL + 2.0 * PARALLEL_EPS * r
+    # not (dist > bound), so a NaN distance is kept for the kernels to judge
+    keep = np.nonzero(~(dist > slack + 2.0 * PARALLEL_EPS * np.abs(t_closest)))[0]
+
+    def rows(i):  # the kept rays, with their boxes when there is one per ray
+        if bmin.ndim == 2:
+            return origins[i], dirs[i], bmin[i], bmax[i]
+        return origins[i], dirs[i], bmin, bmax
+
+    hit = np.zeros(len(origins), dtype=bool)
+    if keep.size:
+        hit[keep] = slab_intersect_batch(*rows(keep))[0]
+        keep = keep[~hit[keep]]
+    near = np.zeros(len(origins), dtype=bool)
+    near[keep] = near_miss_batch(*rows(keep), tau)[0]
+    return hit, near

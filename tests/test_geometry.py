@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnr.geometry import (
+    PARALLEL_EPS,
     Aabb,
     IntersectResult,
     Ray,
@@ -13,6 +15,7 @@ from pnr.geometry import (
     angular_error,
     near_miss,
     near_miss_batch,
+    prime_batch,
     slab_intersect,
     slab_intersect_batch,
     unit,
@@ -303,3 +306,158 @@ def test_angular_error_symmetric_triangle(data):
     u, v, w = rand_unit(), rand_unit(), rand_unit()
     assert angular_error(u, v) == pytest.approx(angular_error(v, u))
     assert angular_error(u, w) <= angular_error(u, v) + angular_error(v, w) + 1e-9
+
+
+def test_subnormal_direction_components_raise_no_warning():
+    # derived: ray 0 runs along x with a subnormal y component, so 1/d_y
+    # overflows in the slab test; ray 1 runs along x at y = 0.6 past the
+    # box [-0.5, 0.5]^3 (a miss, inside the cull bound), with its closest
+    # point offset from the center by (0, 0.6, 1e-310), so the near-miss
+    # walk divides by a subnormal component. Both lanes are parallel axes
+    # that the kernels discard.
+    origins = np.array([[-5.0, 0.0, 0.0], [-5.0, 0.6, 1e-310]])
+    dirs = np.array([[1.0, 1e-310, 0.0], [1.0, 0.0, 0.0]])
+    bmin, bmax = np.full(3, -0.5), np.full(3, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit, _, _ = slab_intersect_batch(origins, dirs, bmin, bmax)
+        near, _, _ = near_miss_batch(origins, dirs, bmin, bmax, 0.05)
+        assert prime_batch(origins, dirs, bmin, bmax, 0.05)[0].tolist() == hit.tolist()
+    assert hit.tolist() == [True, False]
+    assert near.tolist() == [True, False]
+
+
+def _unculled(origins, dirs, bmin, bmax, tau):
+    """prime_batch's answer without the cull: the two kernels on every ray."""
+    hit, _, _ = slab_intersect_batch(origins, dirs, bmin, bmax)
+    primed, _, _ = near_miss_batch(origins, dirs, bmin, bmax, tau)
+    return hit, primed & ~hit
+
+
+def _grazing_rays(rng, n, tau, one_box=False):
+    """n rays, each with a box, whose lines pass the box center at about
+    the distances where the cull decides: the bounding sphere radius r
+    (through a box corner or anywhere on it), the near-miss limit t_far +
+    tau along the offset direction, the box surface, r + tau, the
+    distance-scaled margin and the central threshold 1e-9, each nudged by
+    a few 1e-12 or ulps relative. Boxes are solid, flat or points;
+    direction components fall just under and over PARALLEL_EPS; origins
+    sit inside the box or up to 1e7 m along the ray on either side.
+
+    One ray in ten instead starts on a box edge and runs along the box's
+    thinnest axis, drifting off the edge through direction components
+    around PARALLEL_EPS: the slab test lets such a ray pass up to
+    sqrt(2) PARALLEL_EPS per meter outside the box."""
+    nb = 1 if one_box else n
+    centers = np.repeat(rng.uniform(-5, 5, (nb, 3)), n // nb, axis=0)
+    halves = np.repeat(rng.uniform(0, 1, (nb, 3)), n // nb, axis=0)
+    shape = rng.integers(0, 4, nb).repeat(n // nb)  # 0 point, 1 flat, 2-3 solid
+    halves[shape == 0] = 0.0
+    flat = np.nonzero(shape == 1)[0]
+    halves[flat, rng.integers(0, 3, flat.size)] = 0.0
+    edge = np.nonzero(rng.random(n) < 0.1)[0]
+    axis = np.argmin(halves[edge], axis=1)
+    if not one_box:
+        halves[edge, axis] *= rng.choice([0.0, 1e-6, 1e-3], edge.size)
+    r = np.linalg.norm(halves, axis=1)
+
+    dirs = rng.normal(size=(n, 3))
+    tiny = rng.random((n, 3)) < 0.25
+    tiny[np.arange(n), rng.integers(0, 3, n)] = False  # one full component
+    dirs[tiny] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # set after normalising, so they sit exactly around PARALLEL_EPS
+    near_eps = PARALLEL_EPS * rng.choice([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0], n)
+    near_eps = np.where(rng.random(n) < 0.5, -near_eps, near_eps)
+    dirs[tiny] = near_eps[np.nonzero(tiny)[0]]
+
+    # offset direction w, perpendicular to the ray: toward a box corner or random
+    corner = halves * rng.choice([-1.0, 1.0], (n, 3))
+    w = np.where((rng.random(n) < 0.5)[:, None] & (r[:, None] > 0), corner,
+                 rng.normal(size=(n, 3)))
+    w -= np.einsum("ij,ij->i", w, dirs)[:, None] * dirs
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_far = np.min(np.where(np.abs(w) > 0, halves / np.abs(w), np.inf), axis=1)
+    along = 10.0 ** rng.uniform(-2, 7, n) * rng.choice([-1.0, 1.0], n)
+    target = np.stack([
+        r, t_far + tau, t_far, r + tau,
+        # within the distance-scaled margin, where the slab test's parallel
+        # axes let a ray drift off the box by up to PARALLEL_EPS per meter
+        r + rng.uniform(0, 2.2, n) * PARALLEL_EPS * (np.abs(along) + r),
+        rng.uniform(0, 2e-9, n),  # around the near-miss rule's central case
+    ], axis=1)
+    gap = target[np.arange(n), rng.integers(0, target.shape[1], n)]
+    gap *= 1.0 + rng.choice([-3e-12, -1e-12, -2**-51, 0, 0, 2**-51, 1e-12, 3e-12], n)
+
+    origins = centers + gap[:, None] * w - along[:, None] * dirs
+    inside = rng.random(n) < 0.05
+    origins[inside] = centers[inside] + rng.uniform(-1, 1, (inside.sum(), 3)) * halves[inside]
+
+    drift = PARALLEL_EPS * rng.choice([0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6], (edge.size, 3))
+    dirs[edge] = drift * rng.choice([-1.0, 1.0], (edge.size, 3))
+    dirs[edge, axis] = 1.0
+    side = rng.choice([-1.0, 1.0], (edge.size, 3))
+    origins[edge] = centers[edge] + side * halves[edge]
+    origins[edge, axis] = centers[edge, axis] - along[edge]
+    return origins, dirs, centers - halves, centers + halves
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cull_matches_unculled_kernels(seed, tau):
+    # the cull may only drop rays that neither hit nor near-miss: on rays
+    # built around the bound, prime_batch agrees with the kernels run on
+    # every ray, ray by ray, against per-ray boxes and against one box
+    rng = np.random.default_rng(seed)
+    for one_box in (False, True):
+        n = 200_000
+        origins, dirs, bmin, bmax = _grazing_rays(rng, n, tau, one_box)
+        if one_box:
+            bmin, bmax = bmin[0], bmax[0]
+        hit, near = prime_batch(origins, dirs, bmin, bmax, tau)
+        ref_hit, ref_near = _unculled(origins, dirs, bmin, bmax, tau)
+        assert np.array_equal(hit, ref_hit)
+        assert np.array_equal(near, ref_near)
+        if not one_box:  # the rays straddle the bound: some of each outcome
+            assert ref_hit.sum() > 1000 and ref_near.sum() > 1000
+            assert ((~ref_hit) & (~ref_near)).sum() > 1000
+
+
+@pytest.mark.parametrize("d_yz", [(0.9e-12, 0.0), (0.99e-12, 0.99e-12)],
+                         ids=["one_parallel_axis", "two_parallel_axes"])
+def test_cull_margin_grows_with_distance(d_yz):
+    # derived: a box flat in x (half-extents 1e-6, 1, 1, so r = sqrt(2)
+    # to 1e-12) and a ray from x = -1e7 along the box's y = z = 1 edge.
+    # Its y and z components are below PARALLEL_EPS, so the slab test
+    # leaves those axes to containment (the origin lies on both faces)
+    # and reports a hit. The line drifts 1e7 * d_y off that edge by x = 0,
+    # so it passes r + 6.4e-6 (one axis) or r + 1.4e-5 (two axes) from the
+    # center: more than (r + tau)(1 + 1e-9) + 1e-9 at tau = 0, and more
+    # than a single PARALLEL_EPS * (|t_closest| + r) = r + 1e-5 with two
+    # axes, but within 2 PARALLEL_EPS * (|t_closest| + r).
+    bmin, bmax = np.array([-1e-6, -1.0, -1.0]), np.array([1e-6, 1.0, 1.0])
+    origins = np.array([[-1e7, 1.0, 1.0]])
+    dirs = np.array([[1.0, *d_yz]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    hit, near = prime_batch(origins, dirs, bmin, bmax, 0.0)
+    assert hit.tolist() == [True] and near.tolist() == [False]
+    assert _unculled(origins, dirs, bmin, bmax, 0.0)[0].tolist() == [True]
+    r = math.sqrt(2.0 + 1e-12)
+    t_closest = 1e7 * dirs[0, 0]
+    dist = np.linalg.norm(np.cross(-origins[0], dirs[0]))
+    assert dist > r * (1 + 1e-9) + 1e-9 + 1e-6
+    if d_yz[1]:
+        assert dist > r * (1 + 1e-9) + 1e-9 + PARALLEL_EPS * (t_closest + r)
+
+
+def test_prime_batch_checks_tau_when_nothing_survives():
+    # derived: the ray passes 10 m from a unit box, so the cull drops it
+    # and no kernel tests it; tau is still checked
+    origins, dirs = np.array([[0.0, 10.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+    bmin, bmax = np.full(3, -0.5), np.full(3, 0.5)
+    hit, near = prime_batch(origins, dirs, bmin, bmax, 0.05)
+    assert not hit[0] and not near[0]
+    for tau in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            prime_batch(origins, dirs, bmin, bmax, tau)

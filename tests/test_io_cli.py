@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pnr import io_jsonl as io
-from pnr.cli import main
+from pnr.cli import MAX_THETAS, _thetas, main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
 from pnr.metrics import EvalPair
@@ -624,3 +624,23 @@ def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option)
         main(argv)
     assert exc.value.code == 1
     assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_thetas_range_size_checked_before_arange(curated_dir, monkeypatch, capsys):
+    # 0:180:1e-6 passes every other check and would ask np.arange for 180
+    # million angles; the count is refused from start, stop and step first
+    def no_arange(*args, **kwargs):
+        raise AssertionError("np.arange reached")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    for thetas in ("0:180:1e-6", "0:180:0.0099", "0:180:5e-324"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pred", curated_dir, "--gt", curated_dir, "--thetas", thetas])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --thetas:" in err and "more than 18001 angles" in err
+    monkeypatch.undo()
+    # the largest range allowed: a 0.01 degree step over [0, 180]
+    thetas = _thetas("0:180:0.01")
+    assert len(thetas) == MAX_THETAS == 18_001
+    assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(180.0)
