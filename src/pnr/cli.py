@@ -1,7 +1,9 @@
 """Command-line surface: curate, stats, split, evaluate, sweep, synth and
 baseline, over the JSONL interchange formats.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input.
+Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input:
+a file or input entry that cannot be opened or parsed, an --out that
+cannot be written, a pose with no head frame, or nothing to work on.
 Angles are degrees at this boundary and radians inside.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import io_jsonl as io
 from .curation import curate_corpus, split, stats
-from .errors import MalformedFile, PnrError
+from .errors import EmptyCorpus, PnrError
 from .gaze import DEFAULT_TAU, DEFAULT_WINDOW
 from .geometry import Aabb
 from .metrics import (
@@ -41,9 +43,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fail_io(exc) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+def _sequences(path, what: str = "") -> list:
+    """The sequences under a directory; EmptyCorpus when there are none."""
+    sequences = io.read_sequences_dir(path)
+    if not sequences:
+        raise EmptyCorpus(f"no {what}sequences under {path}")
+    return sequences
+
+
+def _json_object(path: str, of: str) -> dict:
+    """The JSON object a file holds; PnrError naming the file otherwise."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise PnrError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise PnrError(f"{path}: must be a JSON object of {of}")
+    return payload
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -56,7 +72,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_curate(args) -> int:
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
-        return _fail_io(f"input directory not found: {in_dir}")
+        raise PnrError(f"input directory not found: {in_dir}")
     recordings, errors = io.read_recordings_dir(in_dir)
     for exc in errors:
         print(f"error: {exc}", file=sys.stderr)
@@ -65,7 +81,7 @@ def cmd_curate(args) -> int:
     seen = set()
     for rec in recordings:
         if rec.id in seen:
-            return _fail_io(f"duplicate recording id {rec.id!r} in {in_dir}")
+            raise PnrError(f"duplicate recording id {rec.id!r} in {in_dir}")
         seen.add(rec.id)
     results = curate_corpus(
         recordings,
@@ -87,62 +103,44 @@ def cmd_curate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        sequences = io.read_sequences_dir(args.in_dir)
-    except (OSError, MalformedFile) as exc:
-        return _fail_io(exc)
-    if not sequences:
-        return _fail_io(f"no sequences under {args.in_dir}")
-    _emit(stats(sequences).to_dict(), args.out)
+    _emit(stats(_sequences(args.in_dir)).to_dict(), args.out)
     return 0
 
 
 def cmd_split(args) -> int:
-    try:
-        sequences = io.read_sequences_dir(args.in_dir)
-    except (OSError, MalformedFile) as exc:
-        return _fail_io(exc)
-    if not sequences:
-        return _fail_io(f"no sequences under {args.in_dir}")
+    sequences = _sequences(args.in_dir)
     overrides = None
     if args.override:
-        try:
-            overrides = json.loads(Path(args.override).read_text(encoding="utf-8"))
-        except OSError as exc:
-            return _fail_io(exc)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            return _fail_io(f"{args.override}: not a JSON file: {exc}")
-        if not isinstance(overrides, dict):
-            return _fail_io(f"{args.override}: must be a JSON object of video_id -> side")
+        overrides = _json_object(args.override, "video_id -> side")
         for video, side in overrides.items():
             if side not in ("train", "test"):
-                return _fail_io(f"{args.override}: side of {video!r} must be "
-                                f"train or test, got {side!r}")
+                raise PnrError(f"{args.override}: side of {video!r} must be "
+                               f"train or test, got {side!r}")
     manifest = split(sequences, ratio=args.ratio, seed=args.seed,
                      video_overrides=overrides)
     _emit(manifest.to_dict(), args.out)
     return 0
 
 
-def _pairs(args):
+def _pairs(args) -> list:
     """EvalPairs on args.n frames for every ground-truth sequence with a
-    prediction of the same id, and the ids of those without one."""
+    prediction of the same id; EmptyCorpus when there are none. evaluate
+    warns of each ground truth without a prediction."""
     gt_seqs = io.read_sequences_dir(args.gt)
     preds = {p.id: p.motion for p in io.read_sequences_dir(args.pred)}
     pairs = [EvalPair.from_sequences(preds[gt.id], gt, args.n)
              for gt in gt_seqs if gt.id in preds]
-    return pairs, [gt.id for gt in gt_seqs if gt.id not in preds]
+    if args.command == "evaluate":
+        for gt in gt_seqs:
+            if gt.id not in preds:
+                print(f"warning: no prediction for {gt.id}", file=sys.stderr)
+    if not pairs:
+        raise EmptyCorpus(f"no (prediction, ground truth) pairs to {args.command}")
+    return pairs
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        pairs, missing = _pairs(args)
-    except (OSError, PnrError) as exc:
-        return _fail_io(exc)
-    for mid in missing:
-        print(f"warning: no prediction for {mid}", file=sys.stderr)
-    if not pairs:
-        return _fail_io("no (prediction, ground truth) pairs to evaluate")
+    pairs = _pairs(args)
     config = MetricsConfig(theta_deg=args.theta, sigma=args.sigma, n_frames=args.n)
     report = evaluate(pairs, config)
     _emit(report.to_dict(), args.out)
@@ -150,13 +148,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        pairs, _ = _pairs(args)
-    except (OSError, PnrError) as exc:
-        return _fail_io(exc)
-    if not pairs:
-        return _fail_io("no (prediction, ground truth) pairs to sweep")
-    grid = prime_success_sweep(pairs, args.thetas, args.sigmas)
+    grid = prime_success_sweep(_pairs(args), args.thetas, args.sigmas)
     if args.out:
         io.write_sweep_csv(args.thetas, args.sigmas, grid, args.out)
     else:
@@ -165,14 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except OSError as exc:
-        return _fail_io(exc)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        return _fail_io(f"{args.spec}: not a JSON file: {exc}")
-    if not isinstance(payload, dict):
-        return _fail_io(f"{args.spec}: must be a JSON object of scenario fields")
+    payload = _json_object(args.spec, "scenario fields")
     try:
         n_recordings = payload.pop("n_recordings", 1)
         if type(n_recordings) is not int or n_recordings < 0:
@@ -199,16 +184,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    try:
-        train = io.read_sequences_dir(args.train)
-        same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
-        gt_seqs = train if same_dir else io.read_sequences_dir(args.gt)
-    except (OSError, MalformedFile) as exc:
-        return _fail_io(exc)
-    if not train:
-        return _fail_io(f"no training sequences under {args.train}")
-    if not gt_seqs:
-        return _fail_io(f"no ground-truth sequences under {args.gt}")
+    train = _sequences(args.train, "training ")
+    same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
+    gt_seqs = train if same_dir else _sequences(args.gt, "ground-truth ")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mean_pose = static_baseline(train, n=args.n).joints
@@ -353,8 +331,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; unreadable or malformed input gives exit 2 here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, PnrError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

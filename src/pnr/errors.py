@@ -6,7 +6,12 @@ class PnrError(Exception):
 
 
 class DegenerateGaze(PnrError):
-    """Eye-tracker sample whose world gaze point coincides with the camera origin."""
+    """Eye-tracker sample whose world gaze point coincides with the camera
+    origin; ``index`` is that sample's row in its track."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyWindow(PnrError):

@@ -98,7 +98,7 @@ class GazeTrack:
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms < _DEGENERATE_TOL):
             bad = int(np.argmin(norms))
-            raise DegenerateGaze(f"gaze sample {bad} at t={self.times[bad]:.6f}")
+            raise DegenerateGaze(f"gaze sample {bad} at t={self.times[bad]:.6f}", bad)
         rays = (self.translations, dirs / norms[:, None])
         object.__setattr__(self, "_rays", rays)
         return rays

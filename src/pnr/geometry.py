@@ -151,10 +151,6 @@ class Aabb:
     def half_extents(self) -> np.ndarray:
         return 0.5 * (self.max - self.min)
 
-    def contains(self, p) -> bool:
-        p = as_vec3(p)
-        return bool(np.all(p >= self.min) and np.all(p <= self.max))
-
     def translated(self, delta) -> "Aabb":
         d = as_vec3(delta)
         return Aabb(self.min + d, self.max + d)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .curation import InitialState, PnRSequence, Recording
-from .errors import MalformedFile
+from .errors import DegenerateGaze, MalformedFile
 from .events import Trajectory3
 from .gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from .geometry import Aabb
@@ -268,6 +268,11 @@ def read_recording(path) -> Recording:
              "non-finite gaze time")
     track = GazeTrack(times, points_cam.array(), rotations.array().reshape(-1, 3, 3),
                       translations.array())
+    try:
+        track.world_rays()  # cached on the track for curation
+    except DegenerateGaze as exc:
+        raise MalformedFile(path, points_cam.line_nos[exc.index],
+                            "gaze direction is zero in the world frame") from None
     motion = MotionSequence(float(header["fps"]), joints.array().reshape(-1, N_JOINTS, 3))
     trajectories = {}
     for oid, (traj_t, positions) in traj_rows.items():
@@ -399,14 +404,15 @@ def read_sequence(path) -> PnRSequence:
 
 
 def read_recordings_dir(path) -> list:
-    """All recordings under a directory, sorted by file name. Malformed
-    files are reported and skipped; the list of errors comes back too."""
+    """All recordings under a directory, sorted by file name. Entries that
+    are malformed or cannot be opened are reported and skipped; the list of
+    errors comes back too."""
     path = Path(path)
     recs, errors = [], []
     for f in sorted(path.glob(f"*{RECORDING_SUFFIX}")):
         try:
             recs.append(read_recording(f))
-        except MalformedFile as exc:
+        except (OSError, MalformedFile) as exc:
             errors.append(exc)
     return recs, errors
 

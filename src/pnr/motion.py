@@ -147,32 +147,23 @@ def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform
     return motion.transformed(t), t
 
 
-def head_forward(pose: np.ndarray) -> np.ndarray:
-    """Forward direction of the head frame built from joint positions:
-    up from neck->head, across from the shoulders, forward their cross."""
-    pose = np.asarray(pose, dtype=np.float64)
-    up_h = pose[HEAD] - pose[NECK]
-    up_n = np.linalg.norm(up_h)
-    across = pose[L_SHOULDER] - pose[R_SHOULDER]
-    across_n = np.linalg.norm(across)
-    if up_n < _DEGENERATE_TOL or across_n < _DEGENERATE_TOL:
-        raise DegeneratePose("head or shoulder axis is undefined")
-    fwd = np.cross(across / across_n, up_h / up_n)
-    n = np.linalg.norm(fwd)
-    if n < _DEGENERATE_TOL:
-        raise DegeneratePose("shoulder axis is parallel to the head axis")
-    return fwd / n
-
-
 def head_forward_batch(joints: np.ndarray) -> np.ndarray:
-    """head_forward over (N, 22, 3), returning (N, 3)."""
+    """Forward direction of the head frame of each pose in (N, 22, 3),
+    returning (N, 3): up from neck->head, across from the shoulders,
+    forward their cross."""
     up_h = joints[:, HEAD] - joints[:, NECK]
     across = joints[:, L_SHOULDER] - joints[:, R_SHOULDER]
     fwd = np.cross(across, up_h)
     n = np.linalg.norm(fwd, axis=1)
     if np.any(n < _DEGENERATE_TOL):
-        raise DegeneratePose("shoulder axis is parallel to the head axis")
+        raise DegeneratePose("no head frame: the head and shoulder axes "
+                             "are parallel or of zero length")
     return fwd / n[:, None]
+
+
+def head_forward(pose: np.ndarray) -> np.ndarray:
+    """head_forward_batch of one (22, 3) pose."""
+    return head_forward_batch(np.asarray(pose, dtype=np.float64)[None])[0]
 
 
 def body_movement(motion: MotionSequence) -> float:

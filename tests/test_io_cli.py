@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pnr.cli import MAX_THETAS, _thetas, main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
 from pnr.metrics import EvalPair
-from pnr.motion import resample
+from pnr.motion import MotionSequence, resample
 from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
 
 
@@ -174,6 +175,8 @@ def _edit_row(row, edit):
         row["cam_pose"] = [1.0, 2.0]
     elif edit == "short_dir_cam":
         row["dir_cam"] = row["dir_cam"][:2]
+    elif edit == "zero_dir_cam":
+        row["dir_cam"] = [0.0, 0.0, 0.0]
     elif edit == "short_gaze":
         row["gaze"] = row["gaze"][:2]
     elif edit == "short_velocity":
@@ -218,6 +221,7 @@ class TestMalformedRows:
         ("frame", "not_object", "record must be a JSON object"),
         ("gaze", "pose_not_object", "cam_pose needs r and t"),
         ("gaze", "short_dir_cam", "dir_cam must have 3 entries"),
+        ("gaze", "zero_dir_cam", "gaze direction is zero in the world frame"),
     ])
     def test_recording_row(self, rec_lines, tmp_path, kind, edit, reason):
         k = next(i for i, line in enumerate(rec_lines) if f'"k":"{kind}"' in line) + 3
@@ -644,3 +648,82 @@ def test_thetas_range_size_checked_before_arange(curated_dir, monkeypatch, capsy
     thetas = _thetas("0:180:0.01")
     assert len(thetas) == MAX_THETAS == 18_001
     assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(180.0)
+
+
+def _taken(tmp_path):
+    """A path where a file already stands."""
+    path = tmp_path / "taken"
+    path.write_text("", encoding="utf-8")
+    return str(path)
+
+
+def _spec(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"n_recordings": 1}', encoding="utf-8")
+    return str(path)
+
+
+def _zero_pose_preds(tmp_path, seqs):
+    """A prediction per sequence whose joints are all zero: no head frame."""
+    preds = [replace(seq, motion=MotionSequence(seq.motion.fps,
+                                                np.zeros_like(seq.motion.joints)))
+             for seq in io.read_sequences_dir(seqs)]
+    io.write_sequences_dir(preds, tmp_path / "preds")
+    return str(tmp_path / "preds")
+
+
+def _recordings_plus(tmp_path, recs, bad_entry):
+    """A copy of the recordings with one bad entry added, named by bad_entry(dir)."""
+    rec_dir = tmp_path / "recs"
+    shutil.copytree(recs, rec_dir)
+    bad_entry(rec_dir)
+    return str(rec_dir)
+
+
+def _zero_gaze_recording(rec_dir):
+    """A copy of a recording under its own id, one dir_cam set to zero."""
+    lines = next(rec_dir.glob("*.rec.jsonl")).read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), id="zzz-bad"))
+    k = next(i for i, line in enumerate(lines) if '"k":"gaze"' in line)
+    lines[k] = _edit_row(json.loads(lines[k]), "zero_dir_cam")
+    (rec_dir / "zzz-bad.rec.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("make_argv, message, n_curated", [
+    (lambda t, s, r: ["curate", "--in", r, "--out", _taken(t)], "File exists", None),
+    (lambda t, s, r: ["synth", "--spec", _spec(t), "--seed", "1", "--out", _taken(t)],
+     "File exists", None),
+    (lambda t, s, r: ["baseline", "static", "--train", s, "--gt", s, "--out", _taken(t)],
+     "File exists", None),
+    (lambda t, s, r: ["stats", "--in", s, "--out", str(t / "nodir" / "x")],
+     "No such file or directory", None),
+    (lambda t, s, r: ["split", "--in", s, "--seed", "1", "--out", str(t / "nodir" / "x")],
+     "No such file or directory", None),
+    (lambda t, s, r: ["evaluate", "--pred", s, "--gt", s, "--out", str(t / "nodir" / "x")],
+     "No such file or directory", None),
+    (lambda t, s, r: ["sweep", "--pred", s, "--gt", s, "--out", str(t / "nodir" / "x")],
+     "No such file or directory", None),
+    (lambda t, s, r: ["evaluate", "--pred", _zero_pose_preds(t, s), "--gt", s],
+     "no head frame", None),
+    (lambda t, s, r: ["sweep", "--pred", _zero_pose_preds(t, s), "--gt", s],
+     "no head frame", None),
+    (lambda t, s, r: ["curate", "--in", _recordings_plus(t, r, _zero_gaze_recording),
+                      "--out", str(t / "out")],
+     "zzz-bad.rec.jsonl:", 2),
+    (lambda t, s, r: ["curate", "--in", _recordings_plus(
+        t, r, lambda d: (d / "aaa.rec.jsonl").mkdir()), "--out", str(t / "out")],
+     "aaa.rec.jsonl", 2),
+], ids=["curate_out_is_file", "synth_out_is_file", "baseline_out_is_file",
+        "stats_out_no_dir", "split_out_no_dir", "evaluate_out_no_dir", "sweep_out_no_dir",
+        "evaluate_zero_pose", "sweep_zero_pose", "curate_zero_gaze", "curate_dir_entry"])
+def test_unwritable_or_unusable_input_exit_2(curated_dir, tmp_path, capsys,
+                                             make_argv, message, n_curated):
+    recs = str(Path(curated_dir).parent / "recordings")
+    assert main(make_argv(tmp_path, curated_dir, recs)) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    if n_curated is not None:
+        # the other recordings were still curated
+        assert len(list((tmp_path / "out").glob("*.seq.jsonl"))) == n_curated
+        assert (tmp_path / "out" / "curation_log.json").exists()
