@@ -26,10 +26,8 @@ from .errors import (
     MalformedFile,
     MissingGaze,
     PnrError,
-    TimelineMismatch,
     UnreachableGoal,
 )
-from .events import InHandSegment, Trajectory3, in_hand_segments, refine_and_emit_events
 from .features import FEATURE_DIM, from_features, to_features
 from .gaze import (
     GazeSample,

@@ -33,7 +33,7 @@ from .metrics import (
     prime_success_sweep,
 )
 from .curation import DEFAULT_MIN_MOVEMENT, DEFAULT_PREPEND
-from .motion import MotionSequence, resample, resampled_index
+from .motion import MAX_FRAMES, MotionSequence, resample, resampled_index
 from .synth import ScenarioSpec, generate_corpus, static_baseline
 
 
@@ -253,15 +253,26 @@ def _sigmas(text: str) -> list:
     return [_nonnegative(x) for x in text.split(",")]
 
 
-def _frame_count(text: str) -> int:
-    """argparse type of --n: an integer of at least 2 frames."""
+def _integer(text: str, lo: int, hi: float) -> int:
+    """An integer in [lo, hi], else an argparse usage error."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+        n = lo - 1
+    if not lo <= n <= hi:
+        bound = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+        raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
     return n
+
+
+def _frame_count(text: str) -> int:
+    """argparse type of --n: an integer number of frames in [2, MAX_FRAMES]."""
+    return _integer(text, 2, MAX_FRAMES)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    return _integer(text, 0, math.inf)
 
 
 def _split_ratio(text: str) -> float:
@@ -290,7 +301,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="video-level train/test split")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--ratio", type=_split_ratio, default=0.7)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--override", help="JSON file of video_id -> side")
     p.add_argument("--out")
     p.set_defaults(func=cmd_split)
@@ -316,7 +327,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic recordings")
     p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

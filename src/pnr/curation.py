@@ -48,7 +48,6 @@ class Recording:
     motion: MotionSequence
     objects: dict[str, ObjectTarget] = field(default_factory=dict)
     events: list[InteractionEvent] = field(default_factory=list)
-    object_trajectories: dict = field(default_factory=dict)  # id -> Trajectory3
 
 
 @dataclass(frozen=True)

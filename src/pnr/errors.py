@@ -18,10 +18,6 @@ class EmptyWindow(PnrError):
     """No gaze samples fall inside the priming window of an event."""
 
 
-class TimelineMismatch(PnrError):
-    """Two trajectories expected to share a timeline do not."""
-
-
 class DegeneratePose(PnrError):
     """Joint configuration from which a facing direction cannot be derived."""
 

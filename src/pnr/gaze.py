@@ -134,7 +134,6 @@ class InteractionEvent:
     kind: str  # "pick" | "put"
     t_e: float
     target: ObjectTarget
-    low_confidence: bool = False
 
     def __post_init__(self):
         if self.kind not in ("pick", "put"):

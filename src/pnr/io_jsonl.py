@@ -4,16 +4,17 @@ manifests, metric reports and sweep grids.
 Every file is plain JSONL with a header line carrying the schema version.
 Doubles are serialized at full precision (shortest round-tripping repr),
 so write-then-read reproduces in-memory values bit-exactly. Unknown
-record kinds are skipped with a warning; structural violations raise
+record kinds, and timed object rows (object trajectories, which pnr does
+not read), are skipped with a warning; structural violations raise
 MalformedFile with the offending path and line number.
 
 Recordings and sequences are validated in one pass per file. A reader
 parses each line and checks there only what is cheap: the row is an
 object with the required keys, its lists have the right length and its
 times are in order. Numeric fields (joints, gaze directions, camera
-poses, trajectory points) are gathered per column, and each column is
-converted to float64 and checked for finite values once; a bad value is
-still reported by its line. Writers encode every row with one
+poses) are gathered per column, and each column is converted to float64
+and checked for finite values once; a bad value is still reported by its
+line. Writers encode every row with one
 shared encoder, which spells floats as json.dumps does.
 """
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
-from .events import Trajectory3
 from .gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from .geometry import Aabb
 from .metrics import MetricsReport
@@ -150,10 +150,6 @@ def write_recording(rec: Recording, path) -> None:
             else:
                 row["point"] = tgt.point.tolist()
             f.write(_dump(row) + "\n")
-        for oid, traj in rec.object_trajectories.items():
-            for t, p in zip(traj.times, traj.positions):
-                f.write(_dump({"k": "object", "id": oid, "t": float(t),
-                               "point": p.tolist()}) + "\n")
         g = rec.gaze
         for i in range(len(g)):
             f.write(_dump({
@@ -184,7 +180,6 @@ def read_recording(path) -> Recording:
     joints = _Column(path, 3 * N_JOINTS, "joints")
     event_rows = []
     objects: dict[str, ObjectTarget] = {}
-    traj_rows: dict[str, tuple] = {}  # id -> (times, position column)
     last_t = {}
     for line_no, row in _records(path):
         if header is None:
@@ -220,17 +215,10 @@ def read_recording(path) -> Recording:
         elif kind == "frame":
             _require("joints" in row, path, line_no, "frame record needs joints")
             joints.add(row["joints"], line_no)
-        elif kind == "object":
+        elif kind == "object" and "t" not in row:
             oid = row.get("id")
             _require(isinstance(oid, str), path, line_no, "object record needs id")
-            if "t" in row:
-                _require("point" in row, path, line_no,
-                         "timed object records carry a point")
-                traj_t, positions = traj_rows.setdefault(
-                    oid, ([], _Column(path, 3, "object point", "point")))
-                traj_t.append(_float(row["t"], path, line_no, "object time"))
-                positions.add(row["point"], line_no)
-            elif "box" in row:
+            if "box" in row:
                 box = row["box"]
                 _require(isinstance(box, dict) and "min" in box and "max" in box,
                          path, line_no, "box needs min and max")
@@ -256,8 +244,9 @@ def read_recording(path) -> Recording:
                      "event kind must be pick or put")
             _require("object_id" in row, path, line_no, "event needs object_id")
             event_rows.append((row["kind"], float(t), row["object_id"], line_no))
-        else:
-            log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+        else:  # an unknown kind, or a timed object row: trajectories are not read
+            what = "timed object record" if kind == "object" else f"unknown record kind {kind!r}"
+            log.warning("%s:%d: skipping %s", path, line_no, what)
     _require(header is not None, path, 1, "empty file")
     _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
     _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
@@ -274,14 +263,6 @@ def read_recording(path) -> Recording:
         raise MalformedFile(path, points_cam.line_nos[exc.index],
                             "gaze direction is zero in the world frame") from None
     motion = MotionSequence(float(header["fps"]), joints.array().reshape(-1, N_JOINTS, 3))
-    trajectories = {}
-    for oid, (traj_t, positions) in traj_rows.items():
-        traj_t = np.array(traj_t)
-        stalls = np.diff(traj_t) <= 0
-        if stalls.any():
-            raise MalformedFile(path, positions.line_nos[int(np.argmax(stalls)) + 1],
-                                "object trajectory times must be strictly increasing")
-        trajectories[oid] = Trajectory3(traj_t, positions.array())
     events = []
     for kind, t_e, oid, line_no in event_rows:
         _require(isinstance(oid, str) and oid in objects, path, line_no,
@@ -294,7 +275,6 @@ def read_recording(path) -> Recording:
         motion=motion,
         objects=objects,
         events=events,
-        object_trajectories=trajectories,
     )
 
 

@@ -123,8 +123,9 @@ class EvalPair:
 
 def _window(pair: EvalPair, sigma: float) -> slice:
     """Frames within sigma seconds of the prime frame; windows of larger
-    sigmas contain those of smaller ones."""
-    half = int(round(sigma * pair.predicted.fps))
+    sigmas contain those of smaller ones. A half-width past the sequence
+    gives the same window, so it is capped there and stays finite."""
+    half = int(round(min(sigma * pair.predicted.fps, pair.predicted.n_frames)))
     lo = max(0, pair.prime_frame_index - half)
     hi = min(pair.predicted.n_frames - 1, pair.prime_frame_index + half)
     return slice(lo, hi + 1)

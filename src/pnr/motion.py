@@ -29,6 +29,10 @@ from .skeleton import (
 
 _DEGENERATE_TOL = 1e-9
 
+# Most frames a generated or resampled motion may have: about 28 min at
+# 60 fps, 53 MB as one (n, 22, 3) array. Motion read from disk is not capped.
+MAX_FRAMES = 100_000
+
 
 @dataclass(frozen=True)
 class MotionSequence:
@@ -78,8 +82,8 @@ def resample(motion: MotionSequence, n: int) -> MotionSequence:
     current frame count is the identity. The gaze channel, being a held
     directional signal, takes the nearest source frame instead of a lerp.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= MAX_FRAMES:
+        raise ValueError(f"n must be in [2, {MAX_FRAMES}]")
     src = motion.n_frames
     pos = np.linspace(0.0, src - 1, n)
     i0 = np.minimum(np.floor(pos).astype(int), src - 2)

@@ -13,7 +13,8 @@ box center (direct-hit scenarios) or swept exactly 3 cm over the box top
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
 from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
 from .geometry import Aabb, as_vec3
-from .motion import MotionSequence, heading_angles, yaw_matrices, yaw_rotation
+from .motion import MAX_FRAMES, MotionSequence, heading_angles, yaw_matrices, yaw_rotation
 from .skeleton import (
     DEFAULT_SKELETON,
     HEAD,
@@ -49,6 +50,8 @@ FOOT_LATERAL = 0.09  # m stance width from the root line
 TURN_TIME = 0.5  # s to rotate onto the walk heading
 SETTLE_TIME = 0.4  # s between arriving and the interaction
 REACH_TIME = 0.5  # s of wrist travel before the interaction
+ROOM_MARGIN = 0.4  # m kept between a random box center and the room walls
+MAX_WALK_SPEED = 3.0  # m/s the procedural synthesizer may walk
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,26 @@ class ScenarioSpec:
     max_goal_distance: float = 3.5
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        if self.planted_prime_offset < 0 or self.gaze_noise_std < 0:
+            raise ValueError("planted_prime_offset and gaze_noise_std must be >= 0")
         if self.duration <= self.planted_prime_offset + 2.0:
             raise ValueError("duration must exceed planted_prime_offset + 2 s")
+        # generate_scenario's frame count; min() keeps an overflow finite
+        if round(min(self.duration * self.fps, MAX_FRAMES)) + 1 > MAX_FRAMES:
+            raise ValueError(f"duration * fps gives more than {MAX_FRAMES} frames")
+        if type(self.n_objects) is not int or self.n_objects < 0:
+            raise ValueError(f"n_objects must be an integer >= 0, got {self.n_objects!r}")
+        with np.errstate(over="ignore"):  # _random_box's center range
+            span = (self.room.max - ROOM_MARGIN) - (self.room.min + ROOM_MARGIN)
+        if not np.all(np.isfinite(span) & (span >= 0.0)):  # as rng.uniform requires
+            raise ValueError(f"room must be at least {2 * ROOM_MARGIN} m and finitely "
+                             "wide on every axis")
         if self.planted_event_kind not in ("pick", "put"):
             raise ValueError("planted_event_kind must be pick or put")
         if self.prime_mode not in (DIRECT_HIT, NEAR_MISS):
@@ -221,11 +240,9 @@ def _heading_profile(times, psi0, psi1, turn_start, turn_end):
     return psi0 + u * dpsi
 
 
-def _random_box(rng, room, margin=0.4):
+def _random_box(rng, room):
     half = rng.uniform(0.04, 0.12, size=3)
-    lo = room.min + margin
-    hi = room.max - margin
-    center = rng.uniform(lo, hi)
+    center = rng.uniform(room.min + ROOM_MARGIN, room.max - ROOM_MARGIN)
     center[1] = rng.uniform(0.4, 1.4)
     return Aabb(center - half, center + half)
 
@@ -414,7 +431,7 @@ def static_baseline(train, n: int, fps: float = 30.0) -> MotionSequence:
 
 
 def procedural_pnr(initial: InitialState, goal, event_kind: str, n: int,
-                   fps: float, max_speed: float = 3.0) -> MotionSequence:
+                   fps: float) -> MotionSequence:
     """Deterministic kinematic stand-in for a learned generator.
 
     Turns the head onto the goal direction within the first fifth of the
@@ -445,9 +462,9 @@ def procedural_pnr(initial: InitialState, goal, event_kind: str, n: int,
     walk_dist = float(np.linalg.norm(stand_xz - start_xz))
     if walk_dist > 1e-9:
         needed = walk_dist / max(arrive - walk_start, 1e-9)
-        if needed > max_speed:
+        if needed > MAX_WALK_SPEED:
             raise UnreachableGoal(
-                f"goal needs {needed:.2f} m/s, above the {max_speed} m/s limit"
+                f"goal needs {needed:.2f} m/s, above the {MAX_WALK_SPEED} m/s limit"
             )
 
     headings = _heading_profile(times, psi0, theta, 0.0, 0.2 * total)

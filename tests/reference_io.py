@@ -6,8 +6,10 @@ per-file batching: every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires the batched code to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-One check was added to them since: ``read_sequence`` rejects a
-``prime_frame_index`` outside the frames, as ``pnr.io_jsonl`` does.
+Two changes were made to them since, as in ``pnr.io_jsonl``:
+``read_sequence`` rejects a ``prime_frame_index`` outside the frames, and
+``read_recording`` skips timed object rows (object trajectories) with a
+warning instead of reading them, and ``write_recording`` writes none.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from pnr.curation import InitialState, PnRSequence, Recording
 from pnr.errors import MalformedFile
-from pnr.events import Trajectory3
 from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from pnr.geometry import Aabb
 from pnr.motion import MotionSequence
@@ -65,10 +66,6 @@ def write_recording(rec: Recording, path) -> None:
             else:
                 row["point"] = tgt.point.tolist()
             f.write(_dump(row) + "\n")
-        for oid, traj in rec.object_trajectories.items():
-            for t, p in zip(traj.times, traj.positions):
-                f.write(_dump({"k": "object", "id": oid, "t": float(t),
-                               "point": p.tolist()}) + "\n")
         g = rec.gaze
         for i in range(len(g)):
             f.write(_dump({
@@ -94,7 +91,6 @@ def read_recording(path) -> Recording:
     header = None
     gaze_rows, frame_rows, event_rows = [], [], []
     objects: dict[str, ObjectTarget] = {}
-    traj_rows: dict[str, list] = {}
     last_t = {}
     with path.open("r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -138,16 +134,10 @@ def read_recording(path) -> Recording:
                 _require(joints.size == 3 * N_JOINTS, path, line_no,
                          f"joints must have {3 * N_JOINTS} entries")
                 frame_rows.append(joints.reshape(N_JOINTS, 3))
-            elif kind == "object":
+            elif kind == "object" and "t" not in row:
                 oid = row.get("id")
                 _require(isinstance(oid, str), path, line_no, "object record needs id")
-                if "t" in row:
-                    _require("point" in row, path, line_no,
-                             "timed object records carry a point")
-                    traj_rows.setdefault(oid, []).append(
-                        (float(row["t"]),
-                         _finite_list(row["point"], path, line_no, "object point")))
-                elif "box" in row:
+                if "box" in row:
                     mn = _finite_list(row["box"]["min"], path, line_no, "box min")
                     mx = _finite_list(row["box"]["max"], path, line_no, "box max")
                     _require(np.all(mn <= mx), path, line_no, "box min exceeds max")
@@ -175,10 +165,6 @@ def read_recording(path) -> Recording:
         np.array([r[3] for r in gaze_rows]),
     )
     motion = MotionSequence(float(header["fps"]), np.array(frame_rows))
-    trajectories = {
-        oid: Trajectory3(np.array([t for t, _ in rows]), np.array([p for _, p in rows]))
-        for oid, rows in traj_rows.items()
-    }
     events = []
     for kind, t_e, oid, line_no in event_rows:
         _require(oid in objects, path, line_no, f"event references unknown object {oid!r}")
@@ -190,7 +176,6 @@ def read_recording(path) -> Recording:
         motion=motion,
         objects=objects,
         events=events,
-        object_trajectories=trajectories,
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from pnr import io_jsonl as io
-from pnr.cli import MAX_THETAS, _thetas, main
+from pnr.cli import MAX_THETAS, _frame_count, _thetas, main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
 from pnr.metrics import EvalPair
-from pnr.motion import MotionSequence, resample
+from pnr.motion import MAX_FRAMES, MotionSequence, resample
 from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
 
 
@@ -46,22 +47,45 @@ class TestRecordingRoundtrip:
         io.write_recording(rec, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_object_trajectories_roundtrip(self, scenario, tmp_path):
-        from dataclasses import replace
-
-        from pnr.events import Trajectory3
-
+    def test_timed_object_rows_skipped(self, scenario, tmp_path, caplog):
+        # Timed object rows (an object trajectory) are read past with a
+        # warning each: the file reads and curates as it does without them.
         rec, _ = scenario
-        times = np.arange(0.0, 2.0, 0.1)
-        pos = np.cumsum(np.full((len(times), 3), 0.01), axis=0)
-        rec2 = replace(rec, object_trajectories={"cup": Trajectory3(times, pos)})
-        p = tmp_path / "traj.rec.jsonl"
-        io.write_recording(rec2, p)
-        back = io.read_recording(p)
-        assert set(back.object_trajectories) == {"cup"}
-        traj = back.object_trajectories["cup"]
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.positions, pos)
+        plain, timed = tmp_path / "plain", tmp_path / "timed"
+        plain.mkdir()
+        timed.mkdir()
+        name = f"{rec.id}{io.RECORDING_SUFFIX}"
+        io.write_recording(rec, plain / name)
+        lines = (plain / name).read_text(encoding="utf-8").splitlines()
+        at = max(i for i, line in enumerate(lines) if '"k":"object"' in line) + 1
+        rows = [json.dumps({"k": "object", "id": "target", "t": 0.1 * k,
+                            "point": [0.0, 1.0, 0.01 * k]}) for k in range(5)]
+        (timed / name).write_text("\n".join(lines[:at] + rows + lines[at:]) + "\n",
+                                  encoding="utf-8")
+        with caplog.at_level("WARNING", logger="pnr.io_jsonl"):
+            back = io.read_recording(timed / name)
+        skipped = [r.getMessage() for r in caplog.records]
+        assert skipped == [f"{timed / name}:{at + 1 + k}: skipping timed object record"
+                           for k in range(5)]
+        want = io.read_recording(plain / name)
+        assert list(back.objects) == list(want.objects)
+        for oid, tgt in back.objects.items():
+            assert np.array_equal(tgt.as_box().min, want.objects[oid].as_box().min)
+            assert np.array_equal(tgt.as_box().max, want.objects[oid].as_box().max)
+        assert [(e.kind, e.t_e, e.target.id) for e in back.events] == \
+            [(e.kind, e.t_e, e.target.id) for e in want.events]
+        for attr in ("times", "points_cam", "rotations", "translations"):
+            assert np.array_equal(getattr(back.gaze, attr), getattr(want.gaze, attr))
+        assert back.motion.fps == want.motion.fps
+        assert np.array_equal(back.motion.joints, want.motion.joints)
+
+        for d in (plain, timed):
+            assert main(["curate", "--in", str(d), "--out", str(d / "seq")]) == 0
+        written = sorted(f.name for f in (plain / "seq").iterdir())
+        assert "curation_log.json" in written and len(written) == 2
+        assert written == sorted(f.name for f in (timed / "seq").iterdir())
+        for f in written:
+            assert (timed / "seq" / f).read_bytes() == (plain / "seq" / f).read_bytes()
 
     def test_curation_equal_after_roundtrip(self, scenario, tmp_path):
         rec, _ = scenario
@@ -577,7 +601,13 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     {"n_recordings": True},
     {"room": 5},
     {"room": {"min": [-5, 0, -5]}},
-], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max"])
+    {"room": {"min": [0, 0, 0], "max": [3, 3, 0.7]}},
+    {"fps": float("nan")},
+    {"n_objects": 1e9},
+    {"duration": 1e12},
+    {"walk_speed": float("nan")},
+], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max",
+        "room_narrow", "fps_nan", "n_objects_1e9", "duration_1e12", "walk_speed_nan"])
 def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
@@ -617,13 +647,18 @@ def curated_dir(tmp_path_factory):
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:10:-1"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "10:0:1"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:180:100"], "--thetas"),
+    (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--n", "100000000000000000000"],
+     "--n"),
+    (["split", "--in", "{seqs}", "--seed", "-1"], "--seed"),
+    (["synth", "--spec", "{spec}", "--seed", "-1", "--out", "{out}"], "--seed"),
 ], ids=["evaluate_n_1", "sweep_n_1", "baseline_n_1", "split_ratio_0", "split_ratio_1",
         "split_ratio_1.5", "curate_tau_-1", "curate_w_-1", "curate_min_movement_nan",
         "curate_prepend_nan", "evaluate_sigma_-1", "evaluate_theta_nan", "evaluate_theta_181",
         "sweep_sigmas_-1", "sweep_thetas_step_0", "sweep_thetas_step_-1", "sweep_thetas_empty",
-        "sweep_thetas_past_180"])
+        "sweep_thetas_past_180", "evaluate_n_huge", "split_seed_-1", "synth_seed_-1"])
 def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option):
-    argv = [a.format(seqs=curated_dir, out=tmp_path / "preds") for a in argv]
+    argv = [a.format(seqs=curated_dir, out=tmp_path / "preds", spec=_spec(tmp_path))
+            for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -648,6 +683,28 @@ def test_thetas_range_size_checked_before_arange(curated_dir, monkeypatch, capsy
     thetas = _thetas("0:180:0.01")
     assert len(thetas) == MAX_THETAS == 18_001
     assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(180.0)
+
+
+def test_huge_sigma_is_the_whole_window(curated_dir, tmp_path):
+    # a window wider than the sequence covers all of it; 1e308 frames once
+    # overflowed int(round(...)) in metrics._window
+    reports = []
+    for sigma in ("1e308", "1000"):
+        out = tmp_path / f"report_{sigma}.json"
+        assert main(["evaluate", "--pred", curated_dir, "--gt", curated_dir,
+                     "--sigma", sigma, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        reports.append((report["prime_success"], report["per_sequence"]))
+    assert reports[0] == reports[1]
+    assert main(["sweep", "--pred", curated_dir, "--gt", curated_dir,
+                 "--sigmas", "1e308", "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
+def test_frame_count_bounds():
+    assert _frame_count("2") == 2 and _frame_count(str(MAX_FRAMES)) == MAX_FRAMES
+    for text in ("1", str(MAX_FRAMES + 1), "2.0", "x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _frame_count(text)
 
 
 def _taken(tmp_path):

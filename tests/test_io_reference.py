@@ -20,7 +20,6 @@ import reference_io as ref
 from pnr import io_jsonl as io
 from pnr.curation import InitialState, PnRSequence, Recording, curate
 from pnr.errors import MalformedFile
-from pnr.events import Trajectory3
 from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from pnr.geometry import Aabb
 from pnr.motion import MotionSequence
@@ -40,14 +39,13 @@ def _values(rng, shape):
     return v
 
 
-def small_recording(seed=0, n_gaze=7, n_frames=6, trajectories=True):
+def small_recording(seed=0, n_gaze=7, n_frames=6):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.01, 0.05, n_gaze))
     gaze = GazeTrack(times, _values(rng, (n_gaze, 3)), _values(rng, (n_gaze, 3, 3)),
                      _values(rng, (n_gaze, 3)))
     cup = ObjectTarget("cup", box=Aabb.from_center(_values(rng, 3), np.abs(_values(rng, 3))))
     mark = ObjectTarget("mark\u2028\u00e9", point=_values(rng, 3))
-    trajs = {"cup": Trajectory3(times[:4], _values(rng, (4, 3)))} if trajectories else {}
     return Recording(
         id=f"rec{seed}-\u00fc\u2028x",
         video_id=f"vid{seed}",
@@ -55,8 +53,17 @@ def small_recording(seed=0, n_gaze=7, n_frames=6, trajectories=True):
         motion=MotionSequence(30.0, _values(rng, (n_frames, 22, 3))),
         objects={"cup": cup, "mark\u2028\u00e9": mark},
         events=[InteractionEvent("put", 0.2, mark), InteractionEvent("pick", 0.1, cup)],
-        object_trajectories=trajs,
     )
+
+
+def with_timed_rows(lines):
+    """The lines of a written recording with four timed object rows (points
+    of an object trajectory, which the readers skip) after its object rows."""
+    rows = [json.dumps({"k": "object", "id": "cup", "t": 0.25 * k,
+                        "point": [AWKWARD[k], 1.0, -2.5]}, separators=(",", ":"))
+            for k in range(4)]
+    at = max(i for i, line in enumerate(lines) if '"k":"object"' in line) + 1
+    return lines[:at] + rows + lines[at:]
 
 
 def small_sequence(seed=0, n_frames=6, with_gaze=True):
@@ -78,9 +85,7 @@ def small_sequence(seed=0, n_frames=6, with_gaze=True):
 def corpus():
     rec, _ = generate_scenario(ScenarioSpec(seed=3, prime_mode="near_miss"))
     seq = curate(rec).sequences[0]
-    recordings = [small_recording(0), small_recording(1, trajectories=False), rec,
-                  replace(rec, object_trajectories={
-                      "cup": Trajectory3(np.arange(5) * 0.25, np.ones((5, 3)))})]
+    recordings = [small_recording(0), small_recording(1), rec, replace(rec, events=[])]
     sequences = [small_sequence(0), small_sequence(1, with_gaze=False), seq,
                  replace(seq, motion=MotionSequence(seq.motion.fps, seq.motion.joints))]
     return recordings, sequences
@@ -109,10 +114,6 @@ def assert_recordings_equal(a, b):
             assert same(ta.box.min, tb.box.min) and same(ta.box.max, tb.box.max)
     assert [(e.kind, e.target.id) for e in a.events] == [(e.kind, e.target.id) for e in b.events]
     assert same([e.t_e for e in a.events], [e.t_e for e in b.events])
-    assert list(a.object_trajectories) == list(b.object_trajectories)
-    for oid, ta in a.object_trajectories.items():
-        tb = b.object_trajectories[oid]
-        assert same(ta.times, tb.times) and same(ta.positions, tb.positions)
 
 
 def assert_sequences_equal(a, b):
@@ -147,6 +148,8 @@ def test_write_sequence_bytes_match_reference(i, tmp_path):
 def test_read_recording_matches_reference(i, tmp_path):
     p = tmp_path / "r.rec.jsonl"
     ref.write_recording(RECORDINGS[i], p)
+    lines = p.read_text(encoding="utf-8").split("\n")[:-1]
+    p.write_text("\n".join(with_timed_rows(lines)) + "\n", encoding="utf-8")
     assert_recordings_equal(io.read_recording(p), ref.read_recording(p))
     rec = RECORDINGS[i]
     written = replace(rec, events=sorted(rec.events, key=lambda e: e.t_e))
@@ -296,13 +299,16 @@ def _outcome(read, path):
 
 @pytest.fixture(scope="module")
 def clean_lines(tmp_path_factory):
-    """The lines of the first two recordings and sequences, written once."""
+    """The lines of the first two recordings and sequences, written once;
+    the first recording also carries timed object rows."""
     d = tmp_path_factory.mktemp("clean")
     lines = {}
     for i in (0, 1):
         io.write_recording(RECORDINGS[i], d / "r.jsonl")
         io.write_sequence(SEQUENCES[i], d / "s.jsonl")
         lines["rec", i] = (d / "r.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+        if i == 0:
+            lines["rec", i] = with_timed_rows(lines["rec", i])
         lines["seq", i] = (d / "s.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
     return d, lines
 
