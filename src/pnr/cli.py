@@ -159,6 +159,8 @@ def cmd_sweep(args) -> int:
 def cmd_synth(args) -> int:
     payload = _json_object(args.spec, "scenario fields")
     try:
+        if "seed" in payload:
+            raise ValueError("seed is not a spec field: recording seeds are set by --seed")
         n_recordings = payload.pop("n_recordings", 1)
         if type(n_recordings) is not int or n_recordings < 0:
             raise ValueError(f"n_recordings must be an integer >= 0, got {n_recordings!r}")

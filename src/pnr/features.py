@@ -22,13 +22,20 @@ channels ride along unchanged through a round trip.
 
 Conversion expects canonicalized motion (frame-0 pelvis over the origin,
 facing +z): recovery integrates the root from that initial condition.
+
+No 3x3 matrix is built. Each direction turns every vector it needs into
+or out of the root frame in one ``motion.yaw_apply`` call on one block;
+``shortest_arc`` and the bone lengths are written out component by
+component. Both give the bits of the matrix forms they replace: yaw
+matrices applied entry by entry, ``np.cross``, ``np.sum`` and
+``np.linalg.norm`` over the last axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .motion import MotionSequence, heading_angles, yaw_matrices
+from .motion import MotionSequence, heading_angles, yaw_apply
 from .skeleton import CONTACT_JOINTS, DEFAULT_SKELETON, N_JOINTS, PARENTS, PELVIS
 
 FEATURE_DIM = 263
@@ -43,6 +50,13 @@ CONTACTS = slice(259, 263)
 
 CONTACT_HEIGHT = 0.05  # m, shared with the foot-skating metric
 CONTACT_SPEED = 0.5  # m/s, shared with the foot-skating metric
+
+# rows of to_features' block of vectors to rotate into the root frame
+_STEP = 0
+_REL = slice(1, N_JOINTS)
+_BONES = slice(N_JOINTS, 2 * N_JOINTS - 1)
+_VEL = slice(2 * N_JOINTS - 1, 3 * N_JOINTS - 1)
+_BLOCK = 3 * N_JOINTS - 1
 
 
 def matrix_to_rot6d(mats: np.ndarray) -> np.ndarray:
@@ -65,33 +79,45 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Broadcasts over leading dims. Antiparallel pairs rotate 180 degrees
     about an arbitrary perpendicular axis.
+
+    Computed component by component with the same bits as the matrix
+    form: the cross product a = u x v as ``np.cross`` forms it
+    (``a_0 = u_1*v_2 - u_2*v_1`` and its cyclic shifts), and the dot
+    product and |a|^2 as ``np.sum`` reduces a 3-long axis, from +0.0 left
+    to right (``((0.0 + x_0*y_0) + x_1*y_1) + x_2*y_2``).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    u, v = np.broadcast_arrays(u, v)
-    a = np.cross(u, v)
-    c = np.sum(u * v, axis=-1)
-    out = np.empty(u.shape[:-1] + (3, 3))
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    a0 = u1 * v2 - u2 * v1
+    a1 = u2 * v0 - u0 * v2
+    a2 = u0 * v1 - u1 * v0
+    c = ((0.0 + u0 * v0) + u1 * v1) + u2 * v2
+    out = np.empty(shape[:-1] + (3, 3))
     safe = c > -1.0 + 1e-8
     den = 1.0 + np.where(safe, c, 0.0)
-    norm2 = np.sum(a * a, axis=-1)
+    norm2 = ((0.0 + a0 * a0) + a1 * a1) + a2 * a2
     # Rodrigues entry by entry: (I + K) + (a a^T - |a|^2 I) / (1 + c), with
-    # K the cross-product matrix of a = u x v. The identity's off-diagonal
-    # zeros are added too, so signed zeros come out as in the matrix form.
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    # K the cross-product matrix of a. The identity's off-diagonal zeros
+    # are added too, so signed zeros come out as in the matrix form.
+    # Products commute exactly, so each off-diagonal a_i a_j / (1 + c) is
+    # computed once for both of its entries.
+    a01, a02, a12 = a0 * a1 / den, a0 * a2 / den, a1 * a2 / den
     out[..., 0, 0] = 1.0 + (a0 * a0 - norm2) / den
-    out[..., 0, 1] = (0.0 - a2) + a0 * a1 / den
-    out[..., 0, 2] = (0.0 + a1) + a0 * a2 / den
-    out[..., 1, 0] = (0.0 + a2) + a1 * a0 / den
+    out[..., 0, 1] = (0.0 - a2) + a01
+    out[..., 0, 2] = (0.0 + a1) + a02
+    out[..., 1, 0] = (0.0 + a2) + a01
     out[..., 1, 1] = 1.0 + (a1 * a1 - norm2) / den
-    out[..., 1, 2] = (0.0 - a0) + a1 * a2 / den
-    out[..., 2, 0] = (0.0 - a1) + a2 * a0 / den
-    out[..., 2, 1] = (0.0 + a0) + a2 * a1 / den
+    out[..., 1, 2] = (0.0 - a0) + a12
+    out[..., 2, 0] = (0.0 - a1) + a02
+    out[..., 2, 1] = (0.0 + a0) + a12
     out[..., 2, 2] = 1.0 + (a2 * a2 - norm2) / den
     if not np.all(safe):
         flipped = np.argwhere(~safe)
         for idx in flipped:
-            uu = u[tuple(idx)]
+            uu = np.broadcast_to(u, shape)[tuple(idx)]
             perp = np.cross(uu, [1.0, 0.0, 0.0])
             if np.linalg.norm(perp) < 1e-6:
                 perp = np.cross(uu, [0.0, 1.0, 0.0])
@@ -100,13 +126,11 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrices m (..., 3, 3) applied to vectors v (..., 3), leading dims
-    broadcast: out_i = m_i0*x + m_i1*y + m_i2*z, summed in that order from
-    +0.0 as a matrix product does, so an all-zero sum is +0.0."""
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of vectors v (..., 3) with the bits of
+    ``np.linalg.norm(v, axis=-1)``, whose sum runs from +0.0 left to right."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([0.0 + m[..., i, 0] * x + m[..., i, 1] * y + m[..., i, 2] * z
-                     for i in range(3)], axis=-1)
+    return np.sqrt(((0.0 + x * x) + y * y) + z * z)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -118,39 +142,41 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     joints = motion.joints
     n = motion.n_frames
     psi = heading_angles(joints)
-    inv_rot = yaw_matrices(-psi)
 
     feats = np.zeros((n, FEATURE_DIM))
     feats[:-1, ROOT_ROT_VEL] = _wrap_angle(np.diff(psi))
 
+    # every vector the encoding turns into the root frame, one block per
+    # frame: the ground step of the pelvis, the 21 offsets from the
+    # pelvis, the 21 bones and the 22 joint velocities; the last frame
+    # has no step and no velocity
     pelvis = joints[:, PELVIS]
-    step = pelvis[1:] - pelvis[:-1]
-    step[:, 1] = 0.0
-    local_step = _rotate(inv_rot[:-1], step)
-    feats[:-1, ROOT_LIN_VEL] = local_step[:, [0, 2]]
-    feats[:, ROOT_HEIGHT] = pelvis[:, 1]
+    world = np.zeros((n, _BLOCK, 3))
+    world[:-1, _STEP] = pelvis[1:] - pelvis[:-1]
+    world[:-1, _STEP, 1] = 0.0
+    world[:, _REL] = joints[:, 1:] - pelvis[:, None, :]
+    world[:, _BONES] = joints[:, 1:] - joints[:, PARENTS[1:]]
+    world[:-1, _VEL] = joints[1:] - joints[:-1]
+    local = yaw_apply(-psi[:, None], world)
 
-    rel = joints[:, 1:] - pelvis[:, None, :]
-    local_pos = _rotate(inv_rot[:, None], rel)
-    feats[:, LOCAL_POS] = local_pos.reshape(n, -1)
+    feats[:-1, ROOT_LIN_VEL] = local[:-1, _STEP][:, [0, 2]]
+    feats[:, ROOT_HEIGHT] = pelvis[:, 1]
+    feats[:, LOCAL_POS] = local[:, _REL].reshape(n, -1)
 
     rest_dirs = DEFAULT_SKELETON.bone_directions()
-    bones = joints[:, 1:] - joints[:, PARENTS[1:]]
-    bones = _rotate(inv_rot[:, None], bones)
-    lengths = np.linalg.norm(bones, axis=-1)
-    safe = np.where(lengths < 1e-9, 1.0, lengths)
-    obs_dirs = bones / safe[..., None]
-    degenerate = np.where(lengths < 1e-9)
-    if degenerate[0].size:
-        obs_dirs[degenerate[0], degenerate[1]] = rest_dirs[degenerate[1]]
-    rots = shortest_arc(np.broadcast_to(rest_dirs, obs_dirs.shape), obs_dirs)
+    bones = local[:, _BONES]
+    lengths = _norm(bones)
+    zero = lengths < 1e-9
+    obs_dirs = bones / np.where(zero, 1.0, lengths)[..., None]
+    if zero.any():
+        frame, bone = np.nonzero(zero)
+        obs_dirs[frame, bone] = rest_dirs[bone]
+    rots = shortest_arc(rest_dirs, obs_dirs)
     feats[:, ROTATIONS] = matrix_to_rot6d(rots).reshape(n, -1)
 
-    vel = joints[1:] - joints[:-1]
-    local_vel = _rotate(inv_rot[:-1, None], vel)
-    feats[:-1, VELOCITIES] = local_vel.reshape(n - 1, -1)
+    feats[:-1, VELOCITIES] = local[:-1, _VEL].reshape(n - 1, -1)
 
-    speeds = np.linalg.norm(vel[:, CONTACT_JOINTS], axis=-1) * motion.fps
+    speeds = _norm(world[:-1, _VEL][:, CONTACT_JOINTS]) * motion.fps
     speeds = np.concatenate([speeds, speeds[-1:]], axis=0)
     heights = joints[:, CONTACT_JOINTS, 1]
     feats[:, CONTACTS] = ((heights < CONTACT_HEIGHT) & (speeds < CONTACT_SPEED)).astype(
@@ -167,18 +193,17 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
         raise ValueError(f"features must be (N, {FEATURE_DIM}), got {feats.shape}")
     n = feats.shape[0]
     psi = np.concatenate([[0.0], np.cumsum(feats[:-1, ROOT_ROT_VEL])])
-    rot = yaw_matrices(psi)
 
-    local_step = np.zeros((n - 1, 3))
-    local_step[:, [0, 2]] = feats[:-1, ROOT_LIN_VEL]
-    world_step = _rotate(rot[:-1], local_step)
-    ground = np.zeros((n, 3))
-    ground[1:] = np.cumsum(world_step, axis=0)
-
-    root = ground.copy()
+    # the ground step (last frame: none) and the 21 pelvis offsets of
+    # each frame, turned into the world in one call
+    local = np.zeros((n, N_JOINTS, 3))
+    local[:-1, 0, [0, 2]] = feats[:-1, ROOT_LIN_VEL]
+    local[:, 1:] = feats[:, LOCAL_POS].reshape(n, N_JOINTS - 1, 3)
+    world = yaw_apply(psi[:, None], local)
+    root = np.zeros((n, 3))
+    root[1:] = np.cumsum(world[:-1, 0], axis=0)
     root[:, 1] = feats[:, ROOT_HEIGHT]
     joints = np.zeros((n, N_JOINTS, 3))
-    local_pos = feats[:, LOCAL_POS].reshape(n, N_JOINTS - 1, 3)
-    joints[:, 1:] = _rotate(rot[:, None], local_pos) + root[:, None, :]
+    joints[:, 1:] = world[:, 1:] + root[:, None, :]
     joints[:, PELVIS] = root
     return MotionSequence(fps, joints)

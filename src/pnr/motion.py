@@ -139,6 +139,35 @@ def yaw_rotation(angle: float) -> np.ndarray:
     return yaw_matrices(angle)
 
 
+def yaw_apply(angles, v) -> np.ndarray:
+    """Vectors v (..., 3) rotated about +y by angles (...), leading dims
+    broadcast: the same bits as ``yaw_matrices(angles)`` applied entry by
+    entry, ``out_i = 0.0 + m_i0*x + m_i1*y + m_i2*z`` summed left to right,
+    without the matrix or its zero entries.
+
+    With c, s the cosine and sine, the rows are (c, 0, s), (0, 1, 0) and
+    (-s, 0, c). For finite v every dropped term ``0*x`` is +0 or -0, and
+    adding a zero to a sum changes it only where the sum is itself zero;
+    the leading ``0.0 +`` makes such a sum +0, and +0 plus either zero is
+    +0. So the rows reduce to ``(0.0 + c*x) + s*z``, ``0.0 + y`` and
+    ``(0.0 - s*x) + c*z``, where ``0.0 - s*x`` is ``0.0 + (-s)*x`` because
+    IEEE subtraction adds the negation and negating is exact. A non-finite
+    v may give a finite entry where the matrix gave NaN (``0*inf``), but
+    every non-finite input still gives a non-finite output: y reaches
+    out_y whole, and x, z reach out_x and out_z times c, which no finite
+    double angle makes zero.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    c, s = np.cos(angles), np.sin(angles)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.broadcast_shapes(angles.shape, x.shape) + (3,))
+    out[..., 0] = (0.0 + c * x) + s * z
+    out[..., 1] = 0.0 + y
+    out[..., 2] = (0.0 - s * x) + c * z
+    return out
+
+
 def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform]:
     """Rigidly normalize so frame 0 has the pelvis over the ground origin
     and faces +z. Returns the applied transform so callers can invert it

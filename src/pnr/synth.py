@@ -22,7 +22,14 @@ from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
 from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
 from .geometry import Aabb, as_vec3
-from .motion import MAX_FRAMES, MotionSequence, heading_angles, yaw_matrices, yaw_rotation
+from .motion import (
+    MAX_FRAMES,
+    MotionSequence,
+    heading_angles,
+    yaw_apply,
+    yaw_matrices,
+    yaw_rotation,
+)
 from .skeleton import (
     DEFAULT_SKELETON,
     HEAD,
@@ -112,8 +119,13 @@ class GroundTruthLabels:
     events: list
 
 
+def _clip01(u):
+    """np.clip(u, 0, 1) without its call overhead."""
+    return np.minimum(np.maximum(u, 0.0), 1.0)
+
+
 def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
+    u = _clip01(u)
     return u * u * (3.0 - 2.0 * u)
 
 
@@ -130,12 +142,12 @@ def _pose_track(times, root_xz, headings, look_targets,
     generator."""
     n = len(times)
     joints = np.empty((n, N_JOINTS, 3))
-    rot = yaw_matrices(headings)
     roots = np.stack([root_xz[:, 0], np.full(n, ROOT_HEIGHT), root_xz[:, 1]], axis=1)
-    joints[:] = np.einsum("nij,kj->nki", rot, REST_LOCAL) + roots[:, None, :]
+    joints[:] = yaw_apply(headings[:, None], REST_LOCAL) + roots[:, None, :]
 
     # head: build the head axis so the derived forward hits the look target
-    across = rot[:, :, 0]  # body +x in world
+    # body +x in world: the first column of the heading's yaw matrix
+    across = np.stack([np.cos(headings), np.zeros(n), -np.sin(headings)], axis=1)
     neck = joints[:, NECK]
     f_raw = look_targets - neck
     f_perp = f_raw - np.sum(f_raw * across, axis=1, keepdims=True) * across
@@ -148,7 +160,7 @@ def _pose_track(times, root_xz, headings, look_targets,
     l_toe, r_toe = feet
     joints[:, L_FOOT] = l_toe
     joints[:, R_FOOT] = r_toe
-    back = np.einsum("nij,j->ni", rot, np.array([0.0, 0.06, -0.13]))
+    back = yaw_apply(headings, np.array([0.0, 0.06, -0.13]))
     joints[:, L_ANKLE] = l_toe + back
     joints[:, R_ANKLE] = r_toe + back
 
@@ -173,53 +185,57 @@ def _gait_tracks(times, root_xz, headings, walk_start, walk_end):
     The stance foot is pinned; the swing foot travels with smoothstep
     horizontal progress (zero speed at lift-off and touchdown) and a
     half-sine lift above the contact height, so grounded frames never
-    slide.
+    slide. Steps start with the left foot, and a frame at time t belongs
+    to the step k with start_k <= t < end_k. The last step may end up to
+    1e-9 s before walk_end; a frame in that gap stays all zero.
     """
     n = len(times)
     lat = np.stack([np.cos(headings), -np.sin(headings)], axis=1) * FOOT_LATERAL
     toe_y = REST[L_FOOT, 1]
     fwd = np.stack([np.sin(headings), np.cos(headings)], axis=1) * 0.10
 
-    tracks = {side: np.zeros((n, 3)) for side in ("l", "r")}
-    plant = {
-        "l": root_xz[0] + lat[0] + fwd[0],
-        "r": root_xz[0] - lat[0] + fwd[0],
-    }
-
-    def set_frames(side, mask, xz, y=None):
-        tracks[side][mask, 0] = xz[..., 0]
-        tracks[side][mask, 2] = xz[..., 1]
-        tracks[side][mask, 1] = toe_y if y is None else y
-
-    before = times < walk_start
-    for side in ("l", "r"):
-        set_frames(side, before, plant[side][None, :])
-
+    # the step table; plants[j] is where a foot stands: the first two are
+    # the left and right feet before the walk, plants[k + 2] the landing of
+    # step k, so step k swings a foot from plants[k] while the other stands
+    # on plants[k + 1]
+    starts, ends = [], []
     if walk_end > walk_start:
         t = walk_start
-        k = 0
         while t < walk_end - 1e-9:
-            t_next = min(t + STEP_PERIOD, walk_end)
-            swing, stance = ("l", "r") if k % 2 == 0 else ("r", "l")
-            mask = (times >= t) & (times < t_next)
-            idx_land = min(np.searchsorted(times, t_next), n - 1)
-            sign = 1.0 if swing == "l" else -1.0
-            target = root_xz[idx_land] + sign * lat[idx_land] + fwd[idx_land]
-            if mask.any():
-                u = (times[mask] - t) / (t_next - t)
-                s = _smoothstep(u)[:, None]
-                xz = (1.0 - s) * plant[swing][None, :] + s * target[None, :]
-                y = toe_y + STEP_LIFT * np.sin(np.pi * np.clip(u, 0, 1))
-                set_frames(swing, mask, xz, y)
-                set_frames(stance, mask, plant[stance][None, :])
-            plant[swing] = target
-            t = t_next
-            k += 1
+            starts.append(t)
+            t = min(t + STEP_PERIOD, walk_end)
+            ends.append(t)
+    starts, ends = np.array(starts), np.array(ends)
+    land = np.minimum(np.searchsorted(times, ends), n - 1)
+    sign = np.where(np.arange(len(starts)) % 2 == 0, 1.0, -1.0)[:, None]
+    plants = np.concatenate([
+        [root_xz[0] + lat[0] + fwd[0], root_xz[0] - lat[0] + fwd[0]],
+        root_xz[land] + sign * lat[land] + fwd[land],
+    ])
 
-    after = times >= walk_end
-    for side in ("l", "r"):
-        set_frames(side, after, plant[side][None, :])
-    return tracks["l"], tracks["r"]
+    # before the walk each foot stands on its first plant, after it on its
+    # last one
+    tracks = np.zeros((2, n, 3))
+    before, after = times < walk_start, times >= walk_end
+    for side in (0, 1):
+        last = len(starts) + (len(starts) + side) % 2
+        tracks[side, before] = plants[side, 0], toe_y, plants[side, 1]
+        tracks[side, after] = plants[last, 0], toe_y, plants[last, 1]
+
+    if len(starts):
+        k = np.searchsorted(starts, times, side="right") - 1
+        rows = np.flatnonzero((k >= 0) & (times < ends[k]))
+        k = k[rows]
+        swing = k % 2
+        u = (times[rows] - starts[k]) / (ends[k] - starts[k])
+        s = _smoothstep(u)[:, None]
+        xz = (1.0 - s) * plants[k] + s * plants[k + 2]
+        tracks[swing, rows, 0] = xz[:, 0]
+        tracks[swing, rows, 2] = xz[:, 1]
+        tracks[swing, rows, 1] = toe_y + STEP_LIFT * np.sin(np.pi * _clip01(u))
+        tracks[1 - swing, rows] = np.stack(
+            [plants[k + 1, 0], np.full(len(k), toe_y), plants[k + 1, 1]], axis=1)
+    return tracks[0], tracks[1]
 
 
 def _root_profile(times, start_xz, stand_xz, walk_start, arrive):

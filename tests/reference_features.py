@@ -5,6 +5,10 @@
 copies of the einsum-based implementations (3x3 matrices built whole,
 rotations applied with ``np.einsum``). ``test_features_reference.py``
 requires the library versions to return bit-equal arrays.
+
+``_rotate`` is a verbatim copy of the per-entry matrix product that the
+library used between the einsum form and ``motion.yaw_apply``;
+``test_yaw_reference.py`` holds ``yaw_apply`` to its bits.
 """
 
 from __future__ import annotations
@@ -61,6 +65,15 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             perp /= np.linalg.norm(perp)
             out[tuple(idx)] = 2.0 * np.outer(perp, perp) - np.eye(3)
     return out
+
+
+def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrices m (..., 3, 3) applied to vectors v (..., 3), leading dims
+    broadcast: out_i = m_i0*x + m_i1*y + m_i2*z, summed in that order from
+    +0.0 as a matrix product does, so an all-zero sum is +0.0."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([0.0 + m[..., i, 0] * x + m[..., i, 1] * y + m[..., i, 2] * z
+                     for i in range(3)], axis=-1)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ SPEC_FIELDS = {
     "prime_mode": st.sampled_from(["direct_hit", "near_miss", "mixed", "x", 5, None]),
     "planted_event_kind": st.sampled_from(["pick", "put", "x", 0]),
     "unknown_field": st.just(1),
+    "seed": st.sampled_from([0, 5, -1, "x"]),
     **{f.name: st.sampled_from(NUMBERS + WRONG_TYPES)
        for f in fields(ScenarioSpec) if f.type == "float"},
 }

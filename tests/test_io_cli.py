@@ -606,8 +606,10 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     {"n_objects": 1e9},
     {"duration": 1e12},
     {"walk_speed": float("nan")},
+    {"seed": 5},  # recording seeds come from --seed; a spec seed was ignored
 ], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max",
-        "room_narrow", "fps_nan", "n_objects_1e9", "duration_1e12", "walk_speed_nan"])
+        "room_narrow", "fps_nan", "n_objects_1e9", "duration_1e12", "walk_speed_nan",
+        "seed"])
 def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
