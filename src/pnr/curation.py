@@ -2,9 +2,9 @@
 and deterministic video-level train/test splits.
 
 A curated sequence runs from a fixed prepend before the prime time to the
-interaction time, carries the goal and the initial body state, and by
-default is rigidly normalized to its own first frame (pelvis over the
-origin, facing +z) with the goal, gaze and initial state dragged along.
+interaction time, carries the goal and the initial body state, and is
+rigidly normalized to its own first frame (pelvis over the origin, facing
++z) with the goal, gaze and initial state dragged along.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def curate(
     w: float = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
     min_movement: float = DEFAULT_MIN_MOVEMENT,
-    canonical: bool = True,
 ) -> CurationResult:
     """Curate every primeable event of a recording into a sequence.
 
@@ -174,26 +173,20 @@ def curate(
         else:
             velocity = np.zeros((22, 3))
             flags.append(FLAG_NO_PRECEDING_FRAME)
-        initial = InitialState(joints[0], velocity)
-        goal_location = event.target.location
         prime_idx = int(np.clip(round(primed.t_p * fps) - i0, 0, i1 - i0))
 
-        if canonical:
-            sliced, transform = canonicalize(sliced)
-            goal_location = transform.apply_points(goal_location)
-            initial = InitialState(
-                transform.apply_points(initial.pose),
-                transform.apply_dirs(initial.velocity),
-            )
+        sliced, transform = canonicalize(sliced)
         sequences.append(
             PnRSequence(
                 id=f"{recording.id}-e{k:03d}",
                 video_id=recording.video_id,
                 event=primed,
                 motion=sliced,
-                goal_location=goal_location,
+                goal_location=transform.apply_points(event.target.location),
                 goal_pose=sliced.joints[-1],
-                initial_state=initial,
+                initial_state=InitialState(
+                    transform.apply_points(joints[0]), transform.apply_dirs(velocity)
+                ),
                 prime_frame_index=prime_idx,
                 flags=tuple(flags),
             )

@@ -48,8 +48,9 @@ ROTATIONS = slice(67, 193)
 VELOCITIES = slice(193, 259)
 CONTACTS = slice(259, 263)
 
-CONTACT_HEIGHT = 0.05  # m, shared with the foot-skating metric
-CONTACT_SPEED = 0.5  # m/s, shared with the foot-skating metric
+# contact thresholds; metrics.foot_skating imports them as its own
+CONTACT_HEIGHT = 0.05  # m
+CONTACT_SPEED = 0.5  # m/s
 
 # rows of to_features' block of vectors to rotate into the root frame
 _STEP = 0

@@ -77,13 +77,6 @@ class GazeTrack:
             np.array([s.cam_pose.translation for s in samples]),
         )
 
-    def sample(self, i: int) -> GazeSample:
-        return GazeSample(
-            float(self.times[i]),
-            self.points_cam[i],
-            RigidTransform(self.rotations[i], self.translations[i]),
-        )
-
     def world_rays(self) -> tuple[np.ndarray, np.ndarray]:
         """Ray origins and unit directions for every sample, ((N,3), (N,3)).
 

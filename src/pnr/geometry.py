@@ -90,13 +90,6 @@ class RigidTransform:
         r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
         return RigidTransform(r, as_vec3(translation))
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self ∘ other)(x) = self(other(x))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -(rt @ self.translation))

@@ -31,7 +31,6 @@ from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
 from .gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from .geometry import Aabb
-from .metrics import MetricsReport
 from .motion import MotionSequence
 from .skeleton import N_JOINTS
 
@@ -415,10 +414,6 @@ def read_sequences_dir(path) -> list:
 
 # --------------------------------------------------------------------------
 # reports, manifests, labels, sweeps
-
-
-def write_report(report: MetricsReport, path) -> None:
-    Path(path).write_text(_dump(report.to_dict()) + "\n", encoding="utf-8")
 
 
 def write_json(payload: dict, path) -> None:

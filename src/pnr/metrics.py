@@ -17,41 +17,30 @@ import numpy as np
 
 from .curation import PnRSequence
 from .errors import EmptyCorpus, MissingGaze
+from .features import CONTACT_HEIGHT, CONTACT_SPEED
 from .geometry import as_vec3
 from .motion import MotionSequence, head_forward_batch, resample, resampled_index
-from .skeleton import L_ANKLE, L_FOOT, L_WRIST, PELVIS, R_ANKLE, R_FOOT, R_WRIST
+from .skeleton import L_FOOT, L_WRIST, PELVIS, R_FOOT, R_WRIST
 
 DEFAULT_THETA_DEG = 16.0
 DEFAULT_SIGMA = 0.2  # s
-DEFAULT_REACH_RADIUS = 0.10  # m
-DEFAULT_LOCATION_THRESHOLD = 0.50  # m
-DEFAULT_SKATE_SPEED = 0.5  # m/s
-DEFAULT_SKATE_HEIGHT = 0.05  # m
 DEFAULT_N_FRAMES = 150
-
-FOOT_JOINT_CHOICES = {
-    "toes": ((L_FOOT,), (R_FOOT,)),
-    "ankles": ((L_ANKLE,), (R_ANKLE,)),
-    "both": ((L_FOOT, L_ANKLE), (R_FOOT, R_ANKLE)),
-}
+REACH_RADIUS = 0.10  # m
+LOCATION_THRESHOLD = 0.50  # m
 
 
 @dataclass(frozen=True)
 class MetricsConfig:
+    """The settable metric parameters. to_dict also echoes the fixed
+    thresholds, so a report states every value it was scored with."""
+
     theta_deg: float = DEFAULT_THETA_DEG
     sigma: float = DEFAULT_SIGMA
-    reach_radius: float = DEFAULT_REACH_RADIUS
-    location_threshold: float = DEFAULT_LOCATION_THRESHOLD
-    skate_speed: float = DEFAULT_SKATE_SPEED
-    skate_height: float = DEFAULT_SKATE_HEIGHT
     n_frames: int = DEFAULT_N_FRAMES
-    foot_joints: str = "toes"
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if self.foot_joints not in FOOT_JOINT_CHOICES:
-            raise ValueError(f"foot_joints must be one of {sorted(FOOT_JOINT_CHOICES)}")
 
     @property
     def theta_rad(self) -> float:
@@ -61,12 +50,12 @@ class MetricsConfig:
         return {
             "theta_deg": self.theta_deg,
             "sigma_s": self.sigma,
-            "reach_radius_m": self.reach_radius,
-            "location_threshold_m": self.location_threshold,
-            "skate_speed_m_per_s": self.skate_speed,
-            "skate_height_m": self.skate_height,
+            "reach_radius_m": REACH_RADIUS,
+            "location_threshold_m": LOCATION_THRESHOLD,
+            "skate_speed_m_per_s": CONTACT_SPEED,
+            "skate_height_m": CONTACT_HEIGHT,
             "n_frames": self.n_frames,
-            "foot_joints": self.foot_joints,
+            "foot_joints": "toes",
         }
 
 
@@ -155,25 +144,24 @@ def prime_success(pair: EvalPair, theta_deg: float = DEFAULT_THETA_DEG,
     return bool(errors.min() <= math.radians(theta_deg))
 
 
-def reach_success(pair: EvalPair, radius: float = DEFAULT_REACH_RADIUS) -> bool:
-    """Either predicted wrist within radius of the goal at the final frame."""
+def reach_success(pair: EvalPair) -> bool:
+    """Either predicted wrist within REACH_RADIUS of the goal at the last frame."""
     final = pair.predicted.joints[-1]
     d = min(
         float(np.linalg.norm(final[L_WRIST] - pair.goal_location)),
         float(np.linalg.norm(final[R_WRIST] - pair.goal_location)),
     )
-    return d <= radius
+    return d <= REACH_RADIUS
 
 
-def location_error_flag(pair: EvalPair,
-                        threshold: float = DEFAULT_LOCATION_THRESHOLD) -> bool:
-    """Final pelvis farther than threshold from the GT final pelvis."""
+def location_error_flag(pair: EvalPair) -> bool:
+    """Final pelvis at least LOCATION_THRESHOLD from the GT final pelvis."""
     d = float(
         np.linalg.norm(
             pair.predicted.joints[-1, PELVIS] - pair.ground_truth.joints[-1, PELVIS]
         )
     )
-    return d >= threshold
+    return d >= LOCATION_THRESHOLD
 
 
 def goal_mpjpe(pair: EvalPair) -> float:
@@ -188,25 +176,20 @@ def mpjpe(pair: EvalPair) -> float:
     return float(d.mean())
 
 
-def foot_skating(motion: MotionSequence,
-                 speed_threshold: float = DEFAULT_SKATE_SPEED,
-                 height_threshold: float = DEFAULT_SKATE_HEIGHT,
-                 foot_joints: str = "toes") -> float:
+def foot_skating(motion: MotionSequence) -> float:
     """Fraction of frame steps where a grounded foot slides.
 
-    A step from frame i-1 to i skates when, for either side, some tracked
-    foot joint moves horizontally faster than speed_threshold while that
-    joint is below height_threshold in both frames."""
-    left, right = FOOT_JOINT_CHOICES[foot_joints]
+    A step from frame i-1 to i skates when either toe joint moves
+    horizontally faster than CONTACT_SPEED while it is below
+    CONTACT_HEIGHT in both frames: the feature contact thresholds."""
     joints = motion.joints
     skate = np.zeros(joints.shape[0] - 1, dtype=bool)
-    for side in (left, right):
-        for j in side:
-            track = joints[:, j]
-            horiz = track[1:, [0, 2]] - track[:-1, [0, 2]]
-            speed = np.linalg.norm(horiz, axis=1) * motion.fps
-            grounded = (track[1:, 1] < height_threshold) & (track[:-1, 1] < height_threshold)
-            skate |= grounded & (speed > speed_threshold)
+    for j in (L_FOOT, R_FOOT):
+        track = joints[:, j]
+        horiz = track[1:, [0, 2]] - track[:-1, [0, 2]]
+        speed = np.linalg.norm(horiz, axis=1) * motion.fps
+        grounded = (track[1:, 1] < CONTACT_HEIGHT) & (track[:-1, 1] < CONTACT_HEIGHT)
+        skate |= grounded & (speed > CONTACT_SPEED)
     return float(skate.sum() / len(skate))
 
 
@@ -262,13 +245,11 @@ def evaluate_pair(pair: EvalPair, config: MetricsConfig = MetricsConfig()) -> Pa
     return PairOutcome(
         id=pair.id,
         prime_success=prime_success(pair, config.theta_deg, config.sigma),
-        reach_success=reach_success(pair, config.reach_radius),
-        location_error=location_error_flag(pair, config.location_threshold),
+        reach_success=reach_success(pair),
+        location_error=location_error_flag(pair),
         goal_mpjpe=goal_mpjpe(pair),
         mpjpe=mpjpe(pair),
-        foot_skating=foot_skating(
-            pair.predicted, config.skate_speed, config.skate_height, config.foot_joints
-        ),
+        foot_skating=foot_skating(pair.predicted),
     )
 
 

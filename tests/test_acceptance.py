@@ -19,18 +19,16 @@ from pnr.curation import (
     curate_corpus,
     split,
 )
-from pnr.features import FEATURE_DIM, from_features, to_features
+from pnr.features import CONTACT_HEIGHT, CONTACT_SPEED, FEATURE_DIM, from_features, to_features
 from pnr.gaze import DEFAULT_TAU, DEFAULT_WINDOW, find_prime_time
 from pnr.geometry import RigidTransform, slab_intersect_batch, vec3
-from pnr.io_jsonl import write_report, write_sequence
+from pnr.io_jsonl import write_json, write_sequence
 from pnr.metrics import (
-    DEFAULT_LOCATION_THRESHOLD,
     DEFAULT_N_FRAMES,
-    DEFAULT_REACH_RADIUS,
     DEFAULT_SIGMA,
-    DEFAULT_SKATE_HEIGHT,
-    DEFAULT_SKATE_SPEED,
     DEFAULT_THETA_DEG,
+    LOCATION_THRESHOLD,
+    REACH_RADIUS,
     EvalPair,
     MetricsConfig,
     evaluate,
@@ -135,10 +133,10 @@ def test_02_prime_time_recovery():
 def test_03_defaults_pinned():
     assert DEFAULT_THETA_DEG == 16.0
     assert DEFAULT_SIGMA == 0.2
-    assert DEFAULT_REACH_RADIUS == 0.10
-    assert DEFAULT_LOCATION_THRESHOLD == 0.50
-    assert DEFAULT_SKATE_SPEED == 0.5
-    assert DEFAULT_SKATE_HEIGHT == 0.05
+    assert REACH_RADIUS == 0.10
+    assert LOCATION_THRESHOLD == 0.50
+    assert CONTACT_SPEED == 0.5
+    assert CONTACT_HEIGHT == 0.05
     assert DEFAULT_WINDOW == 10.0
     assert DEFAULT_TAU == 0.05
     assert DEFAULT_PREPEND == 2.0
@@ -341,8 +339,8 @@ def test_08_determinism_and_split_hygiene(corpus, tmp_path):
 
     pairs = _procedural_pairs(corpus["test"][:10])
     ra, rb = tmp_path / "ra.json", tmp_path / "rb.json"
-    write_report(evaluate(pairs), ra)
-    write_report(evaluate(pairs), rb)
+    write_json(evaluate(pairs).to_dict(), ra)
+    write_json(evaluate(pairs).to_dict(), rb)
     assert ra.read_bytes() == rb.read_bytes()
 
     # split hygiene over several seeds: no video id on both sides, and

@@ -13,7 +13,7 @@ from pnr.curation import (
 from pnr.errors import EmptyCorpus
 from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from pnr.geometry import Aabb, vec3
-from pnr.motion import MotionSequence
+from pnr.motion import MotionSequence, canonicalize
 from pnr.skeleton import PELVIS
 
 from builders import REST, glide_motion, standing_motion
@@ -108,18 +108,16 @@ class TestCurate:
         p0 = seq.motion.joints[0, PELVIS]
         assert np.allclose([p0[0], p0[2]], 0.0, atol=1e-9)
 
-    def test_raw_frame_option(self):
-        seq = curate(make_recording(), canonical=False).sequences[0]
-        # glide starts at the rest pelvis and moves +z: at t=3 s the slice
-        # starts away from the origin
-        assert abs(seq.motion.joints[0, PELVIS, 2]) > 0.5
-
     def test_initial_velocity_from_preceding_frame(self):
+        # the world step into the slice's first frame, turned by the
+        # slice's own canonicalizing transform
         rec = make_recording()
-        seq = curate(rec, canonical=False).sequences[0]
-        i0 = int(round(3.0 * FPS))
-        expected = rec.motion.joints[i0] - rec.motion.joints[i0 - 1]
-        assert np.allclose(seq.initial_state.velocity, expected)
+        seq = curate(rec).sequences[0]
+        i0, i1 = int(round(3.0 * FPS)), int(round(8.0 * FPS))
+        _, transform = canonicalize(MotionSequence(FPS, rec.motion.joints[i0:i1 + 1]))
+        step = rec.motion.joints[i0] - rec.motion.joints[i0 - 1]
+        assert np.any(step != 0.0)
+        assert np.allclose(seq.initial_state.velocity, transform.apply_dirs(step))
 
     def test_gaze_attached_to_frames(self):
         seq = curate(make_recording()).sequences[0]

@@ -245,6 +245,5 @@ class TestPrimeEvents:
 def test_track_from_samples_roundtrip():
     samples = [identity_sample(0.0, (0, 0, 1)), identity_sample(0.5, (0, 1, 1))]
     track = GazeTrack.from_samples(samples)
-    back = track.sample(1)
-    assert back.t == 0.5
-    assert np.allclose(back.gaze_point_cam, [0, 1, 1])
+    assert track.times[1] == 0.5
+    assert np.allclose(track.points_cam[1], [0, 1, 1])
