@@ -14,8 +14,16 @@ object with the required keys, its lists have the right length and its
 times are in order. Numeric fields (joints, gaze directions, camera
 poses) are gathered per column, and each column is converted to float64
 and checked for finite values once; a bad value is still reported by its
-line. Writers encode every row with one
-shared encoder, which spells floats as json.dumps does.
+line.
+
+Writers build the gaze and frame rows of recordings and sequences from
+fixed templates around the text of their numeric fields (``_rows``). A
+field whose bits equal the row before's (a held pose, a camera at rest,
+every frame of a static prediction) reuses that row's text instead of
+formatting its floats again. Headers, object and event rows, reports,
+manifests and labels go through ``_dump``, one shared JSON encoder. Both
+spell floats as json.dumps does, so the bytes are those of one
+``json.dumps`` per row.
 """
 
 from __future__ import annotations
@@ -126,6 +134,34 @@ class _Column:
         return _vector(values, self.n, self.path, line_no, self.what, self.name)
 
 
+def _rows(values, width):
+    """The rows of a float64 array, ``width`` values each, as the text of
+    their comma-joined JSON numbers, one row at a time. A row whose bits
+    equal the previous row's reuses its text; comparing bits rather than
+    values keeps 0.0 and -0.0 apart. The values are finite, as every
+    container that holds them checks, so there is no NaN or Infinity
+    spelling here."""
+    rows = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, width)
+    bits = rows.view(np.uint64)
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    for row, new in zip(rows, fresh.tolist()):
+        if new:
+            text = ",".join(map(float.__repr__, row.tolist()))
+        yield text
+
+
+def _frame_lines(motion, gaze=None):
+    """The frame rows of a motion, with a gaze direction per frame when
+    ``gaze`` is given. Frame i is at i / fps, which ``motion.times`` gives
+    to the bit."""
+    times, joints = motion.times.tolist(), _rows(motion.joints, 3 * N_JOINTS)
+    if gaze is None:
+        return (f'{{"k":"frame","t":{t!r},"joints":[{j}]}}\n' for t, j in zip(times, joints))
+    return (f'{{"k":"frame","t":{t!r},"joints":[{j}],"gaze":[{d}]}}\n'
+            for t, j, d in zip(times, joints, _rows(gaze, 3)))
+
+
 # --------------------------------------------------------------------------
 # recordings
 
@@ -150,20 +186,11 @@ def write_recording(rec: Recording, path) -> None:
                 row["point"] = tgt.point.tolist()
             f.write(_dump(row) + "\n")
         g = rec.gaze
-        for i in range(len(g)):
-            f.write(_dump({
-                "k": "gaze",
-                "t": float(g.times[i]),
-                "dir_cam": g.points_cam[i].tolist(),
-                "cam_pose": {"r": g.rotations[i].reshape(9).tolist(),
-                             "t": g.translations[i].tolist()},
-            }) + "\n")
-        for i in range(rec.motion.n_frames):
-            f.write(_dump({
-                "k": "frame",
-                "t": i / rec.motion.fps,
-                "joints": rec.motion.joints[i].reshape(66).tolist(),
-            }) + "\n")
+        f.writelines(
+            f'{{"k":"gaze","t":{t!r},"dir_cam":[{d}],"cam_pose":{{"r":[{r}],"t":[{c}]}}}}\n'
+            for t, d, r, c in zip(g.times.tolist(), _rows(g.points_cam, 3),
+                                  _rows(g.rotations, 9), _rows(g.translations, 3)))
+        f.writelines(_frame_lines(rec.motion))
         for ev in sorted(rec.events, key=lambda e: e.t_e):
             f.write(_dump({"k": "event", "kind": ev.kind, "t_e": ev.t_e,
                            "object_id": ev.target.id}) + "\n")
@@ -299,15 +326,7 @@ def write_sequence(seq: PnRSequence, path) -> None:
             "initial_velocity": seq.initial_state.velocity.reshape(66).tolist(),
             "flags": list(seq.flags),
         }) + "\n")
-        for i in range(seq.motion.n_frames):
-            row = {
-                "k": "frame",
-                "t": i / seq.motion.fps,
-                "joints": seq.motion.joints[i].reshape(66).tolist(),
-            }
-            if seq.motion.gaze is not None:
-                row["gaze"] = seq.motion.gaze[i].tolist()
-            f.write(_dump(row) + "\n")
+        f.writelines(_frame_lines(seq.motion, seq.motion.gaze))
 
 
 def read_sequence(path) -> PnRSequence:

@@ -55,6 +55,8 @@ class MotionSequence:
             g = np.asarray(self.gaze, dtype=np.float64)
             if g.shape != (j.shape[0], 3):
                 raise ValueError("gaze must be (N, 3) matching the frames")
+            if not np.all(np.isfinite(g)):
+                raise ValueError("non-finite gaze directions")
             object.__setattr__(self, "gaze", g)
 
     @property

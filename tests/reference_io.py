@@ -1,10 +1,12 @@
 """Row-wise reference readers and writers for the recording and sequence
 JSONL formats, kept for tests only.
 
-These are the per-row implementations that ``pnr.io_jsonl`` replaced with
-per-file batching: every row is converted and checked on its own and
+These are the per-row implementations that ``pnr.io_jsonl`` replaced: it
+reads a file in one batch per numeric field, and writes gaze and frame
+rows from text templates that reuse the text of a field repeated from the
+row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
-requires the batched code to write the same bytes, read the same values
+requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
 Two changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames, and

@@ -23,7 +23,7 @@ from pnr.errors import MalformedFile
 from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from pnr.geometry import Aabb
 from pnr.motion import MotionSequence
-from pnr.synth import ScenarioSpec, generate_scenario
+from pnr.synth import ScenarioSpec, generate_scenario, static_baseline
 
 # Ids carry non-ASCII characters and U+2028, which the writers leave
 # unescaped and a reader must not treat as a line break.
@@ -82,12 +82,63 @@ def small_sequence(seed=0, n_frames=6, with_gaze=True):
     )
 
 
+def held(values, rows):
+    """A copy of ``values`` in which each listed row repeats the row before
+    bit for bit: a held pose, a camera at rest, a fixed gaze direction."""
+    values = np.array(values)
+    for i in rows:
+        values[i] = values[i - 1]
+    return values
+
+
+def zero_flipped(values):
+    """A copy of ``values`` whose row 1 is row 0 with its leading -0.0
+    (AWKWARD[0]) written as 0.0: equal under ==, different in its bits, so
+    a writer must not reuse row 0's text for it."""
+    values = np.array(values)
+    values[1] = values[0]
+    values[1].flat[0] = 0.0
+    assert np.array_equal(values[1], values[0]) and np.signbit(values[0].flat[0])
+    return values
+
+
+def with_tracks(rec, joints, points_cam, rotations, translations):
+    return replace(rec, motion=MotionSequence(rec.motion.fps, joints),
+                   gaze=GazeTrack(rec.gaze.times, points_cam, rotations, translations))
+
+
+def with_motion(seq, motion):
+    """``seq`` carrying ``motion``, with the poses that a reader takes from
+    its first and last frames."""
+    return replace(seq, motion=motion, goal_pose=motion.joints[-1],
+                   initial_state=InitialState(motion.joints[0], seq.initial_state.velocity))
+
+
 def corpus():
     rec, _ = generate_scenario(ScenarioSpec(seed=3, prime_mode="near_miss"))
     seq = curate(rec).sequences[0]
-    recordings = [small_recording(0), small_recording(1), rec, replace(rec, events=[])]
-    sequences = [small_sequence(0), small_sequence(1, with_gaze=False), seq,
-                 replace(seq, motion=MotionSequence(seq.motion.fps, seq.motion.joints))]
+    small = small_recording(2, n_gaze=9, n_frames=8)
+    g = small.gaze
+    recordings = [
+        small_recording(0), small_recording(1), rec, replace(rec, events=[]),
+        # held frames, and a gaze track whose directions and camera poses
+        # repeat, each field in its own rows
+        with_tracks(small, held(small.motion.joints, (2, 3, 4, 7)), held(g.points_cam, (1, 2)),
+                    held(g.rotations, (2, 3, 4, 8)), held(g.translations, (5, 6, 7))),
+        # a row that equals the one before only under ==, in every field
+        with_tracks(small, *map(zero_flipped, (small.motion.joints, g.points_cam,
+                                               g.rotations, g.translations))),
+    ]
+    other = small_sequence(2, n_frames=8)
+    sequences = [
+        small_sequence(0), small_sequence(1, with_gaze=False), seq,
+        replace(seq, motion=MotionSequence(seq.motion.fps, seq.motion.joints)),
+        with_motion(other, MotionSequence(30.0, held(other.motion.joints, (2, 3, 4, 7)),
+                                          held(other.motion.gaze, (3, 4, 5)))),
+        with_motion(other, MotionSequence(30.0, zero_flipped(other.motion.joints),
+                                          zero_flipped(other.motion.gaze))),
+        with_motion(seq, static_baseline([seq], n=150, fps=seq.motion.fps)),
+    ]
     return recordings, sequences
 
 

@@ -177,6 +177,13 @@ def test_motion_validation():
     bad[2, 3, 1] = np.nan
     with pytest.raises(ValueError):
         MotionSequence(30.0, bad)
+    # read_sequence rejects a file with a non-finite gaze, so no motion
+    # that holds one may exist to be written
+    for value in (np.nan, np.inf):
+        gaze = np.ones((5, 3))
+        gaze[3, 1] = value
+        with pytest.raises(ValueError, match="non-finite gaze"):
+            MotionSequence(30.0, np.zeros((5, N_JOINTS, 3)), gaze)
 
 
 def test_skeleton_rest_pose_shape():
