@@ -108,7 +108,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
-    sequences = _sequences(args.in_dir)
+    # the split needs only ids and video ids: read each file's header alone
+    headers = [io.read_sequence_header(f) for f in io.sequence_paths(args.in_dir)]
+    if not headers:
+        raise EmptyCorpus(f"no sequences under {args.in_dir}")
     overrides = None
     if args.override:
         overrides = _json_object(args.override, "video_id -> side")
@@ -116,7 +119,7 @@ def cmd_split(args) -> int:
             if side not in ("train", "test"):
                 raise PnrError(f"{args.override}: side of {video!r} must be "
                                f"train or test, got {side!r}")
-    manifest = split(sequences, ratio=args.ratio, seed=args.seed,
+    manifest = split(headers, ratio=args.ratio, seed=args.seed,
                      video_overrides=overrides)
     _emit(manifest.to_dict(), args.out)
     return 0

@@ -24,14 +24,24 @@ formatting its floats again. Headers, object and event rows, reports,
 manifests and labels go through ``_dump``, one shared JSON encoder. Both
 spell floats as json.dumps does, so the bytes are those of one
 ``json.dumps`` per row.
+
+Readers mirror this (``_Parser``): a gaze or frame row whose text after
+its time repeats that of the last such row parsed in full reuses that
+parse and parses only its time. Every row they yield equals
+``json.loads`` of its line, and every other line goes through
+``json.loads`` as it is. ``read_sequence_header`` reads only line 1 of a
+sequence and checks it as ``read_sequence`` does.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
+from contextlib import closing
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +62,83 @@ SEQUENCE_SUFFIX = ".seq.jsonl"
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
 
+# The heads of the gaze and frame rows the writers build from templates:
+# the row's kind and the key of its time. The time follows, then the
+# text of the row's numeric fields.
+_GAZE_HEAD = '{"k":"gaze","t":'
+_FRAME_HEAD = '{"k":"frame","t":'
+# One JSON number as json.loads reads it: a float when it has a fraction
+# or an exponent (group 1 or 2), an int otherwise
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
 
 def _require(cond, path, line_no, reason):
     if not cond:
         raise MalformedFile(path, line_no, reason)
+
+
+def _json_number(text):
+    """The value json.loads gives ``text`` when it is one JSON number, else None."""
+    m = _JSON_NUMBER.fullmatch(text)
+    if m is None:
+        return None
+    return float(text) if m[1] or m[2] else int(text)
+
+
+class _Parser:
+    """json.loads for the lines of one file, reusing the parse of a row
+    that repeats the one before except for its time.
+
+    A template row is a line that starts with a template head, then a
+    time, then a tail: the text from the first comma after the head on.
+    A template row with the same head and tail as the last one parsed in
+    full (the reference) is given the reference's parse with its own time.
+    That equals json.loads of the line when both times are JSON numbers
+    and the tail holds no key "t" (nor "k"): the two lines are then the
+    same tokens but for the time. The tail holds at least one string for
+    each key of the reference beyond "k" and "t" and for each key of its
+    object values, and a string has at least two quotes, so a tail with
+    exactly twice that many quotes holds no other string, and so no
+    further "t". Any line that does not fit is parsed in full, so its
+    errors are those of json.loads. The check is made once per reference,
+    at its first repeat; a row that never repeats pays only for finding
+    its tail and comparing it."""
+
+    def __init__(self):
+        # the reference: its head, its line, where its tail starts, its row
+        self.head = self.line = self.end = self.row = None
+        self.exact = None  # whether reusing the reference is exact, once known
+
+    def parse(self, line):
+        head = (_FRAME_HEAD if line.startswith(_FRAME_HEAD) else
+                _GAZE_HEAD if line.startswith(_GAZE_HEAD) else None)
+        end = line.find(",", len(head)) if head else -1
+        if end < 0:
+            return json.loads(line)
+        ref = self.line
+        if (head is self.head and len(line) - end == len(ref) - self.end
+                and line.endswith(ref[self.end:])):
+            row = self._repeat(line[len(head):end])
+            if row is not None:
+                return row
+        row = json.loads(line)
+        self.head, self.line, self.end, self.row, self.exact = head, line, end, row, None
+        return row
+
+    def _repeat(self, time):
+        """The reference's row at time ``time``; None where that may differ
+        from the line's own parse."""
+        if self.exact is None:
+            row = self.row
+            keys = len(row) - 2 + sum(len(v) for v in row.values() if type(v) is dict)
+            self.exact = (_json_number(self.line[len(self.head):self.end]) is not None
+                          and self.line.count('"', self.end) == 2 * keys)
+        t = _json_number(time) if self.exact else None
+        if t is None:
+            return None
+        row = self.row.copy()
+        row["t"] = t
+        return row
 
 
 def _records(path):
@@ -64,6 +147,7 @@ def _records(path):
     ids are written unescaped, and splitlines would also break them at
     U+2028 and other separators. Bytes that are not UTF-8 arrive as lone
     surrogates and are reported at their line."""
+    parse = _Parser().parse
     with path.open("r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -72,16 +156,21 @@ def _records(path):
             if not line.isascii() and _UNDECODED.search(line):
                 raise MalformedFile(path, line_no, "not valid UTF-8")
             try:
-                yield line_no, json.loads(line)
+                yield line_no, parse(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}") from None
 
 
 def _float(value, path, line_no, what) -> float:
+    """``value`` as a finite float."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise MalformedFile(path, line_no, f"{what} must be a number") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    _require(math.isfinite(x), path, line_no, f"non-finite {what}")
+    return x
 
 
 def _vector(values, n, path, line_no, what, name=None) -> np.ndarray:
@@ -157,8 +246,8 @@ def _frame_lines(motion, gaze=None):
     to the bit."""
     times, joints = motion.times.tolist(), _rows(motion.joints, 3 * N_JOINTS)
     if gaze is None:
-        return (f'{{"k":"frame","t":{t!r},"joints":[{j}]}}\n' for t, j in zip(times, joints))
-    return (f'{{"k":"frame","t":{t!r},"joints":[{j}],"gaze":[{d}]}}\n'
+        return (f'{_FRAME_HEAD}{t!r},"joints":[{j}]}}\n' for t, j in zip(times, joints))
+    return (f'{_FRAME_HEAD}{t!r},"joints":[{j}],"gaze":[{d}]}}\n'
             for t, j, d in zip(times, joints, _rows(gaze, 3)))
 
 
@@ -187,7 +276,7 @@ def write_recording(rec: Recording, path) -> None:
             f.write(_dump(row) + "\n")
         g = rec.gaze
         f.writelines(
-            f'{{"k":"gaze","t":{t!r},"dir_cam":[{d}],"cam_pose":{{"r":[{r}],"t":[{c}]}}}}\n'
+            f'{_GAZE_HEAD}{t!r},"dir_cam":[{d}],"cam_pose":{{"r":[{r}],"t":[{c}]}}}}\n'
             for t, d, r, c in zip(g.times.tolist(), _rows(g.points_cam, 3),
                                   _rows(g.rotations, 9), _rows(g.translations, 3)))
         f.writelines(_frame_lines(rec.motion))
@@ -215,6 +304,7 @@ def read_recording(path) -> Recording:
                 _require(key in row, path, line_no, f"header missing {key}")
             _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
                      path, line_no, "fps must be a positive number")
+            fps = _float(row["fps"], path, line_no, "fps")
             header = row
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
@@ -288,7 +378,7 @@ def read_recording(path) -> Recording:
     except DegenerateGaze as exc:
         raise MalformedFile(path, points_cam.line_nos[exc.index],
                             "gaze direction is zero in the world frame") from None
-    motion = MotionSequence(float(header["fps"]), joints.array().reshape(-1, N_JOINTS, 3))
+    motion = MotionSequence(fps, joints.array().reshape(-1, N_JOINTS, 3))
     events = []
     for kind, t_e, oid, line_no in event_rows:
         _require(isinstance(oid, str) and oid in objects, path, line_no,
@@ -329,6 +419,65 @@ def write_sequence(seq: PnRSequence, path) -> None:
         f.writelines(_frame_lines(seq.motion, seq.motion.gaze))
 
 
+class SequenceHeader(NamedTuple):
+    """Line 1 of a sequence file, checked."""
+
+    id: str
+    video_id: str
+    fps: float
+    kind: str
+    t_p: float
+    t_e: float
+    t_start: float
+    prime_mode: str
+    goal: np.ndarray
+    initial_velocity: np.ndarray
+    prime_frame_index: int
+    flags: tuple
+
+
+def _sequence_header(row, path, line_no) -> SequenceHeader:
+    """The header row of a sequence file, checked for everything that does
+    not depend on its frames."""
+    _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
+             "first line must be the header")
+    for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
+                "goal", "prime_frame_index", "initial_velocity"):
+        _require(key in row, path, line_no, f"header missing {key}")
+    fps = _float(row["fps"], path, line_no, "fps")
+    _require(fps > 0, path, line_no, "fps must be positive")
+    t_p = _float(row["t_p"], path, line_no, "t_p")
+    t_e = _float(row["t_e"], path, line_no, "t_e")
+    t_start = _float(row["t_start"], path, line_no, "t_start") if "t_start" in row else t_p - 2.0
+    goal = _vector(row["goal"], 3, path, line_no, "goal")
+    velocity = _vector(row["initial_velocity"], 3 * N_JOINTS, path, line_no,
+                       "initial velocity", "initial_velocity")
+    _require(row["kind"] in ("pick", "put"), path, line_no, "kind must be pick or put")
+    try:
+        prime_frame_index = int(row["prime_frame_index"])
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedFile(path, line_no, "prime_frame_index must be an integer") from None
+    _require(prime_frame_index >= 0, path, line_no, "prime_frame_index out of range")
+    try:
+        flags = tuple(row.get("flags", ()))
+    except TypeError:
+        raise MalformedFile(path, line_no, "flags must be a list") from None
+    return SequenceHeader(str(row["id"]), str(row["video_id"]), fps, row["kind"], t_p, t_e,
+                          t_start, str(row.get("prime_mode", "direct_hit")), goal, velocity,
+                          prime_frame_index, flags)
+
+
+def read_sequence_header(path) -> SequenceHeader:
+    """The header of a sequence file, read from its first line alone and
+    checked as read_sequence checks it. Its frames are not read, so a
+    malformed frame row goes unnoticed here."""
+    path = Path(path)
+    with closing(_records(path)) as records:
+        for line_no, row in records:
+            return _sequence_header(row, path, line_no)
+    raise MalformedFile(path, 1, "empty file")
+
+
 def read_sequence(path) -> PnRSequence:
     path = Path(path)
     header = None
@@ -336,12 +485,7 @@ def read_sequence(path) -> PnRSequence:
     gaze = _Column(path, 3, "gaze")
     for line_no, row in _records(path):
         if header is None:
-            _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
-                     "first line must be the header")
-            for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
-                        "goal", "prime_frame_index", "initial_velocity"):
-                _require(key in row, path, line_no, f"header missing {key}")
-            header = row
+            header = _sequence_header(row, path, line_no)
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
@@ -355,45 +499,29 @@ def read_sequence(path) -> PnRSequence:
     _require(header is not None, path, 1, "empty file")
     joints, gaze = joints.array(), gaze.array()
     _require(len(joints) >= 2, path, 1, "sequence has fewer than 2 frames")
-    fps = _float(header["fps"], path, 1, "fps")
-    t_p = _float(header["t_p"], path, 1, "t_p")
-    t_e = _float(header["t_e"], path, 1, "t_e")
-    t_start = _float(header["t_start"], path, 1, "t_start") if "t_start" in header else t_p - 2.0
-    _require(abs((len(joints) - 1) - (t_e - t_start) * fps) <= 1.0, path, 1,
-             "frame count does not match the header time span")
+    _require(abs((len(joints) - 1) - (header.t_e - header.t_start) * header.fps) <= 1.0,
+             path, 1, "frame count does not match the header time span")
     _require(len(gaze) in (0, len(joints)), path, 1, "gaze must cover every frame or none")
-    _require(fps > 0, path, 1, "fps must be positive")
-    motion = MotionSequence(fps, joints.reshape(-1, N_JOINTS, 3),
+    _require(header.prime_frame_index < len(joints), path, 1, "prime_frame_index out of range")
+    motion = MotionSequence(header.fps, joints.reshape(-1, N_JOINTS, 3),
                             gaze=gaze if len(gaze) else None)
-    goal = _vector(header["goal"], 3, path, 1, "goal")
-    velocity = _vector(header["initial_velocity"], 3 * N_JOINTS, path, 1,
-                       "initial velocity", "initial_velocity")
-    _require(header["kind"] in ("pick", "put"), path, 1, "kind must be pick or put")
-    try:
-        prime_frame_index = int(header["prime_frame_index"])
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedFile(path, 1, "prime_frame_index must be an integer") from None
-    _require(0 <= prime_frame_index < len(joints), path, 1, "prime_frame_index out of range")
-    try:
-        flags = tuple(header.get("flags", ()))
-    except TypeError:
-        raise MalformedFile(path, 1, "flags must be a list") from None
-    target = ObjectTarget("goal", point=goal)
+    target = ObjectTarget("goal", point=header.goal)
     event = PrimedEvent(
-        InteractionEvent(header["kind"], t_e, target),
-        t_p,
-        str(header.get("prime_mode", "direct_hit")),
+        InteractionEvent(header.kind, header.t_e, target),
+        header.t_p,
+        header.prime_mode,
     )
     return PnRSequence(
-        id=str(header["id"]),
-        video_id=str(header["video_id"]),
+        id=header.id,
+        video_id=header.video_id,
         event=event,
         motion=motion,
-        goal_location=goal,
+        goal_location=header.goal,
         goal_pose=motion.joints[-1],
-        initial_state=InitialState(motion.joints[0], velocity.reshape(N_JOINTS, 3)),
-        prime_frame_index=prime_frame_index,
-        flags=flags,
+        initial_state=InitialState(motion.joints[0],
+                                   header.initial_velocity.reshape(N_JOINTS, 3)),
+        prime_frame_index=header.prime_frame_index,
+        flags=header.flags,
     )
 
 
@@ -426,9 +554,13 @@ def write_sequences_dir(sequences, path) -> list:
     return written
 
 
+def sequence_paths(path) -> list:
+    """The sequence files under a directory, sorted by file name."""
+    return sorted(Path(path).glob(f"*{SEQUENCE_SUFFIX}"))
+
+
 def read_sequences_dir(path) -> list:
-    path = Path(path)
-    return [read_sequence(f) for f in sorted(path.glob(f"*{SEQUENCE_SUFFIX}"))]
+    return [read_sequence(f) for f in sequence_paths(path)]
 
 
 # --------------------------------------------------------------------------

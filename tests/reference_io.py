@@ -8,16 +8,29 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Two changes were made to them since, as in ``pnr.io_jsonl``:
-``read_sequence`` rejects a ``prime_frame_index`` outside the frames, and
+Four changes were made to them since, as in ``pnr.io_jsonl``:
+``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
-warning instead of reading them, and ``write_recording`` writes none.
+warning instead of reading them, and ``write_recording`` writes none;
+both readers reject a non-finite ``fps``, ``t_p``, ``t_e`` or
+``t_start`` in the header ("non-finite fps", ...); and ``read_recording``
+reports a gaze time equal to the one before at its line, as
+``pnr.io_jsonl`` always has, where it used to fail later, when the
+track was built.
+
+``pnr.io_jsonl`` also differs here in ways that leave its results equal:
+its readers reuse the parse of a gaze or frame row that repeats the
+row before except for its time, where these parse every line, and it
+checks a sequence header when it reads line 1, where these check it
+after the frames (only ``pnr split``, which reads headers alone, can
+tell the difference).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +54,12 @@ def _dump(obj) -> str:
 def _require(cond, path, line_no, reason):
     if not cond:
         raise MalformedFile(path, line_no, reason)
+
+
+def _finite(header, key, path):
+    value = float(header[key])
+    _require(math.isfinite(value), path, 1, f"non-finite {key}")
+    return value
 
 
 def _finite_list(values, path, line_no, what):
@@ -110,6 +129,7 @@ def read_recording(path) -> Recording:
                     _require(key in row, path, line_no, f"header missing {key}")
                 _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
                          path, line_no, "fps must be a positive number")
+                _finite(row, "fps", path)
                 header = row
                 continue
             kind = row.get("k")
@@ -119,6 +139,8 @@ def read_recording(path) -> Recording:
                 prev = last_t.get(kind)
                 _require(prev is None or t >= prev, path, line_no,
                          f"{kind} times must be non-decreasing")
+                _require(kind != "gaze" or t != prev, path, line_no,
+                         "gaze times must be strictly increasing")
                 last_t[kind] = t
             if kind == "gaze":
                 _require("dir_cam" in row and "cam_pose" in row, path, line_no,
@@ -243,8 +265,8 @@ def read_sequence(path) -> PnRSequence:
                 log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
     _require(header is not None, path, 1, "empty file")
     _require(len(joints_rows) >= 2, path, 1, "sequence has fewer than 2 frames")
-    fps = float(header["fps"])
-    span = float(header["t_e"]) - float(header.get("t_start", header["t_p"] - 2.0))
+    fps, t_p, t_e = (_finite(header, key, path) for key in ("fps", "t_p", "t_e"))
+    span = t_e - (_finite(header, "t_start", path) if "t_start" in header else t_p - 2.0)
     _require(abs((len(joints_rows) - 1) - span * fps) <= 1.0, path, 1,
              "frame count does not match the header time span")
     gaze = None

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -786,3 +787,88 @@ def test_unwritable_or_unusable_input_exit_2(curated_dir, tmp_path, capsys,
         # the other recordings were still curated
         assert len(list((tmp_path / "out").glob("*.seq.jsonl"))) == n_curated
         assert (tmp_path / "out" / "curation_log.json").exists()
+
+
+def _with_header(path, drop=(), **fields):
+    """Rewrite a file's header line with ``fields`` set and the keys in
+    ``drop`` deleted; json.dumps writes NaN and infinities as JSON can't."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    header = dict(json.loads(lines[0]), **fields)
+    for key in drop:
+        del header[key]
+    lines[0] = json.dumps(header, ensure_ascii=False, separators=(",", ":"))
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("fps, reason", [
+    (math.inf, "non-finite fps"), (10 ** 400, "non-finite fps"),
+    (math.nan, "fps must be a positive number"),
+], ids=["inf", "huge_int", "nan"])
+def test_non_finite_recording_fps_exit_2(curated_dir, tmp_path, capsys, fps, reason):
+    # an infinite fps used to pass the reader and crash curation
+    rec_dir = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", rec_dir)
+    bad = rec_dir / "zzz-bad.rec.jsonl"
+    shutil.copy(sorted(rec_dir.glob("*.rec.jsonl"))[0], bad)
+    _with_header(bad, id="zzz-bad", fps=fps)
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
+    assert f"zzz-bad.rec.jsonl:1: {reason}" in capsys.readouterr().err
+    assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+
+@pytest.mark.parametrize("key", ["fps", "t_p", "t_e", "t_start"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_sequence_header_exit_2(curated_dir, tmp_path, capsys, key, value):
+    # a NaN t_p used to pass the reader and reach stats.json
+    seq_dir = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seq_dir)
+    bad = sorted(seq_dir.glob("*.seq.jsonl"))[0]
+    _with_header(bad, **{key: value})
+    for argv in (["stats", "--in", str(seq_dir)], ["split", "--in", str(seq_dir), "--seed", "1"]):
+        assert main(argv) == 2
+        assert f"{bad}:1: non-finite {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, drop, reason", [
+    ({"t_p": math.nan}, (), "non-finite t_p"),
+    ({"fps": 0}, (), "fps must be positive"),
+    ({"goal": [1.0, 2.0]}, (), "goal must have 3 entries"),
+    ({"kind": "wave"}, (), "kind must be pick or put"),
+    ({"prime_frame_index": -1}, (), "prime_frame_index out of range"),
+    ({"prime_frame_index": "x"}, (), "prime_frame_index must be an integer"),
+    ({"flags": 7}, (), "flags must be a list"),
+    ({}, ("video_id",), "header missing video_id"),
+], ids=["nan_t_p", "zero_fps", "short_goal", "bad_kind", "negative_prime", "prime_not_int",
+        "flags_not_list", "no_video_id"])
+def test_split_header_error_exit_2_as_read_sequence(curated_dir, tmp_path, capsys,
+                                                    fields, drop, reason):
+    # split reads headers alone, and reports a bad one as read_sequence does
+    seq_dir = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seq_dir)
+    bad = sorted(seq_dir.glob("*.seq.jsonl"))[0]
+    _with_header(bad, drop, **fields)
+    with pytest.raises(MalformedFile) as err:
+        io.read_sequence(bad)
+    assert (err.value.line_no, err.value.reason) == (1, reason)
+    capsys.readouterr()
+    assert main(["split", "--in", str(seq_dir), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_split_reads_headers_only(curated_dir, tmp_path, capsys):
+    # a malformed frame row fails every command that reads frames, but
+    # split reads only the header line and gives the same manifest
+    seq_dir = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seq_dir)
+    assert main(["split", "--in", str(seq_dir), "--seed", "4",
+                 "--out", str(tmp_path / "want.json")]) == 0
+    bad = sorted(seq_dir.glob("*.seq.jsonl"))[0]
+    lines = bad.read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].replace('"joints":[', '"joints":["x",')
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["stats", "--in", str(seq_dir)]) == 2
+    assert f"{bad}:4: joints must be a list of numbers" in capsys.readouterr().err
+    assert main(["split", "--in", str(seq_dir), "--seed", "4",
+                 "--out", str(tmp_path / "got.json")]) == 0
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()

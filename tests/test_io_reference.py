@@ -6,6 +6,10 @@ mutated files the new readers must agree with the reference: the same
 line and reason where it raises MalformedFile, an equal result where it
 returns, and a MalformedFile (never another exception) where it crashed.
 Lists are flat in the written schema; the mutations never nest them.
+Mutated rows are written back in the writers' compact form, and the
+text-level edits of ``_repeat_edit`` make a row repeat the one before
+except for its time, which is where the new readers reuse a parse; on
+those files every parsed row must also equal ``json.loads`` of its line.
 """
 
 import json
@@ -271,7 +275,21 @@ BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], 
 NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
 MUTATIONS = ["delete_key", "wrong_type", "non_finite", "bad_item", "short_list",
              "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
-             "non_object"]
+             "non_object", "repeat_edit"]
+# The heads of the rows that the writers build from templates; the time
+# follows, up to the first comma.
+HEADS = ('{"k":"gaze","t":', '{"k":"frame","t":')
+# Time texts: valid JSON numbers of either type, texts that JSON refuses
+# or reads as another value, and values whose text holds a comma
+TIMES = ["1", "-0", "0", "2E-1", "1e400", "-1.5e-7", "0.30000000000000004", "1.", "+1",
+         "01", ".5", "1e", "-", "1 ", "NaN", "Infinity", "-Infinity", "null", "true",
+         '"0.5"', '"0,5"', '"1,5"', "[0,1]", "[2,1]", "2,1]"]
+# Text put before a row's closing brace, in two rows whose text after the
+# time is then still the same: a second "t" key (the last one wins), an
+# escaped one, a second "k", strings holding separators and quotes, a
+# nested "t", whitespace
+TAIL_EDITS = [',"t":0.5', ',"\\u0074":0.5', ',"t":1,"t":2', ',"t":[1,2]', ',"k":"gaze"',
+              ',"k":"frame"', ',"note":"x,\\"t\\":1"', ',"x":{"t":1}', ',"t\\"":1', " ", ""]
 
 
 def _key_paths(row, prefix=()):
@@ -291,13 +309,42 @@ def _set(row, path, value):
     _get(row, path[:-1])[path[-1]] = value
 
 
+def _template(line):
+    """(head, time text, the rest) of a template row; None for another line."""
+    for head in HEADS:
+        end = line.find(",", len(head))
+        if line.startswith(head) and end > 0:
+            return head, line[len(head):end], line[end:]
+    return None
+
+
+def _repeat_edit(data, lines, i):
+    """Make template row i repeat the template row before it except for its
+    time, then edit the text of both in ways that keep them so: their
+    times (drawn from TIMES) and the same text added to both before their
+    closing brace (drawn from TAIL_EDITS). Leaves the lines as they are
+    when row i and the row before are not template rows of one kind."""
+    before, row = (_template(line) for line in lines[i - 1: i + 1]) if i > 0 else (None, None)
+    if before is None or row is None or before[0] != row[0]:
+        return
+    head, times, tail = row[0], [before[1], row[1]], before[2]
+    for k in (0, 1):
+        if data.draw(st.booleans(), label="edit time"):
+            times[k] = data.draw(st.sampled_from(TIMES), label="time")
+    edit = data.draw(st.sampled_from(TAIL_EDITS), label="tail edit")
+    tail = tail[:-1] + edit + tail[-1]
+    lines[i - 1], lines[i] = head + times[0] + tail, head + times[1] + tail
+
+
 def _mutate(data, lines):
     """One drawn mutation of one drawn line; a mutation with nothing to act
     on leaves the file as it is."""
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
-    if kind == "truncate":
+    if kind == "repeat_edit":
+        _repeat_edit(data, lines, i)
+    elif kind == "truncate":
         lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
     elif kind == "non_object":
         lines[i] = data.draw(st.sampled_from(NON_OBJECTS), label="value")
@@ -335,7 +382,7 @@ def _mutate(data, lines):
             for key in ("t", "t_e"):
                 if key in row and isinstance(prev, dict) and key in prev:
                     row[key] = prev[key]
-        lines[i] = json.dumps(row, ensure_ascii=False)
+        lines[i] = json.dumps(row, ensure_ascii=False, separators=(",", ":"))
     return lines
 
 
@@ -348,15 +395,20 @@ def _outcome(read, path):
         return "crash", f"{type(exc).__name__}: {exc}"
 
 
+# The files the mutations start from, as indices into RECORDINGS and
+# SEQUENCES: two whose rows never repeat, then one with held rows
+CLEAN = (0, 1, 4)
+
+
 @pytest.fixture(scope="module")
 def clean_lines(tmp_path_factory):
-    """The lines of the first two recordings and sequences, written once;
-    the first recording also carries timed object rows."""
+    """The lines of the recordings and sequences the mutations start from,
+    written once; the first recording also carries timed object rows."""
     d = tmp_path_factory.mktemp("clean")
     lines = {}
-    for i in (0, 1):
-        io.write_recording(RECORDINGS[i], d / "r.jsonl")
-        io.write_sequence(SEQUENCES[i], d / "s.jsonl")
+    for i, k in enumerate(CLEAN):
+        io.write_recording(RECORDINGS[k], d / "r.jsonl")
+        io.write_sequence(SEQUENCES[k], d / "s.jsonl")
         lines["rec", i] = (d / "r.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
         if i == 0:
             lines["rec", i] = with_timed_rows(lines["rec", i])
@@ -380,7 +432,7 @@ def _check_against_reference(new_read, ref_read, assert_equal, data, d, lines):
             assert_equal(new_value, ref_value)
 
 
-@given(data=st.data(), i=st.integers(0, 1))
+@given(data=st.data(), i=st.integers(0, len(CLEAN) - 1))
 @settings(max_examples=300, deadline=None)
 def test_mutated_recording_agrees_with_reference(data, i, clean_lines):
     d, lines = clean_lines
@@ -388,9 +440,91 @@ def test_mutated_recording_agrees_with_reference(data, i, clean_lines):
                              data, d, lines["rec", i])
 
 
-@given(data=st.data(), i=st.integers(0, 1))
+@given(data=st.data(), i=st.integers(0, len(CLEAN) - 1))
 @settings(max_examples=300, deadline=None)
 def test_mutated_sequence_agrees_with_reference(data, i, clean_lines):
     d, lines = clean_lines
     _check_against_reference(io.read_sequence, ref.read_sequence, assert_sequences_equal,
                              data, d, lines["seq", i])
+
+
+def _parsed(path):
+    """(line number, the JSON text of the parsed row) of every line as the
+    readers parse it; the error text where they stop."""
+    rows = []
+    try:
+        for line_no, row in io._records(path):
+            rows.append((line_no, json.dumps(row)))
+    except MalformedFile as exc:
+        rows.append(str(exc))
+    return rows
+
+
+def _loaded(path):
+    """The same, with every line parsed by json.loads."""
+    rows = []
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if line.strip():
+            try:
+                rows.append((line_no, json.dumps(json.loads(line))))
+            except json.JSONDecodeError as exc:
+                rows.append(str(MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")))
+                break
+    return rows
+
+
+@given(data=st.data(), kind=st.sampled_from(["rec", "seq"]),
+       i=st.integers(0, len(CLEAN) - 1))
+@settings(max_examples=300, deadline=None)
+def test_edited_repeats_parse_as_json_loads(data, kind, i, clean_lines):
+    # json.dumps tells 1 from 1.0 and writes NaN, so equal texts are equal
+    # rows. (The readers' agreement with the reference on such edits is
+    # checked by the "repeat_edit" mutation above, one edit per file.)
+    d, lines = clean_lines
+    lines = list(lines[kind, i])
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        _repeat_edit(data, lines, data.draw(st.integers(1, len(lines) - 1), label="line"))
+    edited = d / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _parsed(edited) == _loaded(edited)
+
+
+@pytest.mark.parametrize("times, edit", [
+    (("0.1", "0.2"), ',"t":0.5'),         # a second "t": the last one wins
+    (("0.1", "0.2"), ',"\\u0074":0.5'),   # the same, its key escaped
+    (("0.1", "0.2"), ',"note":"x,\\"t\\":1"'),  # a string holding separators
+    (("0.1", "0.2"), ',"x":{"t":1}'),     # a nested "t" changes nothing
+    (("0.1", "1"), ""), (("0.1", "2E-1"), ""), (("0.1", "-0"), ""),  # int or float
+    (("0.1", "1."), ""), (("0.1", "+1"), ""), (("0.1", "01"), ""),   # not JSON
+    (("0.1", "NaN"), ""), (("NaN", "0.1"), ""), (("0.1", "1 "), ""),
+    (("[0,1]", "2,1]"), ""),              # the time before is not a number
+    (('"0,5"', '7,5"'), ""),
+], ids=["dup_t", "escaped_t", "string_separator", "nested_t", "int", "exponent",
+        "minus_zero", "trailing_dot", "plus", "leading_zero", "nan", "nan_before",
+        "space", "list_before", "string_before"])
+@pytest.mark.parametrize("kind", ["rec", "seq"])
+def test_repeat_hazards_parse_as_json_loads(kind, times, edit, clean_lines, tmp_path):
+    # the first template row of the file with held rows, and a copy of it
+    # at a second time, both edited
+    d, lines = clean_lines
+    lines = list(lines[kind, 2])  # CLEAN[2]
+    i = next(k for k, line in enumerate(lines) if _template(line))
+    head, _, tail = _template(lines[i])
+    tail = tail[:-1] + edit + tail[-1]
+    lines[i: i + 2] = [head + times[0] + tail, head + times[1] + tail]
+    edited = tmp_path / "hazard.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _parsed(edited) == _loaded(edited)
+
+
+def test_static_prediction_reuses_its_first_frame(tmp_path, monkeypatch):
+    # Every frame of a static prediction repeats the first but for its
+    # time: reading its 150 frames parses the header and frame 0 in full.
+    seq = SEQUENCES[-1]
+    assert seq.motion.n_frames == 150
+    p = tmp_path / "static.seq.jsonl"
+    io.write_sequence(seq, p)
+    loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    assert_sequences_equal(io.read_sequence(p), seq)
+    assert len(parsed) == 2
