@@ -43,9 +43,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sequences(path, what: str = "") -> list:
-    """The sequences under a directory; EmptyCorpus when there are none."""
-    sequences = io.read_sequences_dir(path)
+def _sequences(read, path, what: str = "") -> list:
+    """``read`` (io.read_sequence, or read_sequence_header) of every
+    sequence file under a directory; EmptyCorpus when there are none."""
+    sequences = [read(f) for f in io.sequence_paths(path)]
     if not sequences:
         raise EmptyCorpus(f"no {what}sequences under {path}")
     return sequences
@@ -103,15 +104,13 @@ def cmd_curate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _emit(stats(_sequences(args.in_dir)).to_dict(), args.out)
+    _emit(stats(_sequences(io.read_sequence, args.in_dir)).to_dict(), args.out)
     return 0
 
 
 def cmd_split(args) -> int:
     # the split needs only ids and video ids: read each file's header alone
-    headers = [io.read_sequence_header(f) for f in io.sequence_paths(args.in_dir)]
-    if not headers:
-        raise EmptyCorpus(f"no sequences under {args.in_dir}")
+    headers = _sequences(io.read_sequence_header, args.in_dir)
     overrides = None
     if args.override:
         overrides = _json_object(args.override, "video_id -> side")
@@ -189,9 +188,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    train = _sequences(args.train, "training ")
+    train = _sequences(io.read_sequence, args.train, "training ")
     same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
-    gt_seqs = train if same_dir else _sequences(args.gt, "ground-truth ")
+    gt_seqs = train if same_dir else _sequences(io.read_sequence, args.gt, "ground-truth ")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mean_pose = static_baseline(train, n=args.n).joints

@@ -25,12 +25,13 @@ manifests and labels go through ``_dump``, one shared JSON encoder. Both
 spell floats as json.dumps does, so the bytes are those of one
 ``json.dumps`` per row.
 
-Readers mirror this (``_Parser``): a gaze or frame row whose text after
-its time repeats that of the last such row parsed in full reuses that
-parse and parses only its time. Every row they yield equals
-``json.loads`` of its line, and every other line goes through
-``json.loads`` as it is. ``read_sequence_header`` reads only line 1 of a
-sequence and checks it as ``read_sequence`` does.
+Readers mirror this (``_Parser``): a gaze or frame row that repeats the
+line before it except for its time reuses the parse of that line and
+parses only its time. Every row they yield equals ``json.loads`` of its
+line, and every other line goes through ``json.loads`` as it is; a row
+that does not repeat costs an ``endswith`` and a short slice more.
+``read_sequence_header`` reads only line 1 of a sequence and checks it
+as ``read_sequence`` does.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class _Parser:
     """json.loads for the lines of one file, reusing the parse of a row
     that repeats the one before except for its time.
 
-    A template row is a line that starts with a template head, then a
-    time, then a tail: the text from the first comma after the head on.
-    A template row with the same head and tail as the last one parsed in
-    full (the reference) is given the reference's parse with its own time.
+    The reference is the last line parsed in full. When it is a template
+    row (a template head, a time, then a tail: the text from the first
+    comma after the head on), a line made of the same head, another time
+    and the same tail is given the reference's parse with its own time.
     That equals json.loads of the line when both times are JSON numbers
     and the tail holds no key "t" (nor "k"): the two lines are then the
     same tokens but for the time. The tail holds at least one string for
@@ -100,45 +101,63 @@ class _Parser:
     object values, and a string has at least two quotes, so a tail with
     exactly twice that many quotes holds no other string, and so no
     further "t". Any line that does not fit is parsed in full, so its
-    errors are those of json.loads. The check is made once per reference,
-    at its first repeat; a row that never repeats pays only for finding
-    its tail and comparing it."""
+    errors are those of json.loads.
+
+    A row that does not repeat pays for one ``endswith`` of the
+    reference's last characters, which it almost always fails, and for
+    keeping its own. The reference's tail is found at the first line that
+    ends as it does, and the reference is checked at the first line that
+    has its tail."""
+
+    _PROBE = 16  # how many last characters of the reference a line is tested for
 
     def __init__(self):
-        # the reference: its head, its line, where its tail starts, its row
-        self.head = self.line = self.end = self.row = None
-        self.exact = None  # whether reusing the reference is exact, once known
+        self.probe = "\n"  # the reference's last characters; no stripped line ends so
+        self.line = self.row = None  # the reference and its parse
+        self.head = self.tail = None  # its head and tail once found; "" when it has none
+        self.exact = None  # whether its parse can be reused, once known
 
     def parse(self, line):
-        head = (_FRAME_HEAD if line.startswith(_FRAME_HEAD) else
-                _GAZE_HEAD if line.startswith(_GAZE_HEAD) else None)
-        end = line.find(",", len(head)) if head else -1
-        if end < 0:
-            return json.loads(line)
-        ref = self.line
-        if (head is self.head and len(line) - end == len(ref) - self.end
-                and line.endswith(ref[self.end:])):
-            row = self._repeat(line[len(head):end])
+        if line.endswith(self.probe):
+            row = self._repeat(line)
             if row is not None:
                 return row
         row = json.loads(line)
-        self.head, self.line, self.end, self.row, self.exact = head, line, end, row, None
+        self.probe, self.line, self.row, self.tail = line[-self._PROBE:], line, row, None
         return row
 
-    def _repeat(self, time):
-        """The reference's row at time ``time``; None where that may differ
-        from the line's own parse."""
+    def _repeat(self, line):
+        """The reference's row at the time of ``line``; None where that may
+        differ from the line's own parse."""
+        if self.tail is None:
+            self.head, self.tail = self._split()
+            self.exact = None
+        head, tail = self.head, self.tail
+        if not (tail and line.endswith(tail) and line.startswith(head)):
+            return None
         if self.exact is None:
-            row = self.row
-            keys = len(row) - 2 + sum(len(v) for v in row.values() if type(v) is dict)
-            self.exact = (_json_number(self.line[len(self.head):self.end]) is not None
-                          and self.line.count('"', self.end) == 2 * keys)
-        t = _json_number(time) if self.exact else None
+            self.exact = self._exact()
+        t = _json_number(line[len(head):len(line) - len(tail)]) if self.exact else None
         if t is None:
             return None
         row = self.row.copy()
         row["t"] = t
         return row
+
+    def _split(self):
+        """(head, tail) of the reference; ("", "") when it is not a template row."""
+        ref = self.line
+        head = next((h for h in (_FRAME_HEAD, _GAZE_HEAD) if ref.startswith(h)), "")
+        end = ref.find(",", len(head)) if head else -1
+        return (head, ref[end:]) if end > 0 else ("", "")
+
+    def _exact(self):
+        """Whether the reference's time is a JSON number and its tail holds
+        no string beyond the keys of its parse."""
+        ref, row, tail = self.line, self.row, self.tail
+        keys = len(row) - 2 + sum(len(v) for v in row.values() if type(v) is dict)
+        return (_json_number(ref[len(self.head):len(ref) - len(tail)]) is not None
+                and tail.count('"') == 2 * keys)
 
 
 def _records(path):

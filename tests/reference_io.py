@@ -8,22 +8,27 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Four changes were made to them since, as in ``pnr.io_jsonl``:
+Five changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
 both readers reject a non-finite ``fps``, ``t_p``, ``t_e`` or
-``t_start`` in the header ("non-finite fps", ...); and ``read_recording``
-reports a gaze time equal to the one before at its line, as
-``pnr.io_jsonl`` always has, where it used to fail later, when the
-track was built.
+``t_start`` in the header ("non-finite fps", ...); ``read_sequence``
+rejects a header ``fps`` of 0 or below as "fps must be positive" before
+it compares the frame count with the header's time span, which such a
+file of more than two frames used to fail instead; and
+``read_recording`` reports a gaze time equal to the one before at its
+line, as ``pnr.io_jsonl`` always has, where it used to fail later, when
+the track was built.
 
-``pnr.io_jsonl`` also differs here in ways that leave its results equal:
-its readers reuse the parse of a gaze or frame row that repeats the
-row before except for its time, where these parse every line, and it
-checks a sequence header when it reads line 1, where these check it
-after the frames (only ``pnr split``, which reads headers alone, can
-tell the difference).
+``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
+the parse of a gaze or frame row that repeats the row before except for
+its time, where these parse every line; the values read are the same.
+And it checks a sequence header's values when it reads line 1, where
+these check them after the frames: a file with one error is reported
+alike, but a file with an error in both its header and a frame row is
+reported at the header there and at the frame here, and ``pnr split``,
+which reads headers alone, reports header errors only.
 """
 
 from __future__ import annotations
@@ -265,7 +270,9 @@ def read_sequence(path) -> PnRSequence:
                 log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
     _require(header is not None, path, 1, "empty file")
     _require(len(joints_rows) >= 2, path, 1, "sequence has fewer than 2 frames")
-    fps, t_p, t_e = (_finite(header, key, path) for key in ("fps", "t_p", "t_e"))
+    fps = _finite(header, "fps", path)
+    _require(fps > 0, path, 1, "fps must be positive")
+    t_p, t_e = _finite(header, "t_p", path), _finite(header, "t_e", path)
     span = t_e - (_finite(header, "t_start", path) if "t_start" in header else t_p - 2.0)
     _require(abs((len(joints_rows) - 1) - span * fps) <= 1.0, path, 1,
              "frame count does not match the header time span")

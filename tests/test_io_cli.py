@@ -833,14 +833,15 @@ def test_non_finite_sequence_header_exit_2(curated_dir, tmp_path, capsys, key, v
 @pytest.mark.parametrize("fields, drop, reason", [
     ({"t_p": math.nan}, (), "non-finite t_p"),
     ({"fps": 0}, (), "fps must be positive"),
+    ({"fps": -1}, (), "fps must be positive"),
     ({"goal": [1.0, 2.0]}, (), "goal must have 3 entries"),
     ({"kind": "wave"}, (), "kind must be pick or put"),
     ({"prime_frame_index": -1}, (), "prime_frame_index out of range"),
     ({"prime_frame_index": "x"}, (), "prime_frame_index must be an integer"),
     ({"flags": 7}, (), "flags must be a list"),
     ({}, ("video_id",), "header missing video_id"),
-], ids=["nan_t_p", "zero_fps", "short_goal", "bad_kind", "negative_prime", "prime_not_int",
-        "flags_not_list", "no_video_id"])
+], ids=["nan_t_p", "zero_fps", "negative_fps", "short_goal", "bad_kind", "negative_prime",
+        "prime_not_int", "flags_not_list", "no_video_id"])
 def test_split_header_error_exit_2_as_read_sequence(curated_dir, tmp_path, capsys,
                                                     fields, drop, reason):
     # split reads headers alone, and reports a bad one as read_sequence does

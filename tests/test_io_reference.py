@@ -267,13 +267,30 @@ def test_zero_fps_sequence_rejected(tmp_path):
     assert (err.value.line_no, err.value.reason) == (1, "fps must be positive")
 
 
+@pytest.mark.parametrize("fps", [0, -1, -0.0, -30.0])
+@pytest.mark.parametrize("i", [0, 2, 6])
+def test_non_positive_fps_reported_as_such(i, fps, tmp_path):
+    # checked before the frame count, which such an fps fails too
+    p = tmp_path / "s.seq.jsonl"
+    io.write_sequence(SEQUENCES[i], p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    lines[0] = json.dumps(dict(json.loads(lines[0]), fps=fps), separators=(",", ":"))
+    p.write_text("\n".join(lines), encoding="utf-8")
+    for read in (io.read_sequence, ref.read_sequence, io.read_sequence_header):
+        with pytest.raises(MalformedFile) as err:
+            read(p)
+        assert (err.value.line_no, err.value.reason) == (1, "fps must be positive")
+
+
 # --------------------------------------------------------------------------
 # mutated files
 
 WRONG_TYPES = [None, "x", 7, True, {}, []]
 BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], {}]
+# Values for a number: non-finite, zero or negative (an fps, a time)
+BAD_NUMBERS = BAD_ITEMS[:3] + [0, -1]
 NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
-MUTATIONS = ["delete_key", "wrong_type", "non_finite", "bad_item", "short_list",
+MUTATIONS = ["delete_key", "wrong_type", "bad_number", "bad_item", "short_list",
              "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
              "non_object", "repeat_edit"]
 # The heads of the rows that the writers build from templates; the time
@@ -364,9 +381,9 @@ def _mutate(data, lines):
         elif kind == "wrong_type":
             _set(row, data.draw(st.sampled_from(paths), label="key"),
                  data.draw(st.sampled_from(WRONG_TYPES), label="value"))
-        elif kind == "non_finite" and numbers:
+        elif kind == "bad_number" and numbers:
             _set(row, data.draw(st.sampled_from(numbers), label="key"),
-                 data.draw(st.sampled_from(BAD_ITEMS[:3]), label="value"))
+                 data.draw(st.sampled_from(BAD_NUMBERS), label="value"))
         elif kind == "bad_item" and lists:
             values = _get(row, data.draw(st.sampled_from(lists), label="key"))
             values[data.draw(st.integers(0, len(values) - 1), label="item")] = \
@@ -513,6 +530,27 @@ def test_repeat_hazards_parse_as_json_loads(kind, times, edit, clean_lines, tmp_
     tail = tail[:-1] + edit + tail[-1]
     lines[i: i + 2] = [head + times[0] + tail, head + times[1] + tail]
     edited = tmp_path / "hazard.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _parsed(edited) == _loaded(edited)
+
+
+@pytest.mark.parametrize("kind", ["rec", "seq"])
+def test_rows_that_end_alike_parse_as_json_loads(kind, clean_lines, tmp_path):
+    # A row that ends as the one before but differs earlier in its tail,
+    # then the first row again: each is its own reference in turn. Then a
+    # row of the other template kind with that tail, and one more of the
+    # first kind: the head is part of what repeats.
+    d, lines = clean_lines
+    lines = list(lines[kind, 2])  # CLEAN[2]
+    i = next(k for k, line in enumerate(lines) if _template(line))
+    head, _, tail = _template(lines[i])
+    j = tail.index("[") + 1  # the first character of the first number
+    other = tail[:j] + ("8" if tail[j] == "7" else "7") + tail[j + 1:]
+    assert other != tail and other[-20:] == tail[-20:]
+    other_head = HEADS[head == HEADS[0]]
+    lines[i: i + 1] = [head + "0.1" + tail, head + "0.2" + other, head + "0.3" + tail,
+                       other_head + "10" + tail, head + "11" + tail]
+    edited = tmp_path / "alike.jsonl"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert _parsed(edited) == _loaded(edited)
 
