@@ -23,10 +23,15 @@ channels ride along unchanged through a round trip.
 Conversion expects canonicalized motion (frame-0 pelvis over the origin,
 facing +z): recovery integrates the root from that initial condition.
 
-No 3x3 matrix is built. Each direction turns every vector it needs into
-or out of the root frame in one ``motion.yaw_apply`` call on one block;
-``shortest_arc`` and the bone lengths are written out component by
-component. Both give the bits of the matrix forms they replace: yaw
+No 3x3 matrix is built, and no (..., 3) array is read one component at
+a time. The encoding copies the joints once into x, y and z planes,
+contiguous (N, 22) arrays, and keeps every vector it turns into the root
+frame as one (N, 65) block on each plane; one ``motion.yaw_planes`` call
+rotates the three blocks. The bone lengths (``geometry.component_norm``)
+and the two stored rows of each shortest-arc rotation (``_arc_entries``)
+are computed on the planes too. The decoding rotates the stored offsets
+and the root steps on the planes and integrates the root from its x and
+z planes. All of it gives the bits of the matrix forms it replaces: yaw
 matrices applied entry by entry, ``np.cross``, ``np.sum`` and
 ``np.linalg.norm`` over the last axis.
 """
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .motion import MotionSequence, heading_angles, yaw_apply
+from .geometry import component_norm
+from .motion import MotionSequence, heading_angles, yaw_planes
 from .skeleton import CONTACT_JOINTS, DEFAULT_SKELETON, N_JOINTS, PARENTS, PELVIS
 
 FEATURE_DIM = 263
@@ -52,7 +58,7 @@ CONTACTS = slice(259, 263)
 CONTACT_HEIGHT = 0.05  # m
 CONTACT_SPEED = 0.5  # m/s
 
-# rows of to_features' block of vectors to rotate into the root frame
+# columns of to_features' planes of vectors to rotate into the root frame
 _STEP = 0
 _REL = slice(1, N_JOINTS)
 _BONES = slice(N_JOINTS, 2 * N_JOINTS - 1)
@@ -75,28 +81,24 @@ def rot6d_to_matrix(d6: np.ndarray) -> np.ndarray:
     return np.stack([b1, b2, b3], axis=-2)
 
 
-def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotation matrices taking unit vectors u onto unit vectors v.
+def _arc_entries(u, v, rows: int):
+    """Entries of the first ``rows`` rows of the shortest-arc rotations
+    taking unit vectors u onto unit vectors v, given as x, y, z planes whose
+    leading dims broadcast; returns (entries in row-major order, safe), safe
+    false where the pair is antiparallel and the entries are not its
+    rotation.
 
-    Broadcasts over leading dims. Antiparallel pairs rotate 180 degrees
-    about an arbitrary perpendicular axis.
-
-    Computed component by component with the same bits as the matrix
-    form: the cross product a = u x v as ``np.cross`` forms it
-    (``a_0 = u_1*v_2 - u_2*v_1`` and its cyclic shifts), and the dot
-    product and |a|^2 as ``np.sum`` reduces a 3-long axis, from +0.0 left
-    to right (``((0.0 + x_0*y_0) + x_1*y_1) + x_2*y_2``).
+    Computed with the bits of the matrix form: the cross product a = u x v
+    as ``np.cross`` forms it (``a_0 = u_1*v_2 - u_2*v_1`` and its cyclic
+    shifts), and the dot product and |a|^2 as ``np.sum`` reduces a 3-long
+    axis, from +0.0 left to right (``((0.0 + x_0*y_0) + x_1*y_1) + x_2*y_2``).
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    u0, u1, u2 = u
+    v0, v1, v2 = v
     a0 = u1 * v2 - u2 * v1
     a1 = u2 * v0 - u0 * v2
     a2 = u0 * v1 - u1 * v0
     c = ((0.0 + u0 * v0) + u1 * v1) + u2 * v2
-    out = np.empty(shape[:-1] + (3, 3))
     safe = c > -1.0 + 1e-8
     den = 1.0 + np.where(safe, c, 0.0)
     norm2 = ((0.0 + a0 * a0) + a1 * a1) + a2 * a2
@@ -106,15 +108,29 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Products commute exactly, so each off-diagonal a_i a_j / (1 + c) is
     # computed once for both of its entries.
     a01, a02, a12 = a0 * a1 / den, a0 * a2 / den, a1 * a2 / den
-    out[..., 0, 0] = 1.0 + (a0 * a0 - norm2) / den
-    out[..., 0, 1] = (0.0 - a2) + a01
-    out[..., 0, 2] = (0.0 + a1) + a02
-    out[..., 1, 0] = (0.0 + a2) + a01
-    out[..., 1, 1] = 1.0 + (a1 * a1 - norm2) / den
-    out[..., 1, 2] = (0.0 - a0) + a12
-    out[..., 2, 0] = (0.0 - a1) + a02
-    out[..., 2, 1] = (0.0 + a0) + a12
-    out[..., 2, 2] = 1.0 + (a2 * a2 - norm2) / den
+    entries = [1.0 + (a0 * a0 - norm2) / den, (0.0 - a2) + a01, (0.0 + a1) + a02,
+               (0.0 + a2) + a01, 1.0 + (a1 * a1 - norm2) / den, (0.0 - a0) + a12]
+    if rows == 3:
+        entries += [(0.0 - a1) + a02, (0.0 + a0) + a12, 1.0 + (a2 * a2 - norm2) / den]
+    return entries, safe
+
+
+def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation matrices taking unit vectors u onto unit vectors v.
+
+    Broadcasts over leading dims. Antiparallel pairs rotate 180 degrees
+    about an arbitrary perpendicular axis.
+
+    The nine entries come from ``_arc_entries`` on the x, y, z components
+    of u and v, with the bits of the matrix form; antiparallel pairs take
+    the branch below, which ``to_features`` also sends them through.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    entries, safe = _arc_entries((u[..., 0], u[..., 1], u[..., 2]),
+                                 (v[..., 0], v[..., 1], v[..., 2]), rows=3)
+    out = np.stack(entries, axis=-1).reshape(shape[:-1] + (3, 3))
     if not np.all(safe):
         flipped = np.argwhere(~safe)
         for idx in flipped:
@@ -125,13 +141,6 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             perp /= np.linalg.norm(perp)
             out[tuple(idx)] = 2.0 * np.outer(perp, perp) - np.eye(3)
     return out
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Lengths of vectors v (..., 3) with the bits of
-    ``np.linalg.norm(v, axis=-1)``, whose sum runs from +0.0 left to right."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(((0.0 + x * x) + y * y) + z * z)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -147,39 +156,50 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     feats = np.zeros((n, FEATURE_DIM))
     feats[:-1, ROOT_ROT_VEL] = _wrap_angle(np.diff(psi))
 
-    # every vector the encoding turns into the root frame, one block per
-    # frame: the ground step of the pelvis, the 21 offsets from the
-    # pelvis, the 21 bones and the 22 joint velocities; the last frame
-    # has no step and no velocity
-    pelvis = joints[:, PELVIS]
-    world = np.zeros((n, _BLOCK, 3))
-    world[:-1, _STEP] = pelvis[1:] - pelvis[:-1]
-    world[:-1, _STEP, 1] = 0.0
-    world[:, _REL] = joints[:, 1:] - pelvis[:, None, :]
-    world[:, _BONES] = joints[:, 1:] - joints[:, PARENTS[1:]]
-    world[:-1, _VEL] = joints[1:] - joints[:-1]
-    local = yaw_apply(-psi[:, None], world)
+    # every vector the encoding turns into the root frame, as x, y and z
+    # planes with one row per frame: the ground step of the pelvis, the 21
+    # offsets from the pelvis, the 21 bones and the 22 joint velocities;
+    # the last frame has no step and no velocity
+    planes = joints.transpose(2, 0, 1).copy()
+    world = np.zeros((3, n, _BLOCK))
+    world[::2, :-1, _STEP] = planes[::2, 1:, PELVIS] - planes[::2, :-1, PELVIS]
+    world[:, :, _REL] = planes[:, :, 1:] - planes[:, :, PELVIS, None]
+    world[:, :, _BONES] = planes[:, :, 1:] - planes[:, :, PARENTS[1:]]
+    world[:, :-1, _VEL] = planes[:, 1:] - planes[:, :-1]
+    local = yaw_planes(np.cos(-psi)[:, None], np.sin(-psi)[:, None], *world)
 
-    feats[:-1, ROOT_LIN_VEL] = local[:-1, _STEP][:, [0, 2]]
-    feats[:, ROOT_HEIGHT] = pelvis[:, 1]
-    feats[:, LOCAL_POS] = local[:, _REL].reshape(n, -1)
+    lin = feats[:-1, ROOT_LIN_VEL]
+    lin[:, 0], lin[:, 1] = local[0][:-1, _STEP], local[2][:-1, _STEP]
+    feats[:, ROOT_HEIGHT] = planes[1, :, PELVIS]
+    for k, plane in enumerate(local):
+        feats[:, LOCAL_POS][:, k::3] = plane[:, _REL]
+        feats[:-1, VELOCITIES][:, k::3] = plane[:-1, _VEL]
 
     rest_dirs = DEFAULT_SKELETON.bone_directions()
-    bones = local[:, _BONES]
-    lengths = _norm(bones)
+    bones = [plane[:, _BONES] for plane in local]
+    lengths = component_norm(*bones)
     zero = lengths < 1e-9
-    obs_dirs = bones / np.where(zero, 1.0, lengths)[..., None]
+    lengths = np.where(zero, 1.0, lengths)
+    obs_dirs = [b / lengths for b in bones]
     if zero.any():
         frame, bone = np.nonzero(zero)
-        obs_dirs[frame, bone] = rest_dirs[bone]
-    rots = shortest_arc(rest_dirs, obs_dirs)
-    feats[:, ROTATIONS] = matrix_to_rot6d(rots).reshape(n, -1)
+        for d, rest in zip(obs_dirs, rest_dirs.T):
+            d[frame, bone] = rest[bone]
+    # only the two stored rows of each rotation are computed; an
+    # antiparallel pair is redone by shortest_arc, whose branch handles it
+    entries, safe = _arc_entries(rest_dirs.T, obs_dirs, rows=2)
+    for k, entry in enumerate(entries):
+        feats[:, ROTATIONS][:, k::6] = entry
+    if not safe.all():
+        frame, bone = np.nonzero(~safe)
+        rots = shortest_arc(rest_dirs[bone], np.stack([d[frame, bone] for d in obs_dirs], -1))
+        cols = ROTATIONS.start + 6 * bone[:, None] + np.arange(6)
+        feats[frame[:, None], cols] = matrix_to_rot6d(rots)
 
-    feats[:-1, VELOCITIES] = local[:-1, _VEL].reshape(n - 1, -1)
-
-    speeds = _norm(world[:-1, _VEL][:, CONTACT_JOINTS]) * motion.fps
+    vel = world[:, :-1, _VEL][:, :, CONTACT_JOINTS]
+    speeds = component_norm(*vel) * motion.fps
     speeds = np.concatenate([speeds, speeds[-1:]], axis=0)
-    heights = joints[:, CONTACT_JOINTS, 1]
+    heights = planes[1][:, CONTACT_JOINTS]
     feats[:, CONTACTS] = ((heights < CONTACT_HEIGHT) & (speeds < CONTACT_SPEED)).astype(
         np.float64
     )
@@ -194,17 +214,20 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
         raise ValueError(f"features must be (N, {FEATURE_DIM}), got {feats.shape}")
     n = feats.shape[0]
     psi = np.concatenate([[0.0], np.cumsum(feats[:-1, ROOT_ROT_VEL])])
+    c, s = np.cos(psi), np.sin(psi)
 
-    # the ground step (last frame: none) and the 21 pelvis offsets of
-    # each frame, turned into the world in one call
-    local = np.zeros((n, N_JOINTS, 3))
-    local[:-1, 0, [0, 2]] = feats[:-1, ROOT_LIN_VEL]
-    local[:, 1:] = feats[:, LOCAL_POS].reshape(n, N_JOINTS - 1, 3)
-    world = yaw_apply(psi[:, None], local)
-    root = np.zeros((n, 3))
-    root[1:] = np.cumsum(world[:-1, 0], axis=0)
-    root[:, 1] = feats[:, ROOT_HEIGHT]
-    joints = np.zeros((n, N_JOINTS, 3))
-    joints[:, 1:] = world[:, 1:] + root[:, None, :]
-    joints[:, PELVIS] = root
+    # the root integrates the ground steps (the last frame has none) on
+    # the x and z planes; its height is stored
+    lin = feats[:-1, ROOT_LIN_VEL]
+    step_x, _, step_z = yaw_planes(c[:-1], s[:-1], lin[:, 0], 0.0, lin[:, 1])
+    root = np.zeros((3, n))
+    root[0, 1:] = np.cumsum(step_x)
+    root[1] = feats[:, ROOT_HEIGHT]
+    root[2, 1:] = np.cumsum(step_z)
+    pos = feats[:, LOCAL_POS]
+    world = yaw_planes(c[:, None], s[:, None], pos[:, 0::3], pos[:, 1::3], pos[:, 2::3])
+    joints = np.empty((n, N_JOINTS, 3))
+    for k, plane in enumerate(world):
+        joints[:, PELVIS, k] = root[k]
+        joints[:, 1:, k] = plane + root[k, :, None]
     return MotionSequence(fps, joints)

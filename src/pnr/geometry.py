@@ -21,6 +21,14 @@ _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 
 
+def component_norm(x, y, z):
+    """Lengths of vectors given as their x, y and z components (arrays or
+    planes of one shape), with the bits of ``np.linalg.norm`` over a 3-long
+    last axis: that sums the squares from 0.0 left to right, and
+    ``0.0 + x*x`` is ``x*x`` because a square is never -0.0."""
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a (3,) float64 vector, rejecting non-finite components."""
     v = np.array([x, y, z], dtype=np.float64)
@@ -284,9 +292,7 @@ def _closest_approach(origins, dirs, center):
     t_closest = np.einsum("ij,ij->i", center - origins, dirs)
     p_closest = origins + t_closest[:, None] * dirs
     offset = p_closest - center
-    sq = offset * offset
-    # np.linalg.norm(offset, axis=1) bit for bit (same sum order), in less time
-    return t_closest, offset, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    return t_closest, offset, component_norm(offset[:, 0], offset[:, 1], offset[:, 2])
 
 
 def prime_batch(origins, dirs, bmin, bmax, tau: float):

@@ -331,6 +331,8 @@ def read_recording(path) -> Recording:
         if kind in ("gaze", "frame", "event"):
             t = row.get("t_e" if kind == "event" else "t")
             _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+            _require(kind != "event" or math.isfinite(t), path, line_no,
+                     "non-finite event time")
             prev = last_t.get(kind)
             _require(prev is None or t >= prev, path, line_no,
                      f"{kind} times must be non-decreasing")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePose
-from .geometry import RigidTransform
+from .geometry import RigidTransform, component_norm
 from .skeleton import (
     HEAD,
     L_HIP,
@@ -141,32 +141,41 @@ def yaw_rotation(angle: float) -> np.ndarray:
     return yaw_matrices(angle)
 
 
+def yaw_planes(c, s, x, y, z):
+    """Vectors given as x, y and z planes, rotated about +y by the angles
+    whose cosines and sines are c and s; leading dims broadcast. Returns the
+    three rotated planes, computed as ``(0.0 + c*x) + s*z``, ``0.0 + y`` and
+    ``(0.0 - s*x) + c*z``: the same bits as ``yaw_matrices`` applied entry
+    by entry, ``out_i = 0.0 + m_i0*x + m_i1*y + m_i2*z`` summed left to
+    right, without the matrix or its zero entries.
+
+    The rows of the matrix are (c, 0, s), (0, 1, 0) and (-s, 0, c). For
+    finite input every dropped term ``0*x`` is +0 or -0, and adding a zero
+    to a sum changes it only where the sum is itself zero; the leading
+    ``0.0 +`` makes such a sum +0, and +0 plus either zero is +0. And
+    ``0.0 - s*x`` is ``0.0 + (-s)*x`` because IEEE subtraction adds the
+    negation and negating is exact. A non-finite component may give a
+    finite entry where the matrix gave NaN (``0*inf``), but every
+    non-finite vector still gives a non-finite vector: y reaches the y
+    plane whole, and x, z reach the x and z planes times c, which no finite
+    double angle makes zero.
+
+    Each plane is read with unit stride, which is why ``features`` keeps
+    its vectors as planes and calls this directly.
+    """
+    return (0.0 + c * x) + s * z, 0.0 + y, (0.0 - s * x) + c * z
+
+
 def yaw_apply(angles, v) -> np.ndarray:
     """Vectors v (..., 3) rotated about +y by angles (...), leading dims
-    broadcast: the same bits as ``yaw_matrices(angles)`` applied entry by
-    entry, ``out_i = 0.0 + m_i0*x + m_i1*y + m_i2*z`` summed left to right,
-    without the matrix or its zero entries.
-
-    With c, s the cosine and sine, the rows are (c, 0, s), (0, 1, 0) and
-    (-s, 0, c). For finite v every dropped term ``0*x`` is +0 or -0, and
-    adding a zero to a sum changes it only where the sum is itself zero;
-    the leading ``0.0 +`` makes such a sum +0, and +0 plus either zero is
-    +0. So the rows reduce to ``(0.0 + c*x) + s*z``, ``0.0 + y`` and
-    ``(0.0 - s*x) + c*z``, where ``0.0 - s*x`` is ``0.0 + (-s)*x`` because
-    IEEE subtraction adds the negation and negating is exact. A non-finite
-    v may give a finite entry where the matrix gave NaN (``0*inf``), but
-    every non-finite input still gives a non-finite output: y reaches
-    out_y whole, and x, z reach out_x and out_z times c, which no finite
-    double angle makes zero.
-    """
+    broadcast: ``yaw_planes`` on the components of v, with the same bits as
+    ``yaw_matrices(angles)`` applied entry by entry."""
     angles = np.asarray(angles, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    c, s = np.cos(angles), np.sin(angles)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out = np.empty(np.broadcast_shapes(angles.shape, x.shape) + (3,))
-    out[..., 0] = (0.0 + c * x) + s * z
-    out[..., 1] = 0.0 + y
-    out[..., 2] = (0.0 - s * x) + c * z
+    planes = yaw_planes(np.cos(angles), np.sin(angles), v[..., 0], v[..., 1], v[..., 2])
+    out = np.empty(np.broadcast_shapes(angles.shape, v.shape[:-1]) + (3,))
+    for k, plane in enumerate(planes):
+        out[..., k] = plane
     return out
 
 
@@ -185,15 +194,20 @@ def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform
 def head_forward_batch(joints: np.ndarray) -> np.ndarray:
     """Forward direction of the head frame of each pose in (N, 22, 3),
     returning (N, 3): up from neck->head, across from the shoulders,
-    forward their cross."""
-    up_h = joints[:, HEAD] - joints[:, NECK]
-    across = joints[:, L_SHOULDER] - joints[:, R_SHOULDER]
-    fwd = np.cross(across, up_h)
-    n = np.linalg.norm(fwd, axis=1)
+    forward their cross product across x up.
+
+    The cross product and its length are written out on the x, y and z
+    components with the bits of ``np.cross`` (``f_0 = a_1*u_2 - a_2*u_1``
+    and its cyclic shifts) and ``np.linalg.norm(axis=1)``
+    (``geometry.component_norm``)."""
+    ax, ay, az = (joints[:, L_SHOULDER] - joints[:, R_SHOULDER]).T
+    ux, uy, uz = (joints[:, HEAD] - joints[:, NECK]).T
+    fx, fy, fz = ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux
+    n = component_norm(fx, fy, fz)
     if np.any(n < _DEGENERATE_TOL):
         raise DegeneratePose("no head frame: the head and shoulder axes "
                              "are parallel or of zero length")
-    return fwd / n[:, None]
+    return np.stack((fx / n, fy / n, fz / n), axis=1)
 
 
 def head_forward(pose: np.ndarray) -> np.ndarray:

@@ -9,6 +9,11 @@ requires the library versions to return bit-equal arrays.
 ``_rotate`` is a verbatim copy of the per-entry matrix product that the
 library used between the einsum form and ``motion.yaw_apply``;
 ``test_yaw_reference.py`` holds ``yaw_apply`` to its bits.
+
+``head_forward_batch`` is a verbatim copy of ``motion.head_forward_batch``
+as it was before its cross product and norm were written out on the x, y
+and z components; ``test_features_planes.py`` holds the library version to
+its bits and to its ``DegeneratePose``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,19 @@ from pnr.features import (
     VELOCITIES,
     matrix_to_rot6d,
 )
-from pnr.motion import MotionSequence, heading_angles, yaw_matrices
-from pnr.skeleton import CONTACT_JOINTS, DEFAULT_SKELETON, N_JOINTS, PARENTS, PELVIS
+from pnr.errors import DegeneratePose
+from pnr.motion import _DEGENERATE_TOL, MotionSequence, heading_angles, yaw_matrices
+from pnr.skeleton import (
+    CONTACT_JOINTS,
+    DEFAULT_SKELETON,
+    HEAD,
+    L_SHOULDER,
+    N_JOINTS,
+    NECK,
+    PARENTS,
+    PELVIS,
+    R_SHOULDER,
+)
 
 
 def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -149,3 +165,17 @@ def from_features(features: np.ndarray, fps: float) -> MotionSequence:
     joints[:, 1:] = np.einsum("nij,nkj->nki", rot, local_pos) + root[:, None, :]
     joints[:, PELVIS] = root
     return MotionSequence(fps, joints)
+
+
+def head_forward_batch(joints: np.ndarray) -> np.ndarray:
+    """Forward direction of the head frame of each pose in (N, 22, 3),
+    returning (N, 3): up from neck->head, across from the shoulders,
+    forward their cross."""
+    up_h = joints[:, HEAD] - joints[:, NECK]
+    across = joints[:, L_SHOULDER] - joints[:, R_SHOULDER]
+    fwd = np.cross(across, up_h)
+    n = np.linalg.norm(fwd, axis=1)
+    if np.any(n < _DEGENERATE_TOL):
+        raise DegeneratePose("no head frame: the head and shoulder axes "
+                             "are parallel or of zero length")
+    return fwd / n[:, None]

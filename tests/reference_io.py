@@ -8,7 +8,7 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Five changes were made to them since, as in ``pnr.io_jsonl``:
+Seven changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
@@ -16,10 +16,13 @@ both readers reject a non-finite ``fps``, ``t_p``, ``t_e`` or
 ``t_start`` in the header ("non-finite fps", ...); ``read_sequence``
 rejects a header ``fps`` of 0 or below as "fps must be positive" before
 it compares the frame count with the header's time span, which such a
-file of more than two frames used to fail instead; and
+file of more than two frames used to fail instead;
 ``read_recording`` reports a gaze time equal to the one before at its
 line, as ``pnr.io_jsonl`` always has, where it used to fail later, when
-the track was built.
+the track was built; it takes an event row's time from ``t_e`` alone,
+where it used to prefer a ``t`` key when the row had one; and it rejects
+a non-finite event time at its line ("non-finite event time"), which it
+used to accept.
 
 ``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
 the parse of a gaze or frame row that repeats the row before except for
@@ -139,8 +142,10 @@ def read_recording(path) -> Recording:
                 continue
             kind = row.get("k")
             if kind in ("gaze", "frame", "event"):
-                t = row.get("t", row.get("t_e"))
+                t = row.get("t_e" if kind == "event" else "t")
                 _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+                _require(kind != "event" or math.isfinite(t), path, line_no,
+                         "non-finite event time")
                 prev = last_t.get(kind)
                 _require(prev is None or t >= prev, path, line_no,
                          f"{kind} times must be non-decreasing")

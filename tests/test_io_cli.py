@@ -817,6 +817,23 @@ def test_non_finite_recording_fps_exit_2(curated_dir, tmp_path, capsys, fps, rea
     assert len(list(out.glob("*.seq.jsonl"))) == 2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_event_time_exit_2(curated_dir, tmp_path, capsys, value):
+    # a NaN t_e on the first event used to be curated as "no gaze samples
+    # in [nan, nan]" with exit 0
+    rec_dir = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", rec_dir)
+    lines = sorted(rec_dir.glob("*.rec.jsonl"))[0].read_text(encoding="utf-8").split("\n")
+    k = next(i for i, line in enumerate(lines) if '"k":"event"' in line)
+    lines[k] = json.dumps(dict(json.loads(lines[k]), t_e=value), separators=(",", ":"))
+    bad = rec_dir / "zzz-bad.rec.jsonl"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
+    assert f"zzz-bad.rec.jsonl:{k + 1}: non-finite event time" in capsys.readouterr().err
+    assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+
 @pytest.mark.parametrize("key", ["fps", "t_p", "t_e", "t_start"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_sequence_header_exit_2(curated_dir, tmp_path, capsys, key, value):

@@ -306,7 +306,8 @@ TIMES = ["1", "-0", "0", "2E-1", "1e400", "-1.5e-7", "0.30000000000000004", "1."
 # escaped one, a second "k", strings holding separators and quotes, a
 # nested "t", whitespace
 TAIL_EDITS = [',"t":0.5', ',"\\u0074":0.5', ',"t":1,"t":2', ',"t":[1,2]', ',"k":"gaze"',
-              ',"k":"frame"', ',"note":"x,\\"t\\":1"', ',"x":{"t":1}', ',"t\\"":1', " ", ""]
+              ',"k":"frame"', ',"k":"event"', ',"note":"x,\\"t\\":1"', ',"x":{"t":1}',
+              ',"t\\"":1', " ", ""]
 
 
 def _key_paths(row, prefix=()):
