@@ -23,15 +23,15 @@ channels ride along unchanged through a round trip.
 Conversion expects canonicalized motion (frame-0 pelvis over the origin,
 facing +z): recovery integrates the root from that initial condition.
 
-No 3x3 matrix is built, and no (..., 3) array is read one component at
-a time. The encoding copies the joints once into x, y and z planes,
-contiguous (N, 22) arrays, and keeps every vector it turns into the root
-frame as one (N, 65) block on each plane; one ``motion.yaw_planes`` call
-rotates the three blocks. The bone lengths (``geometry.component_norm``)
-and the two stored rows of each shortest-arc rotation (``_arc_entries``)
-are computed on the planes too. The decoding rotates the stored offsets
-and the root steps on the planes and integrates the root from its x and
-z planes. All of it gives the bits of the matrix forms it replaces: yaw
+No 3x3 matrix is built. The encoding copies the joints once into x, y
+and z planes, contiguous (N, 22) arrays, and keeps every vector it turns
+into the root frame as one (N, 65) block on each plane; one
+``motion.yaw_planes`` call rotates the three blocks. The bone lengths
+(``geometry.component_norm``) and the two stored rows of each
+shortest-arc rotation (``_arc_entries``) are computed on the planes too.
+The decoding rotates the stored offsets and the root steps on the planes
+and integrates the root from its x and z planes. All of it gives the
+bits of the matrix forms it replaces: yaw
 matrices applied entry by entry, ``np.cross``, ``np.sum`` and
 ``np.linalg.norm`` over the last axis.
 """

@@ -10,7 +10,14 @@ import pytest
 import reference_features as ref
 from builders import random_smooth_motion
 from pnr.errors import DegeneratePose
-from pnr.features import LOCAL_POS, ROTATIONS, VELOCITIES, from_features, rot6d_to_matrix, to_features
+from pnr.features import (
+    LOCAL_POS,
+    ROTATIONS,
+    VELOCITIES,
+    from_features,
+    rot6d_to_matrix,
+    to_features,
+)
 from pnr.motion import MotionSequence, head_forward_batch, heading_angles, yaw_apply
 from pnr.skeleton import DEFAULT_SKELETON, HEAD, L_SHOULDER, L_WRIST, NECK, PARENTS, R_SHOULDER
 
