@@ -65,6 +65,10 @@ _BONES = slice(N_JOINTS, 2 * N_JOINTS - 1)
 _VEL = slice(2 * N_JOINTS - 1, 3 * N_JOINTS - 1)
 _BLOCK = 3 * N_JOINTS - 1
 
+# unit rest-pose direction of each bone, (21, 3), computed once
+_REST_DIRS = DEFAULT_SKELETON.bone_directions()
+_REST_DIRS.flags.writeable = False
+
 
 def matrix_to_rot6d(mats: np.ndarray) -> np.ndarray:
     """First two rows of (..., 3, 3) rotation matrices, flattened."""
@@ -175,7 +179,6 @@ def to_features(motion: MotionSequence) -> np.ndarray:
         feats[:, LOCAL_POS][:, k::3] = plane[:, _REL]
         feats[:-1, VELOCITIES][:, k::3] = plane[:-1, _VEL]
 
-    rest_dirs = DEFAULT_SKELETON.bone_directions()
     bones = [plane[:, _BONES] for plane in local]
     lengths = component_norm(*bones)
     zero = lengths < 1e-9
@@ -183,16 +186,16 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     obs_dirs = [b / lengths for b in bones]
     if zero.any():
         frame, bone = np.nonzero(zero)
-        for d, rest in zip(obs_dirs, rest_dirs.T):
+        for d, rest in zip(obs_dirs, _REST_DIRS.T):
             d[frame, bone] = rest[bone]
     # only the two stored rows of each rotation are computed; an
     # antiparallel pair is redone by shortest_arc, whose branch handles it
-    entries, safe = _arc_entries(rest_dirs.T, obs_dirs, rows=2)
+    entries, safe = _arc_entries(_REST_DIRS.T, obs_dirs, rows=2)
     for k, entry in enumerate(entries):
         feats[:, ROTATIONS][:, k::6] = entry
     if not safe.all():
         frame, bone = np.nonzero(~safe)
-        rots = shortest_arc(rest_dirs[bone], np.stack([d[frame, bone] for d in obs_dirs], -1))
+        rots = shortest_arc(_REST_DIRS[bone], np.stack([d[frame, bone] for d in obs_dirs], -1))
         cols = ROTATIONS.start + 6 * bone[:, None] + np.arange(6)
         feats[frame[:, None], cols] = matrix_to_rot6d(rots)
 

@@ -6,6 +6,16 @@ and on the error side (>= for the location flag), matching the reported
 definitions; angles are radians internally and degrees only at the CLI
 boundary. No root alignment is applied anywhere: errors are world-frame
 because generation is conditioned on a world-frame initial state.
+
+Each pair is scored on its own arrays, on x/y/z components: joint
+distances come from ``geometry.component_norm`` over component views of
+the differences, with the bits of ``np.linalg.norm`` over a 3-long axis.
+Prime success has one window kernel, ``_window_minima``: it computes the
+per-frame errors of the widest window once, folds them about the prime
+frame (entry h is the better of the frames h before and h after it) and
+takes a running minimum, whose entry h is the minimum over the window of
+half-width h. ``prime_success`` reads one sigma's entry from it, and
+``prime_success_sweep`` every sigma's.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 from .curation import PnRSequence
 from .errors import EmptyCorpus, MissingGaze
 from .features import CONTACT_HEIGHT, CONTACT_SPEED
-from .geometry import as_vec3
+from .geometry import as_vec3, component_norm
 from .motion import MotionSequence, head_forward_batch, resample, resampled_index
 from .skeleton import L_FOOT, L_WRIST, PELVIS, R_FOOT, R_WRIST
 
@@ -39,8 +49,7 @@ class MetricsConfig:
     n_frames: int = DEFAULT_N_FRAMES
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        _check(self.theta_deg, self.sigma)
 
     @property
     def theta_rad(self) -> float:
@@ -95,6 +104,9 @@ class EvalPair:
         gaze_at_prime = gt.motion.gaze[gt.prime_frame_index]
         if not np.all(np.isfinite(gaze_at_prime)):
             raise MissingGaze(f"{gt.id}: gaze missing at the prime frame")
+        length = np.linalg.norm(gaze_at_prime)
+        if not length > 0.0:
+            raise MissingGaze(f"{gt.id}: gaze at the prime frame has zero length")
         resampled = resample(gt.motion, n)
         if predicted.n_frames != n:
             predicted = resample(predicted, n)
@@ -106,8 +118,17 @@ class EvalPair:
             ground_truth=resampled,
             prime_frame_index=resampled_index(gt.prime_frame_index, gt.motion.n_frames, n),
             goal_location=gt.goal_location,
-            prime_gaze=gaze_at_prime / np.linalg.norm(gaze_at_prime),
+            prime_gaze=gaze_at_prime / length,
         )
+
+
+def _check(theta_deg: float = 0.0, sigma: float = 0.0) -> None:
+    """Refuse a NaN theta and a NaN or negative sigma, by comparisons
+    that NaN fails."""
+    if not theta_deg >= -math.inf:
+        raise ValueError("theta must not be NaN")
+    if not sigma >= 0.0:
+        raise ValueError("sigma must be >= 0")
 
 
 def _window(pair: EvalPair, sigma: float) -> slice:
@@ -127,21 +148,46 @@ def prime_window_errors(pair: EvalPair, sigma: float) -> np.ndarray:
     The dot product is summed elementwise, f0*g0 + f1*g1 + f2*g2, so a
     frame's error does not depend on the window it is computed in (a
     matrix-vector product may round differently with the row count).
-    prime_success_sweep relies on that to read every sigma's window out
-    of the widest one and agree with prime_success to the bit."""
+    _window_minima relies on that to read every sigma's window out of the
+    widest one."""
+    _check(sigma=sigma)
     forwards = head_forward_batch(pair.predicted.joints[_window(pair, sigma)])
     g = pair.prime_gaze
     dots = forwards[:, 0] * g[0] + forwards[:, 1] * g[1] + forwards[:, 2] * g[2]
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
+def _window_minima(pair: EvalPair, sigmas: np.ndarray) -> np.ndarray:
+    """Minimum prime-window error at each of the sigmas (a float64 array
+    of any shape), from one prime_window_errors call over the widest
+    window.
+
+    The errors are folded about the prime frame: entry h is the minimum of
+    the frames h before and h after it, or of the one that exists. The
+    running minimum of the folded errors is then, at entry h, the minimum
+    over the window of half-width h. Each sigma reads the entry at its
+    half-width, which is the integer _window rounds to, computed for all
+    sigmas at once. Minima do not round, so each value is the minimum of
+    that sigma's own window to the bit."""
+    errors = prime_window_errors(pair, float(sigmas.max()))
+    fps, n = pair.predicted.fps, pair.predicted.n_frames
+    with np.errstate(over="ignore"):  # a product past the float range is capped at n
+        halves = np.rint(np.minimum(sigmas * fps, n)).astype(np.intp)
+    widest = int(halves.max())
+    at = min(pair.prime_frame_index, widest)  # the prime frame's place in errors
+    before, after = errors[at::-1], errors[at:]
+    folded = np.full(widest + 1, np.inf)
+    folded[:len(before)] = before
+    np.minimum(folded[:len(after)], after, out=folded[:len(after)])
+    return np.minimum.accumulate(folded)[halves]
+
+
 def prime_success(pair: EvalPair, theta_deg: float = DEFAULT_THETA_DEG,
                   sigma: float = DEFAULT_SIGMA) -> bool:
     """Minimum angular error over the window is within theta."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    errors = prime_window_errors(pair, sigma)
-    return bool(errors.min() <= math.radians(theta_deg))
+    _check(theta_deg, sigma)
+    minimum = _window_minima(pair, np.asarray(sigma, dtype=np.float64))
+    return bool(minimum <= math.radians(theta_deg))
 
 
 def reach_success(pair: EvalPair) -> bool:
@@ -166,14 +212,14 @@ def location_error_flag(pair: EvalPair) -> bool:
 
 def goal_mpjpe(pair: EvalPair) -> float:
     """Mean per-joint error at the final frame, meters."""
-    d = np.linalg.norm(pair.predicted.joints[-1] - pair.ground_truth.joints[-1], axis=1)
-    return float(d.mean())
+    diff = pair.predicted.joints[-1] - pair.ground_truth.joints[-1]
+    return float(component_norm(*diff.T).mean())
 
 
 def mpjpe(pair: EvalPair) -> float:
     """Mean per-joint error over all frames, meters."""
-    d = np.linalg.norm(pair.predicted.joints - pair.ground_truth.joints, axis=2)
-    return float(d.mean())
+    diff = pair.predicted.joints - pair.ground_truth.joints
+    return float(component_norm(*diff.transpose(2, 0, 1)).mean())
 
 
 def foot_skating(motion: MotionSequence) -> float:
@@ -182,14 +228,12 @@ def foot_skating(motion: MotionSequence) -> float:
     A step from frame i-1 to i skates when either toe joint moves
     horizontally faster than CONTACT_SPEED while it is below
     CONTACT_HEIGHT in both frames: the feature contact thresholds."""
-    joints = motion.joints
-    skate = np.zeros(joints.shape[0] - 1, dtype=bool)
-    for j in (L_FOOT, R_FOOT):
-        track = joints[:, j]
-        horiz = track[1:, [0, 2]] - track[:-1, [0, 2]]
-        speed = np.linalg.norm(horiz, axis=1) * motion.fps
-        grounded = (track[1:, 1] < CONTACT_HEIGHT) & (track[:-1, 1] < CONTACT_HEIGHT)
-        skate |= grounded & (speed > CONTACT_SPEED)
+    feet = motion.joints[:, [L_FOOT, R_FOOT]]
+    step = feet[1:] - feet[:-1]
+    hx, hz = step[:, :, 0], step[:, :, 2]
+    speed = np.sqrt(hx * hx + hz * hz) * motion.fps
+    low = feet[:, :, 1] < CONTACT_HEIGHT
+    skate = (low[1:] & low[:-1] & (speed > CONTACT_SPEED)).any(axis=1)
     return float(skate.sum() / len(skate))
 
 
@@ -277,28 +321,25 @@ def evaluate(pairs, config: MetricsConfig = MetricsConfig()) -> MetricsReport:
 def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     """Prime-success percentage grid, shape (len(sigmas), len(thetas)).
 
-    Per-frame angular errors are computed once per pair over the widest
-    window; each sigma's window is nested in it, so its minimum is read
-    from a slice, and cell (k, j) equals the mean of
-    prime_success(pair, thetas_deg[j], sigmas[k]) over the pairs, times 100."""
+    Each pair's minimum error at every sigma comes from one folded running
+    minimum over its widest window (_window_minima), in any order of
+    sigmas and with repeats, so cell (k, j) equals the mean of
+    prime_success(pair, thetas_deg[j], sigmas[k]) over the pairs, times
+    100. The grid is counted one sigma row at a time, which keeps memory
+    at pairs x thetas."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCorpus("sweep over zero pairs")
     thetas = np.asarray(list(thetas_deg), dtype=np.float64)
     sigmas = np.asarray(list(sigmas), dtype=np.float64)
-    if np.any(sigmas < 0):
+    if not np.all(thetas >= -np.inf):
+        raise ValueError("thetas must not be NaN")
+    if not np.all(sigmas >= 0.0):
         raise ValueError("sigmas must be >= 0")
     grid = np.zeros((len(sigmas), len(thetas)))
     if not len(sigmas):
         return grid
-    widest = float(sigmas.max())
-    mins = np.zeros((len(pairs), len(sigmas)))
-    for i, pair in enumerate(pairs):
-        errors = prime_window_errors(pair, widest)
-        first = _window(pair, widest).start
-        for k, sigma in enumerate(sigmas):
-            w = _window(pair, float(sigma))
-            mins[i, k] = errors[w.start - first:w.stop - first].min()
+    mins = np.array([_window_minima(pair, sigmas) for pair in pairs])
     theta_rad = np.radians(thetas)
     for k in range(len(sigmas)):
         grid[k] = 100.0 * np.mean(mins[:, k][:, None] <= theta_rad[None, :], axis=0)

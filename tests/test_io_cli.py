@@ -534,6 +534,25 @@ def test_evaluate_prime_index_past_end_exit_2(tmp_path, capsys):
     assert f"{p.name}:1: prime_frame_index out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_zero_gaze_at_prime_frame_exit_2(curated_dir, tmp_path, capsys, command):
+    # the prime gaze used to be divided by its zero length, and the NaN
+    # vector escaped as a ValueError with a traceback
+    gt_dir = tmp_path / "gt"
+    shutil.copytree(curated_dir, gt_dir)
+    path = sorted(gt_dir.glob("*.seq.jsonl"))[0]
+    lines = path.read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    k = header["prime_frame_index"] + 1
+    lines[k] = json.dumps(dict(json.loads(lines[k]), gaze=[0.0, -0.0, 0.0]),
+                          separators=(",", ":"))
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert main([command, "--pred", curated_dir, "--gt", str(gt_dir)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: {header['id']}: gaze at the prime frame has zero length"]
+
+
 def test_prime_remap_rounds_exact_half_to_even(scenario, tmp_path):
     # 575 * 149 / 1150 is exactly 74.5; multiplying by the rounded
     # 149 / 1150 lands just above the half and gives 75

@@ -9,6 +9,7 @@ from pnr.geometry import RigidTransform, vec3
 from pnr.metrics import (
     EvalPair,
     MetricsConfig,
+    _window_minima,
     evaluate,
     evaluate_pair,
     foot_skating,
@@ -252,11 +253,16 @@ class TestSweep:
 
     def test_cells_equal_prime_success(self):
         pairs = self.turning_pairs()
-        sigmas = [0.0, 0.01, 0.05, 0.1, 0.35, 0.5, 1.0, 2.5, 0.2]
+        sigmas = [0.0, 0.01, 0.05, 0.1, 0.35, 0.5, 1.0, 2.5, 0.2, 0.35, 1e308, 0.0]
         # thresholds halfway between adjacent frame errors: a minimum read
-        # from a wrong frame moves some cell
+        # from a wrong frame moves some cell; and thresholds equal to a
+        # frame's error, where the inclusive comparison decides
         errors = np.unique(np.concatenate([prime_window_errors(p, 2.5) for p in pairs]))
-        thetas = list(range(0, 91, 3)) + list(np.degrees((errors[1:] + errors[:-1]) / 2))
+        exact = np.degrees(errors)
+        exact = exact[np.radians(exact) == errors]
+        assert len(exact) > len(errors) // 2
+        thetas = (list(range(0, 91, 3)) + list(np.degrees((errors[1:] + errors[:-1]) / 2))
+                  + list(exact))
         grid = prime_success_sweep(pairs, thetas, sigmas)
         for k, sigma in enumerate(sigmas):
             for j, theta in enumerate(thetas):
@@ -264,21 +270,33 @@ class TestSweep:
                 assert grid[k, j] == expected, (sigma, theta)
 
     def test_window_minimum_is_brute_force(self):
+        sigmas = (0.35, 0.0, 0.05, 0.1, 0.35, 1.0, 2.5, 0.0)
         for pair in self.turning_pairs():
             # each frame's error on its own, from a one-frame window
             alone = [prime_window_errors(replace(pair, prime_frame_index=f), 0.0)[0]
                      for f in range(N)]
-            for sigma in (0.0, 0.05, 0.1, 0.35, 1.0, 2.5):
+            minima = _window_minima(pair, np.array(sigmas))
+            for k, sigma in enumerate(sigmas):
                 half = round(sigma * FPS)
                 frames = [f for f in range(N) if abs(f - pair.prime_frame_index) <= half]
                 errors = prime_window_errors(pair, sigma)
                 assert len(errors) == len(frames)
                 assert errors.min() == min(alone[f] for f in frames)
                 assert np.array_equal(errors, [alone[f] for f in frames])
+                assert minima[k] == min(alone[f] for f in frames)
 
     def test_empty_sigmas_give_empty_grid(self):
         grid = prime_success_sweep(self.pairs(), [0.0, 10.0, 20.0], [])
         assert grid.shape == (0, 3)
+
+    @pytest.mark.parametrize("thetas, sigmas", [
+        ([math.nan, 180.0], [0.2]),
+        ([16.0], [0.2, math.nan]),
+        ([16.0], [0.2, -0.1]),
+    ], ids=["nan_theta", "nan_sigma", "negative_sigma"])
+    def test_nan_or_negative_refused(self, thetas, sigmas):
+        with pytest.raises(ValueError):
+            prime_success_sweep(self.pairs(), thetas, sigmas)
 
 
 def transformed_pair(pair, rig):
@@ -368,5 +386,10 @@ class TestEvalPairConstruction:
 
 
 def test_metrics_config_validation():
+    for fields in ({"sigma": -0.1}, {"sigma": math.nan}, {"theta_deg": math.nan}):
+        with pytest.raises(ValueError):
+            MetricsConfig(**fields)
+        with pytest.raises(ValueError):
+            prime_success(make_pair(), **fields)
     with pytest.raises(ValueError):
-        MetricsConfig(sigma=-0.1)
+        prime_window_errors(make_pair(), math.nan)
