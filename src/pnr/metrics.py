@@ -12,9 +12,10 @@ distances come from ``geometry.component_norm`` over component views of
 the differences, with the bits of ``np.linalg.norm`` over a 3-long axis.
 Prime success has one window kernel, ``_window_minima``: it computes the
 per-frame errors of the widest window once, folds them about the prime
-frame (entry h is the better of the frames h before and h after it) and
-takes a running minimum, whose entry h is the minimum over the window of
-half-width h. ``prime_success`` reads one sigma's entry from it, and
+frame (entry h is the smaller error of the frames h before and h after
+it, or the error of the one inside the sequence) and takes a running
+minimum, whose entry h is the minimum over the window of half-width h.
+``prime_success`` reads one sigma's entry from it, and
 ``prime_success_sweep`` every sigma's.
 """
 
@@ -143,7 +144,8 @@ def _window(pair: EvalPair, sigma: float) -> slice:
 
 def prime_window_errors(pair: EvalPair, sigma: float) -> np.ndarray:
     """Angular error between the GT prime gaze and the predicted head
-    forward, per frame of the +/- sigma window.
+    forward, per frame of the +/- sigma window; a NaN or negative sigma
+    raises ValueError.
 
     The dot product is summed elementwise, f0*g0 + f1*g1 + f2*g2, so a
     frame's error does not depend on the window it is computed in (a
@@ -159,16 +161,11 @@ def prime_window_errors(pair: EvalPair, sigma: float) -> np.ndarray:
 
 def _window_minima(pair: EvalPair, sigmas: np.ndarray) -> np.ndarray:
     """Minimum prime-window error at each of the sigmas (a float64 array
-    of any shape), from one prime_window_errors call over the widest
-    window.
-
-    The errors are folded about the prime frame: entry h is the minimum of
-    the frames h before and h after it, or of the one that exists. The
-    running minimum of the folded errors is then, at entry h, the minimum
-    over the window of half-width h. Each sigma reads the entry at its
-    half-width, which is the integer _window rounds to, computed for all
-    sigmas at once. Minima do not round, so each value is the minimum of
-    that sigma's own window to the bit."""
+    of any shape): one prime_window_errors call over the widest window,
+    folded about the prime frame and run through a running minimum (see
+    the module docstring), read at each sigma's half-width, the integer
+    _window rounds to. Minima do not round, so each value is bit-equal to
+    the minimum over that sigma's own window."""
     errors = prime_window_errors(pair, float(sigmas.max()))
     fps, n = pair.predicted.fps, pair.predicted.n_frames
     with np.errstate(over="ignore"):  # a product past the float range is capped at n
