@@ -69,7 +69,7 @@ from .motion import (
     head_forward,
     resample,
 )
-from .skeleton import DEFAULT_SKELETON, JOINT_NAMES, N_JOINTS, SkeletonSpec
+from .skeleton import JOINT_NAMES, N_JOINTS
 from .synth import (
     GroundTruthLabels,
     ScenarioSpec,

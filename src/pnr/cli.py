@@ -197,9 +197,8 @@ def cmd_baseline(args) -> int:
     for gt in gt_seqs:
         gt_res = resample(gt.motion, args.n)
         pred = MotionSequence(gt_res.fps, mean_pose)
-        seq = replace(gt, motion=pred, goal_pose=pred.joints[-1],
-                      prime_frame_index=resampled_index(gt.prime_frame_index,
-                                                        gt.motion.n_frames, args.n))
+        seq = replace(gt, motion=pred, prime_frame_index=resampled_index(
+            gt.prime_frame_index, gt.motion.n_frames, args.n))
         io.write_sequence(seq, out_dir / f"{seq.id}{io.SEQUENCE_SUFFIX}")
     print(f"wrote {len(gt_seqs)} static predictions to {out_dir}")
     return 0

@@ -75,10 +75,13 @@ class PnRSequence:
     event: PrimedEvent
     motion: MotionSequence
     goal_location: np.ndarray
-    goal_pose: np.ndarray
     initial_state: InitialState
     prime_frame_index: int
     flags: tuple = ()
+
+    @property
+    def goal_pose(self) -> np.ndarray:
+        return self.motion.joints[-1]
 
     @property
     def t_p(self) -> float:
@@ -183,7 +186,6 @@ def curate(
                 event=primed,
                 motion=sliced,
                 goal_location=transform.apply_points(event.target.location),
-                goal_pose=sliced.joints[-1],
                 initial_state=InitialState(
                     transform.apply_points(joints[0]), transform.apply_dirs(velocity)
                 ),

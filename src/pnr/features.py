@@ -15,10 +15,15 @@ Layout per frame (indices below are the binding contract):
 
 Rotations are the shortest-arc alignment from the rest-pose bone direction
 to the observed bone direction in the root frame (positions cannot fix
-twist, so twist is zero). Velocity channels at the last frame are zero;
-its contact flags reuse the previous frame step. Position recovery needs
-only the root channels and local positions, so the rotation and contact
-channels ride along unchanged through a round trip.
+twist, so twist is zero). A bone pointing against its rest direction u
+(cosine at most -1 + 1e-8) has no shortest arc and is stored as the
+180-degree turn about u x +x, or about u x +y where u x +x is shorter than
+1e-6. Those flip rows depend on the bone alone, so ``_FLIP_ROWS`` holds
+them for all 21 bones, computed once at import. Velocity channels at the
+last frame are zero; its contact flags reuse the previous frame step.
+Position recovery needs only the root channels and local positions, so
+the rotation and contact channels ride along unchanged through a round
+trip.
 
 Conversion expects canonicalized motion (frame-0 pelvis over the origin,
 facing +z): recovery integrates the root from that initial condition.
@@ -42,7 +47,7 @@ import numpy as np
 
 from .geometry import component_norm
 from .motion import MotionSequence, heading_angles, yaw_planes
-from .skeleton import CONTACT_JOINTS, DEFAULT_SKELETON, N_JOINTS, PARENTS, PELVIS
+from .skeleton import CONTACT_JOINTS, N_JOINTS, PARENTS, PELVIS, REST_DIRS
 
 FEATURE_DIM = 263
 
@@ -65,15 +70,6 @@ _BONES = slice(N_JOINTS, 2 * N_JOINTS - 1)
 _VEL = slice(2 * N_JOINTS - 1, 3 * N_JOINTS - 1)
 _BLOCK = 3 * N_JOINTS - 1
 
-# unit rest-pose direction of each bone, (21, 3), computed once
-_REST_DIRS = DEFAULT_SKELETON.bone_directions()
-_REST_DIRS.flags.writeable = False
-
-
-def matrix_to_rot6d(mats: np.ndarray) -> np.ndarray:
-    """First two rows of (..., 3, 3) rotation matrices, flattened."""
-    return mats[..., :2, :].reshape(*mats.shape[:-2], 6)
-
 
 def rot6d_to_matrix(d6: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the two stored rows back into a rotation matrix."""
@@ -85,11 +81,11 @@ def rot6d_to_matrix(d6: np.ndarray) -> np.ndarray:
     return np.stack([b1, b2, b3], axis=-2)
 
 
-def _arc_entries(u, v, rows: int):
-    """Entries of the first ``rows`` rows of the shortest-arc rotations
-    taking unit vectors u onto unit vectors v, given as x, y, z planes whose
-    leading dims broadcast; returns (entries in row-major order, safe), safe
-    false where the pair is antiparallel and the entries are not its
+def _arc_entries(u, v):
+    """Entries of the first two rows of the shortest-arc rotations taking
+    unit vectors u onto unit vectors v, given as x, y, z planes whose
+    leading dims broadcast; returns (entries in row-major order, safe),
+    safe false where the pair is antiparallel and the entries are not its
     rotation.
 
     Computed with the bits of the matrix form: the cross product a = u x v
@@ -114,37 +110,23 @@ def _arc_entries(u, v, rows: int):
     a01, a02, a12 = a0 * a1 / den, a0 * a2 / den, a1 * a2 / den
     entries = [1.0 + (a0 * a0 - norm2) / den, (0.0 - a2) + a01, (0.0 + a1) + a02,
                (0.0 + a2) + a01, 1.0 + (a1 * a1 - norm2) / den, (0.0 - a0) + a12]
-    if rows == 3:
-        entries += [(0.0 - a1) + a02, (0.0 + a0) + a12, 1.0 + (a2 * a2 - norm2) / den]
     return entries, safe
 
 
-def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotation matrices taking unit vectors u onto unit vectors v.
+def _flip_rows(u):
+    """First two rows, flattened, of the 180-degree rotation about an axis
+    perpendicular to the unit vector u: u x +x, or u x +y where that is
+    shorter than 1e-6."""
+    perp = np.cross(u, [1.0, 0.0, 0.0])
+    if np.linalg.norm(perp) < 1e-6:
+        perp = np.cross(u, [0.0, 1.0, 0.0])
+    perp /= np.linalg.norm(perp)
+    return (2.0 * np.outer(perp, perp) - np.eye(3))[:2].reshape(6)
 
-    Broadcasts over leading dims. Antiparallel pairs rotate 180 degrees
-    about an arbitrary perpendicular axis.
 
-    The nine entries come from ``_arc_entries`` on the x, y, z components
-    of u and v, with the bits of the matrix form; antiparallel pairs take
-    the branch below, which ``to_features`` also sends them through.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    entries, safe = _arc_entries((u[..., 0], u[..., 1], u[..., 2]),
-                                 (v[..., 0], v[..., 1], v[..., 2]), rows=3)
-    out = np.stack(entries, axis=-1).reshape(shape[:-1] + (3, 3))
-    if not np.all(safe):
-        flipped = np.argwhere(~safe)
-        for idx in flipped:
-            uu = np.broadcast_to(u, shape)[tuple(idx)]
-            perp = np.cross(uu, [1.0, 0.0, 0.0])
-            if np.linalg.norm(perp) < 1e-6:
-                perp = np.cross(uu, [0.0, 1.0, 0.0])
-            perp /= np.linalg.norm(perp)
-            out[tuple(idx)] = 2.0 * np.outer(perp, perp) - np.eye(3)
-    return out
+# the stored rows of each bone pointing against its rest direction, (21, 6)
+_FLIP_ROWS = np.array([_flip_rows(u) for u in REST_DIRS])
+_FLIP_ROWS.flags.writeable = False
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -186,18 +168,17 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     obs_dirs = [b / lengths for b in bones]
     if zero.any():
         frame, bone = np.nonzero(zero)
-        for d, rest in zip(obs_dirs, _REST_DIRS.T):
+        for d, rest in zip(obs_dirs, REST_DIRS.T):
             d[frame, bone] = rest[bone]
-    # only the two stored rows of each rotation are computed; an
-    # antiparallel pair is redone by shortest_arc, whose branch handles it
-    entries, safe = _arc_entries(_REST_DIRS.T, obs_dirs, rows=2)
+    # only the two stored rows of each rotation are computed; a bone
+    # pointing against its rest direction takes its flip rows instead
+    entries, safe = _arc_entries(REST_DIRS.T, obs_dirs)
     for k, entry in enumerate(entries):
         feats[:, ROTATIONS][:, k::6] = entry
     if not safe.all():
         frame, bone = np.nonzero(~safe)
-        rots = shortest_arc(_REST_DIRS[bone], np.stack([d[frame, bone] for d in obs_dirs], -1))
         cols = ROTATIONS.start + 6 * bone[:, None] + np.arange(6)
-        feats[frame[:, None], cols] = matrix_to_rot6d(rots)
+        feats[frame[:, None], cols] = _FLIP_ROWS[bone]
 
     vel = world[:, :-1, _VEL][:, :, CONTACT_JOINTS]
     speeds = component_norm(*vel) * motion.fps

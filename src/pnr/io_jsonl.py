@@ -48,7 +48,7 @@ import numpy as np
 
 from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
-from .gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
+from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from .geometry import Aabb
 from .motion import MotionSequence
 from .skeleton import N_JOINTS
@@ -62,6 +62,9 @@ SEQUENCE_SUFFIX = ".seq.jsonl"
 
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
+# The types json.loads gives a number. A header number or a row time must
+# have one of them exactly: true and false load as bool, a subclass of int.
+_NUMBER = (int, float)
 
 # The heads of the gaze and frame rows the writers build from templates:
 # the row's kind and the key of its time. The time follows, then the
@@ -181,11 +184,10 @@ def _records(path):
 
 
 def _float(value, path, line_no, what) -> float:
-    """``value`` as a finite float."""
+    """A JSON number ``value`` as a finite float."""
+    _require(type(value) in _NUMBER, path, line_no, f"{what} must be a number")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise MalformedFile(path, line_no, f"{what} must be a number") from None
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     _require(math.isfinite(x), path, line_no, f"non-finite {what}")
@@ -321,16 +323,17 @@ def read_recording(path) -> Recording:
                      path, line_no, "first line must be the header")
             for key in ("id", "video_id", "fps"):
                 _require(key in row, path, line_no, f"header missing {key}")
-            _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
+            _require(type(row["fps"]) in _NUMBER and row["fps"] > 0,
                      path, line_no, "fps must be a positive number")
             fps = _float(row["fps"], path, line_no, "fps")
+            _ids(row, path, line_no)
             header = row
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
         if kind in ("gaze", "frame", "event"):
             t = row.get("t_e" if kind == "event" else "t")
-            _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+            _require(type(t) in _NUMBER, path, line_no, "record missing time")
             _require(kind != "event" or math.isfinite(t), path, line_no,
                      "non-finite event time")
             prev = last_t.get(kind)
@@ -406,8 +409,8 @@ def read_recording(path) -> Recording:
                  f"event references unknown object {oid!r}")
         events.append(InteractionEvent(kind, t_e, objects[oid]))
     return Recording(
-        id=str(header["id"]),
-        video_id=str(header["video_id"]),
+        id=header["id"],
+        video_id=header["video_id"],
         gaze=track,
         motion=motion,
         objects=objects,
@@ -457,6 +460,12 @@ class SequenceHeader(NamedTuple):
     flags: tuple
 
 
+def _ids(row, path, line_no) -> None:
+    """Check that a header's id and video_id are strings."""
+    for key in ("id", "video_id"):
+        _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
+
+
 def _sequence_header(row, path, line_no) -> SequenceHeader:
     """The header row of a sequence file, checked for everything that does
     not depend on its frames."""
@@ -474,18 +483,20 @@ def _sequence_header(row, path, line_no) -> SequenceHeader:
     velocity = _vector(row["initial_velocity"], 3 * N_JOINTS, path, line_no,
                        "initial velocity", "initial_velocity")
     _require(row["kind"] in ("pick", "put"), path, line_no, "kind must be pick or put")
-    try:
-        prime_frame_index = int(row["prime_frame_index"])
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedFile(path, line_no, "prime_frame_index must be an integer") from None
+    _ids(row, path, line_no)
+    prime_mode = row.get("prime_mode", DIRECT_HIT)
+    _require(prime_mode in (DIRECT_HIT, NEAR_MISS), path, line_no,
+             f"prime_mode must be {DIRECT_HIT} or {NEAR_MISS}")
+    prime_frame_index = row["prime_frame_index"]
+    _require(type(prime_frame_index) is int, path, line_no,
+             "prime_frame_index must be an integer")
     _require(prime_frame_index >= 0, path, line_no, "prime_frame_index out of range")
-    try:
-        flags = tuple(row.get("flags", ()))
-    except TypeError:
-        raise MalformedFile(path, line_no, "flags must be a list") from None
-    return SequenceHeader(str(row["id"]), str(row["video_id"]), fps, row["kind"], t_p, t_e,
-                          t_start, str(row.get("prime_mode", "direct_hit")), goal, velocity,
-                          prime_frame_index, flags)
+    flags = row.get("flags", [])
+    _require(type(flags) is list, path, line_no, "flags must be a list")
+    _require(all(isinstance(f, str) for f in flags), path, line_no,
+             "flags must be a list of strings")
+    return SequenceHeader(row["id"], row["video_id"], fps, row["kind"], t_p, t_e, t_start,
+                          prime_mode, goal, velocity, prime_frame_index, tuple(flags))
 
 
 def read_sequence_header(path) -> SequenceHeader:
@@ -538,7 +549,6 @@ def read_sequence(path) -> PnRSequence:
         event=event,
         motion=motion,
         goal_location=header.goal,
-        goal_pose=motion.joints[-1],
         initial_state=InitialState(motion.joints[0],
                                    header.initial_velocity.reshape(N_JOINTS, 3)),
         prime_frame_index=header.prime_frame_index,

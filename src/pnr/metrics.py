@@ -52,10 +52,6 @@ class MetricsConfig:
     def __post_init__(self):
         _check(self.theta_deg, self.sigma)
 
-    @property
-    def theta_rad(self) -> float:
-        return math.radians(self.theta_deg)
-
     def to_dict(self) -> dict:
         return {
             "theta_deg": self.theta_deg,
@@ -337,7 +333,7 @@ def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     if not len(sigmas):
         return grid
     mins = np.array([_window_minima(pair, sigmas) for pair in pairs])
-    theta_rad = np.radians(thetas)
+    limits = np.radians(thetas)
     for k in range(len(sigmas)):
-        grid[k] = 100.0 * np.mean(mins[:, k][:, None] <= theta_rad[None, :], axis=0)
+        grid[k] = 100.0 * np.mean(mins[:, k][:, None] <= limits[None, :], axis=0)
     return grid

@@ -137,10 +137,6 @@ def yaw_matrices(angles) -> np.ndarray:
     return m
 
 
-def yaw_rotation(angle: float) -> np.ndarray:
-    return yaw_matrices(angle)
-
-
 def yaw_planes(c, s, x, y, z):
     """Vectors given as x, y and z planes, rotated about +y by the angles
     whose cosines and sines are c and s; leading dims broadcast. Returns the
@@ -184,7 +180,7 @@ def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform
     and faces +z. Returns the applied transform so callers can invert it
     or drag other scene geometry into the same frame."""
     psi0 = float(heading_angles(motion.joints[:1])[0])
-    r = yaw_rotation(-psi0)
+    r = yaw_matrices(-psi0)
     p0 = motion.joints[0, PELVIS]
     ground = np.array([p0[0], 0.0, p0[2]])
     t = RigidTransform(r, -(r @ ground))

@@ -8,8 +8,6 @@ pose faces +z with arms out along +/-x (left side on +x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 N_JOINTS = 22
@@ -83,35 +81,15 @@ REST_OFFSETS = np.array(
     dtype=np.float64,
 )
 
+# World-space rest joint positions, (22, 3): the offsets chained down the
+# tree, each parent placed before its children.
+REST_POSE = np.zeros((N_JOINTS, 3))
+REST_POSE[0] = REST_OFFSETS[0]
+for _i in range(1, N_JOINTS):
+    REST_POSE[_i] = REST_POSE[PARENTS[_i]] + REST_OFFSETS[_i]
 
-@dataclass(frozen=True)
-class SkeletonSpec:
-    joint_names: tuple
-    parents: tuple
-    rest_offsets: np.ndarray
+# Unit rest-pose direction of the bone into each non-root joint, (21, 3).
+REST_DIRS = REST_OFFSETS[1:] / np.linalg.norm(REST_OFFSETS[1:], axis=1, keepdims=True)
 
-    def __post_init__(self):
-        if len(self.joint_names) != N_JOINTS or len(self.parents) != N_JOINTS:
-            raise ValueError(f"skeleton must have exactly {N_JOINTS} joints")
-        for i, p in enumerate(self.parents):
-            if i == 0:
-                if p != -1:
-                    raise ValueError("joint 0 must be the root")
-            elif not 0 <= p < i:
-                raise ValueError(f"parent[{i}]={p} must precede the joint")
-
-    def rest_pose(self) -> np.ndarray:
-        """World-space rest joint positions, (22, 3)."""
-        pos = np.zeros((N_JOINTS, 3))
-        pos[0] = self.rest_offsets[0]
-        for i in range(1, N_JOINTS):
-            pos[i] = pos[self.parents[i]] + self.rest_offsets[i]
-        return pos
-
-    def bone_directions(self) -> np.ndarray:
-        """Unit rest-pose bone direction per non-root joint, (21, 3)."""
-        off = self.rest_offsets[1:]
-        return off / np.linalg.norm(off, axis=1, keepdims=True)
-
-
-DEFAULT_SKELETON = SkeletonSpec(tuple(JOINT_NAMES), tuple(PARENTS), REST_OFFSETS)
+for _a in (REST_OFFSETS, REST_POSE, REST_DIRS):
+    _a.flags.writeable = False

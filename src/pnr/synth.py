@@ -28,10 +28,8 @@ from .motion import (
     heading_angles,
     yaw_apply,
     yaw_matrices,
-    yaw_rotation,
 )
 from .skeleton import (
-    DEFAULT_SKELETON,
     HEAD,
     L_ANKLE,
     L_FOOT,
@@ -41,12 +39,12 @@ from .skeleton import (
     R_ANKLE,
     R_FOOT,
     R_WRIST,
+    REST_POSE,
 )
 
-REST = DEFAULT_SKELETON.rest_pose()
-REST_LOCAL = REST - REST[0]
-ROOT_HEIGHT = REST[0, 1]
-HEAD_LEN = float(np.linalg.norm(REST[HEAD] - REST[NECK]))
+REST_LOCAL = REST_POSE - REST_POSE[0]
+ROOT_HEIGHT = REST_POSE[0, 1]
+HEAD_LEN = float(np.linalg.norm(REST_POSE[HEAD] - REST_POSE[NECK]))
 
 STAND_DISTANCE = 0.45  # m from the goal where the walk ends
 NEAR_MISS_GAP = 0.03  # m planted over-the-top clearance
@@ -172,7 +170,7 @@ def _pose_track(times, root_xz, headings, look_targets,
 def _nearer_wrist(stand_xz, heading, goal):
     """The wrist of the rest body, standing at stand_xz and facing heading,
     that is nearer to the goal; the left one on a tie."""
-    rot = yaw_rotation(heading)
+    rot = yaw_matrices(heading)
     root = np.array([stand_xz[0], ROOT_HEIGHT, stand_xz[1]])
     l_w = rot @ REST_LOCAL[L_WRIST] + root
     r_w = rot @ REST_LOCAL[R_WRIST] + root
@@ -191,7 +189,7 @@ def _gait_tracks(times, root_xz, headings, walk_start, walk_end):
     """
     n = len(times)
     lat = np.stack([np.cos(headings), -np.sin(headings)], axis=1) * FOOT_LATERAL
-    toe_y = REST[L_FOOT, 1]
+    toe_y = REST_POSE[L_FOOT, 1]
     fwd = np.stack([np.sin(headings), np.cos(headings)], axis=1) * 0.10
 
     # the step table; plants[j] is where a foot stands: the first two are
@@ -295,7 +293,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
             f"{d_lo:.2f} m within {walk_time:.2f} s"
         )
 
-    cam_height = REST[HEAD, 1]
+    cam_height = REST_POSE[HEAD, 1]
     room = spec.room
     for _ in range(200):
         box = _random_box(rng, room)
@@ -346,7 +344,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
     look = np.tile(aim_point, (n_frames, 1))
     pre = times < t_p
     u0 = aim_point - np.array([start_xz[0], cam_height, start_xz[1]])
-    decoy_dir = yaw_rotation(decoy_yaw) @ (u0 / np.linalg.norm(u0))
+    decoy_dir = yaw_matrices(decoy_yaw) @ (u0 / np.linalg.norm(u0))
     look[pre] = np.array([start_xz[0], cam_height, start_xz[1]]) + 5.0 * decoy_dir
 
     wrist_side = _nearer_wrist(stand_xz, theta, goal)

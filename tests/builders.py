@@ -1,11 +1,13 @@
-"""Shared constructors for synthetic test motions."""
+"""Shared constructors for synthetic test motions, and the rotation rows
+the encoding stores for observed bone directions."""
 
 import numpy as np
 
-from pnr.motion import MotionSequence, canonicalize, yaw_rotation
-from pnr.skeleton import DEFAULT_SKELETON, N_JOINTS
+from pnr.features import _FLIP_ROWS, _arc_entries
+from pnr.motion import MotionSequence, canonicalize, yaw_matrices
+from pnr.skeleton import N_JOINTS, REST_DIRS, REST_POSE
 
-REST = DEFAULT_SKELETON.rest_pose()
+REST = REST_POSE
 REST_LOCAL = REST - REST[0]
 
 
@@ -19,7 +21,7 @@ def posed_frames(roots, headings):
     n = len(roots)
     joints = np.zeros((n, N_JOINTS, 3))
     for i in range(n):
-        r = yaw_rotation(headings[i])
+        r = yaw_matrices(headings[i])
         joints[i] = REST_LOCAL @ r.T + roots[i]
     return joints
 
@@ -62,3 +64,14 @@ def random_smooth_motion(rng, n=150, fps=30.0):
             joints[:, j, axis] += smooth(0.04)
     motion = MotionSequence(fps, joints)
     return canonicalize(motion)[0]
+
+
+def stored_rows(bones, v):
+    """The 6-D rows ``to_features`` stores for bones (...) observed along
+    v (..., 3), assembled as it does: ``_arc_entries`` from the bones' rest
+    directions, and ``_FLIP_ROWS`` where the pair is antiparallel."""
+    u = REST_DIRS[bones]
+    entries, safe = _arc_entries(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0))
+    rows = np.stack(entries, axis=-1)
+    rows[~safe] = _FLIP_ROWS[np.broadcast_to(bones, safe.shape)[~safe]]
+    return rows

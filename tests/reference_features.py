@@ -1,10 +1,15 @@
 """The 263-dim feature encoding as it was before the per-entry rewrite of
 ``pnr.features``, kept for tests only.
 
-``shortest_arc``, ``to_features`` and ``from_features`` below are verbatim
-copies of the einsum-based implementations (3x3 matrices built whole,
-rotations applied with ``np.einsum``). ``test_features_reference.py``
-requires the library versions to return bit-equal arrays.
+``shortest_arc``, ``matrix_to_rot6d``, ``to_features`` and
+``from_features`` below are verbatim copies of the einsum-based
+implementations (3x3 matrices built whole, rotations applied with
+``np.einsum``); ``to_features`` takes the rest-pose bone directions from
+``_rest_dirs``, the removed ``SkeletonSpec.bone_directions`` on the
+skeleton's offsets. ``test_features_reference.py`` requires the library
+versions to return bit-equal arrays, and ``features._arc_entries`` and
+``features._FLIP_ROWS`` to give the rows of ``shortest_arc`` that the
+encoding stores.
 
 ``_rotate`` is a verbatim copy of the per-entry matrix product that the
 library used between the einsum form and ``motion.yaw_apply``;
@@ -31,13 +36,11 @@ from pnr.features import (
     ROOT_ROT_VEL,
     ROTATIONS,
     VELOCITIES,
-    matrix_to_rot6d,
 )
 from pnr.errors import DegeneratePose
 from pnr.motion import _DEGENERATE_TOL, MotionSequence, heading_angles, yaw_matrices
 from pnr.skeleton import (
     CONTACT_JOINTS,
-    DEFAULT_SKELETON,
     HEAD,
     L_SHOULDER,
     N_JOINTS,
@@ -45,7 +48,14 @@ from pnr.skeleton import (
     PARENTS,
     PELVIS,
     R_SHOULDER,
+    REST_OFFSETS,
 )
+
+
+def _rest_dirs() -> np.ndarray:
+    """Unit rest-pose bone direction per non-root joint, (21, 3)."""
+    off = REST_OFFSETS[1:]
+    return off / np.linalg.norm(off, axis=1, keepdims=True)
 
 
 def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -83,6 +93,11 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def matrix_to_rot6d(mats: np.ndarray) -> np.ndarray:
+    """First two rows of (..., 3, 3) rotation matrices, flattened."""
+    return mats[..., :2, :].reshape(*mats.shape[:-2], 6)
+
+
 def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrices m (..., 3, 3) applied to vectors v (..., 3), leading dims
     broadcast: out_i = m_i0*x + m_i1*y + m_i2*z, summed in that order from
@@ -117,7 +132,7 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     local_pos = np.einsum("nij,nkj->nki", inv_rot, rel)
     feats[:, LOCAL_POS] = local_pos.reshape(n, -1)
 
-    rest_dirs = DEFAULT_SKELETON.bone_directions()
+    rest_dirs = _rest_dirs()
     bones = joints[:, 1:] - joints[:, PARENTS[1:]]
     bones = np.einsum("nij,nkj->nki", inv_rot, bones)
     lengths = np.linalg.norm(bones, axis=-1)

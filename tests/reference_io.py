@@ -8,7 +8,7 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Seven changes were made to them since, as in ``pnr.io_jsonl``:
+Eight changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
@@ -22,7 +22,13 @@ line, as ``pnr.io_jsonl`` always has, where it used to fail later, when
 the track was built; it takes an event row's time from ``t_e`` alone,
 where it used to prefer a ``t`` key when the row had one; and it rejects
 a non-finite event time at its line ("non-finite event time"), which it
-used to accept.
+used to accept; and both readers reject header values of the wrong JSON
+type, which they used to convert: an ``id`` or ``video_id`` that is not a
+string ("id must be a string", ...), a ``prime_mode`` other than
+``direct_hit`` or ``near_miss``, a ``prime_frame_index`` that is not a
+JSON integer (3.7, "12" and true included), ``flags`` that are not a list
+of strings, a header ``fps``, ``t_p``, ``t_e`` or ``t_start`` that is a
+boolean or a string, and a row time (``t``, ``t_e``) that is a boolean.
 
 ``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
 the parse of a gaze or frame row that repeats the row before except for
@@ -65,6 +71,7 @@ def _require(cond, path, line_no, reason):
 
 
 def _finite(header, key, path):
+    _require(type(header[key]) in (int, float), path, 1, f"{key} must be a number")
     value = float(header[key])
     _require(math.isfinite(value), path, 1, f"non-finite {key}")
     return value
@@ -135,15 +142,18 @@ def read_recording(path) -> Recording:
                          path, line_no, "first line must be the header")
                 for key in ("id", "video_id", "fps"):
                     _require(key in row, path, line_no, f"header missing {key}")
-                _require(isinstance(row["fps"], (int, float)) and row["fps"] > 0,
+                _require(type(row["fps"]) in (int, float) and row["fps"] > 0,
                          path, line_no, "fps must be a positive number")
                 _finite(row, "fps", path)
+                for key in ("id", "video_id"):
+                    _require(isinstance(row[key], str), path, line_no,
+                             f"{key} must be a string")
                 header = row
                 continue
             kind = row.get("k")
             if kind in ("gaze", "frame", "event"):
                 t = row.get("t_e" if kind == "event" else "t")
-                _require(isinstance(t, (int, float)), path, line_no, "record missing time")
+                _require(type(t) in (int, float), path, line_no, "record missing time")
                 _require(kind != "event" or math.isfinite(t), path, line_no,
                          "non-finite event time")
                 prev = last_t.get(kind)
@@ -289,13 +299,23 @@ def read_sequence(path) -> PnRSequence:
     motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
     goal = _finite_list(header["goal"], path, 1, "goal")
     velocity = np.asarray(header["initial_velocity"], dtype=np.float64).reshape(N_JOINTS, 3)
+    for key in ("id", "video_id"):
+        _require(isinstance(header[key], str), path, 1, f"{key} must be a string")
+    prime_mode = header.get("prime_mode", "direct_hit")
+    _require(prime_mode in ("direct_hit", "near_miss"), path, 1,
+             "prime_mode must be direct_hit or near_miss")
+    _require(type(header["prime_frame_index"]) is int, path, 1,
+             "prime_frame_index must be an integer")
     prime_frame_index = int(header["prime_frame_index"])
     _require(0 <= prime_frame_index < motion.n_frames, path, 1, "prime_frame_index out of range")
+    flags = header.get("flags", [])
+    _require(isinstance(flags, list), path, 1, "flags must be a list")
+    _require(all(isinstance(f, str) for f in flags), path, 1, "flags must be a list of strings")
     target = ObjectTarget("goal", point=goal)
     event = PrimedEvent(
         InteractionEvent(str(header["kind"]), float(header["t_e"]), target),
         float(header["t_p"]),
-        str(header.get("prime_mode", "direct_hit")),
+        prime_mode,
     )
     return PnRSequence(
         id=str(header["id"]),
@@ -303,8 +323,7 @@ def read_sequence(path) -> PnRSequence:
         event=event,
         motion=motion,
         goal_location=goal,
-        goal_pose=motion.joints[-1],
         initial_state=InitialState(motion.joints[0], velocity),
         prime_frame_index=prime_frame_index,
-        flags=tuple(header.get("flags", ())),
+        flags=tuple(flags),
     )

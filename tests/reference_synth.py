@@ -16,13 +16,13 @@ from pnr.motion import yaw_matrices
 from pnr.synth import (
     FOOT_LATERAL,
     HEAD_LEN,
-    REST,
     REST_LOCAL,
     ROOT_HEIGHT,
     STEP_LIFT,
     STEP_PERIOD,
 )
 from pnr.skeleton import HEAD, L_ANKLE, L_FOOT, N_JOINTS, NECK, R_ANKLE, R_FOOT
+from pnr.skeleton import REST_POSE as REST
 
 
 def _smoothstep(u):

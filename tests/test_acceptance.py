@@ -41,7 +41,7 @@ from pnr.metrics import (
     prime_success_sweep,
     reach_success,
 )
-from pnr.motion import MotionSequence, head_forward, resample, yaw_rotation
+from pnr.motion import MotionSequence, head_forward, resample, yaw_matrices
 from pnr.synth import (
     NEAR_MISS,
     ScenarioSpec,
@@ -279,7 +279,7 @@ def test_07_rigid_invariance(corpus):
         # ground-preserving rigid motion: yaw plus horizontal translation
         # (foot skating and contact gates are height-referenced)
         rig = RigidTransform(
-            yaw_rotation(rng.uniform(0, 2 * math.pi)),
+            yaw_matrices(rng.uniform(0, 2 * math.pi)),
             vec3(rng.uniform(-5, 5), 0.0, rng.uniform(-5, 5)),
         )
         moved = _transform_pair(pair, rig)

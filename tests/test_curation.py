@@ -149,7 +149,7 @@ def seq_with(duration_s, gap_s, seq_id="s", video_id="v", fps=10.0):
     event = PrimedEvent(InteractionEvent("pick", t_e, TARGET), t_e - gap_s)
     return PnRSequence(
         id=seq_id, video_id=video_id, event=event, motion=motion,
-        goal_location=vec3(0, 1, 2), goal_pose=joints[-1],
+        goal_location=vec3(0, 1, 2),
         initial_state=InitialState(joints[0], np.zeros((22, 3))),
         prime_frame_index=0,
     )

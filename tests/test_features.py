@@ -10,16 +10,22 @@ from pnr.features import (
     ROOT_ROT_VEL,
     ROTATIONS,
     VELOCITIES,
+    _FLIP_ROWS,
     from_features,
-    matrix_to_rot6d,
     rot6d_to_matrix,
-    shortest_arc,
     to_features,
 )
 from pnr.motion import canonicalize
-from pnr.skeleton import N_JOINTS
+from pnr.skeleton import N_JOINTS, REST_DIRS
 
-from builders import REST, glide_motion, random_smooth_motion, standing_motion, turning_motion
+from builders import (
+    REST,
+    glide_motion,
+    random_smooth_motion,
+    standing_motion,
+    stored_rows,
+    turning_motion,
+)
 
 
 def test_feature_dimension():
@@ -109,25 +115,27 @@ def test_contacts_off_when_airborne():
 
 
 def test_rot6d_matrix_roundtrip():
+    """The stored rows of each bone decode to a rotation taking its rest
+    direction onto the observed one, whose first two rows they are."""
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        r = shortest_arc(u, v)
-        assert np.allclose(r @ u, v, atol=1e-9)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
-        assert np.linalg.det(r) == pytest.approx(1.0)
-        r2 = rot6d_to_matrix(matrix_to_rot6d(r))
-        assert np.allclose(r2, r, atol=1e-9)
+    bones = rng.integers(0, N_JOINTS - 1, size=50)
+    v = rng.normal(size=(50, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rows = stored_rows(bones, v)
+    r = rot6d_to_matrix(rows)
+    assert np.allclose(np.einsum("nij,nj->ni", r, REST_DIRS[bones]), v, atol=1e-9)
+    assert np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-9)
+    assert np.allclose(np.linalg.det(r), 1.0)
+    assert np.allclose(r[:, :2].reshape(50, 6), rows, atol=1e-9)
 
 
 def test_shortest_arc_antiparallel():
-    u = np.array([0.0, 0.0, 1.0])
-    r = shortest_arc(u, -u)
-    assert np.allclose(r @ u, -u, atol=1e-9)
-    assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
+    """The flip rows of each bone decode to a rotation taking its rest
+    direction onto its negation."""
+    r = rot6d_to_matrix(_FLIP_ROWS)
+    assert np.allclose(np.einsum("nij,nj->ni", r, REST_DIRS), -REST_DIRS, atol=1e-9)
+    assert np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-9)
+    assert np.allclose(np.linalg.det(r), 1.0)
 
 
 def test_rotation_channels_identity_at_rest():

@@ -19,7 +19,16 @@ from pnr.features import (
     to_features,
 )
 from pnr.motion import MotionSequence, head_forward_batch, heading_angles, yaw_apply
-from pnr.skeleton import DEFAULT_SKELETON, HEAD, L_SHOULDER, L_WRIST, NECK, PARENTS, R_SHOULDER
+from pnr.skeleton import (
+    HEAD,
+    L_SHOULDER,
+    L_WRIST,
+    NECK,
+    PARENTS,
+    R_SHOULDER,
+    REST_DIRS,
+    REST_POSE,
+)
 
 L_KNEE, L_ELBOW = 4, 18
 
@@ -81,15 +90,14 @@ def assert_encoding_matches(motion):
 
 def random_joints(rng, n):
     """Joints scattered around a rest pose: every bone points anywhere."""
-    rest = DEFAULT_SKELETON.rest_pose()
-    return rest + rng.normal(scale=0.2, size=(n, 22, 3)) + rng.normal(size=(n, 1, 3))
+    return REST_POSE + rng.normal(scale=0.2, size=(n, 22, 3)) + rng.normal(size=(n, 1, 3))
 
 
 def point_bone_against_rest(joints, frames, joint, length=0.3):
     """Bone of ``joint`` in ``frames`` set to point against its rest direction
     in the root frame (to rounding), which the 180-degree branch handles."""
     psi = heading_angles(joints[frames])
-    rest = DEFAULT_SKELETON.bone_directions()[joint - 1]
+    rest = REST_DIRS[joint - 1]
     joints[frames, joint] = joints[frames, PARENTS[joint]] - length * yaw_apply(psi, rest)
 
 
@@ -108,7 +116,7 @@ def test_random_motions_match_reference(seed):
     point_bone_against_rest(joints, frames, L_ELBOW)
     point_bone_against_rest(joints, frames[:3], L_KNEE)
     feats = assert_encoding_matches(MotionSequence(30.0, joints))
-    rest = DEFAULT_SKELETON.bone_directions()
+    rest = REST_DIRS
     rot6d = feats[frames, ROTATIONS].reshape(len(frames), 21, 6)
     for joint, rows in ((L_ELBOW, slice(None)), (L_KNEE, slice(0, 3))):
         turned = rot6d_to_matrix(rot6d[rows, joint - 1]) @ rest[joint - 1]

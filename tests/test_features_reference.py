@@ -1,16 +1,16 @@
 """The per-entry 263-dim encoding must be bit-equal to the einsum-based
-reference in ``reference_features.py``: features, decoded joints and
-shortest-arc rotations, signed zeros included."""
+reference in ``reference_features.py``: features, decoded joints and the
+stored rows of the shortest-arc rotations, signed zeros included."""
 
 import numpy as np
 import pytest
 
 import reference_features as ref
-from builders import random_smooth_motion, turning_motion
+from builders import random_smooth_motion, stored_rows, turning_motion
 from pnr.curation import curate_corpus
-from pnr.features import ROTATIONS, from_features, rot6d_to_matrix, shortest_arc, to_features
+from pnr.features import _FLIP_ROWS, ROTATIONS, from_features, rot6d_to_matrix, to_features
 from pnr.motion import MotionSequence, resample
-from pnr.skeleton import DEFAULT_SKELETON, L_HIP, L_WRIST, PARENTS
+from pnr.skeleton import L_HIP, L_WRIST, N_JOINTS, PARENTS, REST_DIRS
 from pnr.synth import ScenarioSpec, generate_corpus, procedural_pnr
 
 L_KNEE = 4
@@ -67,26 +67,38 @@ def test_antiparallel_bone():
     motion = MotionSequence(30.0, joints)
     # the flipped thigh points against its rest direction in the root
     # frame, so its rotation is the 180-degree branch
-    rest = DEFAULT_SKELETON.bone_directions()[L_KNEE - 1]
+    rest = REST_DIRS[L_KNEE - 1]
     rot6d = to_features(motion)[:, ROTATIONS].reshape(-1, 21, 6)[:, L_KNEE - 1]
     assert np.allclose(rot6d_to_matrix(rot6d) @ rest, -rest)
     assert_encoding_matches(motion)
 
 
 def test_shortest_arc_random_and_edge_pairs():
+    """The stored rows for every bone, against the reference's first two
+    rows: random directions, and each bone parallel (zero cross product)
+    and antiparallel to its rest direction, which lies along y for the
+    spine and legs, along x for the arms, and off the axes elsewhere."""
     rng = np.random.default_rng(8)
-    u = rng.normal(size=(4000, 3))
-    v = rng.normal(size=(4000, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    v[:20] = -u[:20]  # antiparallel
-    v[20:40] = u[20:40]  # parallel
-    u[40:50], v[40:50] = [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]  # antiparallel along y
-    u[50:60], v[50:60] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]  # along x: the other perpendicular
-    u[60:70], v[60:70] = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]  # zero cross product
-    assert_same_bits(shortest_arc(u, v), ref.shortest_arc(u, v))
-    # leading dims broadcast as in to_features
-    rest = DEFAULT_SKELETON.bone_directions()
-    obs = v[:21 * 30].reshape(30, 21, 3)
-    assert_same_bits(shortest_arc(np.broadcast_to(rest, obs.shape), obs),
-                     ref.shortest_arc(np.broadcast_to(rest, obs.shape), obs))
+    v = rng.normal(size=(200, N_JOINTS - 1, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v[:10] = -REST_DIRS
+    v[10:20] = REST_DIRS
+    bones = np.arange(N_JOINTS - 1)
+    want = ref.matrix_to_rot6d(ref.shortest_arc(np.broadcast_to(REST_DIRS, v.shape), v))
+    assert_same_bits(stored_rows(bones, v), want)
+    assert_same_bits(stored_rows(bones, v[:10]), np.broadcast_to(_FLIP_ROWS, (10, 21, 6)))
+
+
+@pytest.mark.parametrize("bone", range(N_JOINTS - 1))
+def test_flip_rows_match_reference(bone):
+    """``_FLIP_ROWS`` holds the reference's rows of each bone turned to point
+    against its rest direction u: at -u, and a few ulps off -u where the
+    cosine is still at most -1 + 1e-8."""
+    u = REST_DIRS[bone]
+    shrunk = -u
+    for _ in range(4):
+        shrunk = np.nextafter(shrunk, 0.0)
+    for v in (-u, np.nextafter(-u, np.inf), np.nextafter(-u, -np.inf), shrunk):
+        assert np.sum(u * v) <= -1.0 + 1e-8
+        assert_same_bits(_FLIP_ROWS[bone], ref.matrix_to_rot6d(ref.shortest_arc(u, v)))
+        assert_same_bits(stored_rows(np.array([bone]), v[None])[0], _FLIP_ROWS[bone])

@@ -294,6 +294,56 @@ class TestMalformedRows:
         err = _malformed(seq_lines, 0, edit, tmp_path, io.read_sequence, "h.seq.jsonl")
         assert (err.line_no, err.reason) == (1, reason)
 
+    @staticmethod
+    def _set(lines, k, key, value, path):
+        """The file of ``lines`` with ``key`` of line k (0-based) set to ``value``."""
+        lines = list(lines)
+        lines[k] = json.dumps(dict(json.loads(lines[k]), **{key: value}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    # header values of the wrong JSON type, which used to be converted
+    # (None to "None", 3.7 to 3, true to 1, "abc" to three flags)
+    @pytest.mark.parametrize("key, value, reason", [
+        ("id", None, "id must be a string"),
+        ("video_id", [1], "video_id must be a string"),
+        ("prime_mode", "bogus", "prime_mode must be direct_hit or near_miss"),
+        ("prime_mode", 5, "prime_mode must be direct_hit or near_miss"),
+        ("prime_frame_index", 3.7, "prime_frame_index must be an integer"),
+        ("prime_frame_index", "12", "prime_frame_index must be an integer"),
+        ("prime_frame_index", True, "prime_frame_index must be an integer"),
+        ("flags", "abc", "flags must be a list"),
+        ("flags", ["clamped_start", 1], "flags must be a list of strings"),
+        ("t_p", True, "t_p must be a number"),
+        ("fps", True, "fps must be a number"),
+    ])
+    def test_sequence_header_type(self, seq_lines, tmp_path, key, value, reason):
+        bad = self._set(seq_lines, 0, key, value, tmp_path / "h.seq.jsonl")
+        for read in (io.read_sequence, io.read_sequence_header):
+            with pytest.raises(MalformedFile) as err:
+                read(bad)
+            assert (err.value.line_no, err.value.reason) == (1, reason)
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("fps", True, "fps must be a positive number"),
+        ("id", None, "id must be a string"),
+        ("video_id", [1], "video_id must be a string"),
+    ])
+    def test_recording_header_type(self, rec_lines, tmp_path, key, value, reason):
+        bad = self._set(rec_lines, 0, key, value, tmp_path / "h.rec.jsonl")
+        with pytest.raises(MalformedFile) as err:
+            io.read_recording(bad)
+        assert (err.value.line_no, err.value.reason) == (1, reason)
+
+    @pytest.mark.parametrize("kind, key", [("gaze", "t"), ("frame", "t"), ("event", "t_e")])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_row_time(self, rec_lines, tmp_path, kind, key, value):
+        k = next(i for i, line in enumerate(rec_lines) if f'"k":"{kind}"' in line)
+        bad = self._set(rec_lines, k, key, value, tmp_path / "t.rec.jsonl")
+        with pytest.raises(MalformedFile) as err:
+            io.read_recording(bad)
+        assert (err.value.line_no, err.value.reason) == (k + 1, "record missing time")
+
 
 def write_corpus(tmp_path, n=3, seed=5):
     rec_dir = tmp_path / "recordings"

@@ -80,7 +80,7 @@ def small_sequence(seed=0, n_frames=6, with_gaze=True):
                         t_e - 0.1, "near_miss")
     return PnRSequence(
         id=f"seq{seed}-é", video_id=f"vid{seed}", event=event, motion=motion,
-        goal_location=goal, goal_pose=motion.joints[-1],
+        goal_location=goal,
         initial_state=InitialState(motion.joints[0], _values(rng, (22, 3))),
         prime_frame_index=2, flags=("clamped_start",) if seed % 2 else (),
     )
@@ -112,9 +112,9 @@ def with_tracks(rec, joints, points_cam, rotations, translations):
 
 
 def with_motion(seq, motion):
-    """``seq`` carrying ``motion``, with the poses that a reader takes from
-    its first and last frames."""
-    return replace(seq, motion=motion, goal_pose=motion.joints[-1],
+    """``seq`` carrying ``motion``, with the initial pose that a reader takes
+    from its first frame."""
+    return replace(seq, motion=motion,
                    initial_state=InitialState(motion.joints[0], seq.initial_state.velocity))
 
 

@@ -21,7 +21,7 @@ from pnr.metrics import (
     prime_window_errors,
     reach_success,
 )
-from pnr.motion import MotionSequence, yaw_rotation
+from pnr.motion import MotionSequence, yaw_matrices
 from pnr.skeleton import L_FOOT, L_WRIST, R_WRIST
 
 from builders import REST, glide_motion, posed_frames, standing_motion
@@ -53,7 +53,7 @@ def make_pair(pred=None, gt=None, prime_idx=30, goal=None, gaze=(0.0, 0.0, 1.0))
 def yawed_pred(angle_deg, n=N):
     """Rest pose rotated about the up axis so head forward is angle_deg
     off the +z gaze."""
-    r = yaw_rotation(math.radians(angle_deg))
+    r = yaw_matrices(math.radians(angle_deg))
     return MotionSequence(FPS, np.tile(REST @ r.T, (n, 1, 1)))
 
 
@@ -66,9 +66,9 @@ class TestPrimeSuccess:
 
     def test_window_minimum_rescues(self):
         # 20 degrees off at t_p but 10 degrees off sigma later
-        joints = np.tile(REST @ yaw_rotation(math.radians(20.0)).T, (N, 1, 1))
+        joints = np.tile(REST @ yaw_matrices(math.radians(20.0)).T, (N, 1, 1))
         later = 30 + int(round(0.2 * FPS))
-        joints[later:] = REST @ yaw_rotation(math.radians(10.0)).T
+        joints[later:] = REST @ yaw_matrices(math.radians(10.0)).T
         pair = make_pair(pred=MotionSequence(FPS, joints))
         assert not prime_success(pair, sigma=0.0)
         assert prime_success(pair, sigma=0.2)
@@ -318,7 +318,7 @@ class TestRigidInvariance:
 
     def test_ground_preserving_all_six(self):
         pair = self.make()
-        rig = RigidTransform(yaw_rotation(1.234), vec3(3.7, 0.0, -2.1))
+        rig = RigidTransform(yaw_matrices(1.234), vec3(3.7, 0.0, -2.1))
         moved = transformed_pair(pair, rig)
         a, b = evaluate_pair(pair), evaluate_pair(moved)
         assert a.prime_success == b.prime_success
@@ -357,7 +357,7 @@ class TestEvalPairConstruction:
         seq = PnRSequence(
             id="s", video_id="v",
             event=PrimedEvent(InteractionEvent("pick", 1.0, tgt), 0.5),
-            motion=motion, goal_location=vec3(0, 1, 2), goal_pose=motion.joints[-1],
+            motion=motion, goal_location=vec3(0, 1, 2),
             initial_state=InitialState(motion.joints[0], np.zeros((22, 3))),
             prime_frame_index=2,
         )
@@ -374,7 +374,7 @@ class TestEvalPairConstruction:
         seq = PnRSequence(
             id="s", video_id="v",
             event=PrimedEvent(InteractionEvent("pick", 2.0, tgt), 1.0),
-            motion=motion, goal_location=vec3(0, 1, 2), goal_pose=motion.joints[-1],
+            motion=motion, goal_location=vec3(0, 1, 2),
             initial_state=InitialState(motion.joints[0], np.zeros((22, 3))),
             prime_frame_index=30,
         )

@@ -13,9 +13,19 @@ from pnr.motion import (
     head_forward,
     head_forward_batch,
     resample,
-    yaw_rotation,
+    yaw_matrices,
 )
-from pnr.skeleton import DEFAULT_SKELETON, L_WRIST, N_JOINTS, PELVIS, R_WRIST
+from pnr.skeleton import (
+    JOINT_NAMES,
+    L_WRIST,
+    N_JOINTS,
+    PARENTS,
+    PELVIS,
+    R_WRIST,
+    REST_DIRS,
+    REST_OFFSETS,
+    REST_POSE,
+)
 
 from builders import REST, glide_motion, random_smooth_motion, standing_motion
 
@@ -77,7 +87,7 @@ class TestCanonicalize:
 
     def test_rotation_inverse_roundtrip(self):
         base = glide_motion(n=20)
-        rot = RigidTransform(yaw_rotation(math.pi / 2), vec3(0, 0, 0))
+        rot = RigidTransform(yaw_matrices(math.pi / 2), vec3(0, 0, 0))
         rotated = base.transformed(rot)
         canon, t = canonicalize(rotated)
         assert np.allclose(canon.joints, base.joints, atol=1e-9)
@@ -87,7 +97,7 @@ class TestCanonicalize:
 
     def test_general_rigid_roundtrip(self):
         m = random_smooth_motion(np.random.default_rng(8), n=40)
-        rig = RigidTransform(yaw_rotation(1.1), vec3(2.0, 0.0, -1.5))
+        rig = RigidTransform(yaw_matrices(1.1), vec3(2.0, 0.0, -1.5))
         canon, t = canonicalize(m.transformed(rig))
         assert np.allclose(canon.transformed(t.inverse()).joints,
                            m.transformed(rig).joints, atol=1e-9)
@@ -99,7 +109,7 @@ class TestHeadForward:
         assert np.allclose(head_forward(REST), [0, 0, 1], atol=1e-12)
 
     def test_equivariant_under_yaw(self):
-        r = yaw_rotation(math.pi / 2)
+        r = yaw_matrices(math.pi / 2)
         rotated = REST @ r.T
         assert np.allclose(head_forward(rotated), [1, 0, 0], atol=1e-12)
 
@@ -187,10 +197,44 @@ def test_motion_validation():
 
 
 def test_skeleton_rest_pose_shape():
-    pose = DEFAULT_SKELETON.rest_pose()
+    pose = REST_POSE
     assert pose.shape == (22, 3)
     # feet on the ground, head on top
     assert pose[10, 1] < 0.06 and pose[11, 1] < 0.06
     assert pose[15, 1] > 1.5
     # left side on +x
     assert pose[20, 0] > 0 > pose[21, 0]
+
+
+def test_skeleton_tree_order():
+    assert len(JOINT_NAMES) == len(PARENTS) == N_JOINTS
+    assert PARENTS[0] == -1
+    for joint, parent in enumerate(PARENTS[1:], start=1):
+        assert 0 <= parent < joint, JOINT_NAMES[joint]
+
+
+def test_rest_pose_chains_offsets():
+    for joint in range(N_JOINTS):
+        path = [joint]
+        while PARENTS[path[-1]] != -1:
+            path.append(PARENTS[path[-1]])
+        pos = REST_OFFSETS[path[-1]]
+        for j in reversed(path[:-1]):  # root to joint, as the tree is chained
+            pos = pos + REST_OFFSETS[j]
+        assert REST_POSE[joint].tobytes() == pos.tobytes(), JOINT_NAMES[joint]
+
+
+def test_rest_dirs_are_unit_bone_directions():
+    assert REST_DIRS.shape == (N_JOINTS - 1, 3)
+    assert np.allclose(np.linalg.norm(REST_DIRS, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    bones = REST_POSE[1:] - REST_POSE[PARENTS[1:]]
+    assert np.allclose(np.cross(REST_DIRS, bones), 0.0, atol=1e-15)
+    assert np.all(np.sum(REST_DIRS * bones, axis=1) > 0.0)
+
+
+@pytest.mark.parametrize("array", [REST_POSE, REST_DIRS], ids=["REST_POSE", "REST_DIRS"])
+def test_rest_arrays_are_read_only(array):
+    with pytest.raises(ValueError):
+        array[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        array += 1.0

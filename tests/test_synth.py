@@ -138,7 +138,7 @@ def _seq_from_motion(motion):
     return PnRSequence(
         id="s", video_id="v",
         event=PrimedEvent(InteractionEvent("pick", 1.0, tgt), 0.5),
-        motion=m, goal_location=vec3(0, 1, 2), goal_pose=m.joints[-1],
+        motion=m, goal_location=vec3(0, 1, 2),
         initial_state=InitialState(m.joints[0], np.zeros((22, 3))),
         prime_frame_index=0,
     )

@@ -1,8 +1,10 @@
-"""``motion.yaw_apply`` and the component-wise ``features.shortest_arc`` must
-be bit-equal to the matrix forms they replace: ``yaw_matrices`` applied
-with ``np.einsum`` and with the per-entry product kept as
-``reference_features._rotate``, and the reference ``shortest_arc``. Signed
-zeros count, so every comparison is on bytes."""
+"""``motion.yaw_apply`` and the rotation rows the encoding stores must be
+bit-equal to the matrix forms they replace: ``yaw_matrices`` applied with
+``np.einsum`` and with the per-entry product kept as
+``reference_features._rotate``, and the first two rows of the reference
+``shortest_arc`` from each bone's rest direction (``features._arc_entries``,
+and ``features._FLIP_ROWS`` for an antiparallel pair). Signed zeros count,
+so every comparison is on bytes."""
 
 import math
 
@@ -12,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_features as ref
-from builders import random_smooth_motion
-from pnr.features import FEATURE_DIM, from_features, shortest_arc, to_features
+from builders import random_smooth_motion, stored_rows
+from pnr.features import FEATURE_DIM, from_features, to_features
 from pnr.motion import yaw_apply, yaw_matrices
+from pnr.skeleton import N_JOINTS, REST_DIRS
 
 SPECIAL_ANGLES = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
 
@@ -74,31 +77,34 @@ vectors = st.one_of(
 )
 
 
+def reference_rows(bones, v):
+    return ref.matrix_to_rot6d(ref.shortest_arc(REST_DIRS[bones], v))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(vectors, vectors), min_size=1, max_size=8),
+@given(st.lists(st.tuples(st.integers(0, N_JOINTS - 2), vectors), min_size=1, max_size=8),
        st.sampled_from(["as drawn", "antiparallel", "parallel"]))
 def test_shortest_arc_matches_reference(pairs, relation):
-    u = np.array([p[0] for p in pairs])
-    v = np.array([p[1] for p in pairs])
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    u = np.where(norms > 0.0, u / np.where(norms > 0.0, norms, 1.0), u)
+    bones = np.array([p[0] for p in pairs])
+    v = np.array([p[1] for p in pairs], dtype=np.float64)
     if relation == "antiparallel":
-        v = -u
+        v = -REST_DIRS[bones]
     elif relation == "parallel":
-        v = u.copy()
-    assert_same_bits(shortest_arc(u, v), ref.shortest_arc(u, v))
+        v = REST_DIRS[bones].copy()
+    assert_same_bits(stored_rows(bones, v), reference_rows(bones, v))
 
 
 def test_shortest_arc_edge_pairs():
+    """Each bone observed along every signed axis, with signed zeros, and
+    as a zero vector of either sign: antiparallel to the rest directions
+    along x and y, parallel to them, and neither."""
     z = -0.0
-    u = np.array([[0.0, 1.0, 0.0], [z, 1.0, z], [1.0, z, 0.0], [z, z, -1.0],
-                  [0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [z, z, z], [1.0, 0.0, 0.0]])
-    v = np.array([[z, -1.0, z], [0.0, -1.0, 0.0], [-1.0, 0.0, z], [0.0, z, 1.0],
-                  [-0.6, -0.8, z], [z, z, z], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    # antiparallel along y, x and z, a general antiparallel pair,
-    # zero-length bones on either side
-    assert_same_bits(shortest_arc(u, v), ref.shortest_arc(u, v))
-    assert_same_bits(shortest_arc(v, u), ref.shortest_arc(v, u))
+    v = np.array([[0.0, 1.0, 0.0], [z, 1.0, z], [z, -1.0, z], [0.0, -1.0, 0.0],
+                  [1.0, z, 0.0], [-1.0, 0.0, z], [z, z, -1.0], [0.0, z, 1.0],
+                  [-0.6, -0.8, z], [z, z, z], [0.0, 0.0, 0.0]])
+    bones = np.arange(N_JOINTS - 1)[:, None]
+    v = np.broadcast_to(v, (N_JOINTS - 1,) + v.shape)
+    assert_same_bits(stored_rows(bones, v), reference_rows(bones, v))
 
 
 @pytest.fixture(scope="module")
