@@ -125,7 +125,7 @@ def test_rot6d_matrix_roundtrip():
     r = rot6d_to_matrix(rows)
     assert np.allclose(np.einsum("nij,nj->ni", r, REST_DIRS[bones]), v, atol=1e-9)
     assert np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-9)
-    assert np.allclose(np.linalg.det(r), 1.0)
+    assert np.linalg.det(r) == pytest.approx(np.ones(50))
     assert np.allclose(r[:, :2].reshape(50, 6), rows, atol=1e-9)
 
 
@@ -135,7 +135,7 @@ def test_shortest_arc_antiparallel():
     r = rot6d_to_matrix(_FLIP_ROWS)
     assert np.allclose(np.einsum("nij,nj->ni", r, REST_DIRS), -REST_DIRS, atol=1e-9)
     assert np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-9)
-    assert np.allclose(np.linalg.det(r), 1.0)
+    assert np.linalg.det(r) == pytest.approx(np.ones(N_JOINTS - 1))
 
 
 def test_rotation_channels_identity_at_rest():
