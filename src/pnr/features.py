@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import component_norm
+from .geometry import component_norm, norm3
 from .motion import MotionSequence, heading_angles, yaw_planes
 from .skeleton import CONTACT_JOINTS, N_JOINTS, PARENTS, PELVIS, REST_DIRS
 
@@ -118,9 +118,9 @@ def _flip_rows(u):
     perpendicular to the unit vector u: u x +x, or u x +y where that is
     shorter than 1e-6."""
     perp = np.cross(u, [1.0, 0.0, 0.0])
-    if np.linalg.norm(perp) < 1e-6:
+    if norm3(perp) < 1e-6:
         perp = np.cross(u, [0.0, 1.0, 0.0])
-    perp /= np.linalg.norm(perp)
+    perp /= norm3(perp)
     return (2.0 * np.outer(perp, perp) - np.eye(3))[:2].reshape(6)
 
 

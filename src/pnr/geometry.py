@@ -9,6 +9,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ PARALLEL_EPS = 1e-12
 
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 def component_norm(x, y, z):
@@ -27,6 +29,32 @@ def component_norm(x, y, z):
     last axis: that sums the squares from 0.0 left to right, and
     ``0.0 + x*x`` is ``x*x`` because a square is never -0.0."""
     return np.sqrt(x * x + y * y + z * z)
+
+
+def norm3(v) -> float:
+    """Length of one vector of 2 or 3 components with the bits of
+    ``component_norm`` (squares summed left to right, no BLAS call), except
+    where that sum overflows, or underflows while some component is
+    nonzero: there ``math.hypot`` scales by the largest component."""
+    c = np.asarray(v, dtype=np.float64).tolist()
+    s = 0.0
+    for x in c:
+        s += x * x
+    if s == math.inf or (s < _TINY and any(c)):
+        return math.hypot(*c)
+    return math.sqrt(s)
+
+
+def _rotate(r, v) -> np.ndarray:
+    """Vectors v (..., 3) times the 3x3 matrix r, each component summed
+    left to right as ``((0.0 + r_i0*x) + r_i1*y) + r_i2*z`` into one array:
+    no BLAS kernel decides the order or fuses the products."""
+    v = np.asarray(v, dtype=np.float64)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(v.shape)
+    for i in range(3):
+        out[..., i] = ((0.0 + r[i, 0] * x) + r[i, 1] * y) + r[i, 2] * z
+    return out
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -49,7 +77,7 @@ def as_vec3(v) -> np.ndarray:
 def unit(v) -> np.ndarray:
     """Normalize to unit length; rejects near-zero vectors."""
     v = as_vec3(v)
-    n = float(np.linalg.norm(v))
+    n = norm3(v)
     if n < _UNIT_TOL:
         raise ValueError("cannot normalize a near-zero vector")
     return v / n
@@ -58,14 +86,14 @@ def unit(v) -> np.ndarray:
 def as_unit(v) -> np.ndarray:
     """Validate that ``v`` is already unit length within 1e-9."""
     v = as_vec3(v)
-    if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_TOL:
+    if abs(norm3(v) - 1.0) > _UNIT_TOL:
         raise ValueError(f"vector is not unit length: {v}")
     return v
 
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid motion: x -> rotation @ x + translation."""
+    """Proper rigid motion: x -> rotation x + translation (see _rotate)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -100,16 +128,17 @@ class RigidTransform:
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
+        return RigidTransform(rt, -_rotate(rt, self.translation))
 
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         """Transform an (..., 3) array of points."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        out = _rotate(self.rotation, pts)
+        out += self.translation
+        return out
 
     def apply_dirs(self, dirs: np.ndarray) -> np.ndarray:
         """Rotate an (..., 3) array of directions (no translation)."""
-        return np.asarray(dirs, dtype=np.float64) @ self.rotation.T
+        return _rotate(self.rotation, dirs)
 
 
 @dataclass(frozen=True)
@@ -199,8 +228,9 @@ def angular_error(u, v) -> float:
     """Angle between two unit vectors, in [0, pi], as atan2(|u x v|, u . v):
     unlike arccos of the dot product it keeps full relative precision for
     nearly parallel and nearly antiparallel vectors."""
-    u, v = as_unit(u), as_unit(v)
-    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
+    (u0, u1, u2), (v0, v1, v2) = as_unit(u).tolist(), as_unit(v).tolist()
+    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    return float(np.arctan2(norm3(cross), ((0.0 + u0 * v0) + u1 * v1) + u2 * v2))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,15 @@ def _float(value, path, line_no, what) -> float:
 
 
 def _vector(values, n, path, line_no, what, name=None) -> np.ndarray:
+    """_floats for a list read once per file (a header's goal or velocity,
+    an object's box corner or point), refusing true and false, which the
+    float64 conversion would read as 1 and 0."""
+    _require(not (type(values) is list and bool in map(type, values)), path, line_no,
+             f"{name or what} must be a list of numbers")
+    return _floats(values, n, path, line_no, what, name)
+
+
+def _floats(values, n, path, line_no, what, name=None) -> np.ndarray:
     """One value as a flat array of n finite floats (any shape when n is
     None), converted and checked on its own; ``what`` names it in the
     non-finite error, ``name`` in the others."""
@@ -241,7 +250,8 @@ class _Column:
         return arr
 
     def _vector(self, values, line_no):
-        return _vector(values, self.n, self.path, line_no, self.what, self.name)
+        # rows take true and false as 1 and 0, as the bulk conversion in array() does
+        return _floats(values, self.n, self.path, line_no, self.what, self.name)
 
 
 def _rows(values, width):
@@ -515,13 +525,19 @@ def read_sequence(path) -> PnRSequence:
     header = None
     joints = _Column(path, 3 * N_JOINTS, "joints")
     gaze = _Column(path, 3, "gaze")
+    last_t = None
     for line_no, row in _records(path):
         if header is None:
             header = _sequence_header(row, path, line_no)
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
-        if kind == "frame":
+        if kind == "frame":  # times checked as read_recording checks them
+            t = row.get("t")
+            _require(type(t) in _NUMBER, path, line_no, "record missing time")
+            _require(last_t is None or t >= last_t, path, line_no,
+                     "frame times must be non-decreasing")
+            last_t = t
             _require("joints" in row, path, line_no, "frame record needs joints")
             joints.add(row["joints"], line_no)
             if "gaze" in row:

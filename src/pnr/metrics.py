@@ -9,14 +9,16 @@ because generation is conditioned on a world-frame initial state.
 
 Each pair is scored on its own arrays, on x/y/z components: joint
 distances come from ``geometry.component_norm`` over component views of
-the differences, with the bits of ``np.linalg.norm`` over a 3-long axis.
-Prime success has one window kernel, ``_window_minima``: it computes the
-per-frame errors of the widest window once, folds them about the prime
-frame (entry h is the smaller error of the frames h before and h after
-it, or the error of the one inside the sequence) and takes a running
-minimum, whose entry h is the minimum over the window of half-width h.
-``prime_success`` reads one sigma's entry from it, and
-``prime_success_sweep`` every sigma's.
+the differences, with the bits of ``np.linalg.norm`` over a 3-long axis,
+and single lengths (the prime gaze, reach, location) from
+``geometry.norm3``, with the same bits. ``prime_success`` takes the
+minimum error over one sigma's window. The sweep has one window kernel,
+``_window_minima``: it computes the per-frame errors of the widest window
+once, folds them about the prime frame (entry h is the smaller error of
+the frames h before and h after it, or the error of the one inside the
+sequence) and takes a running minimum, whose entry h is the minimum over
+the window of half-width h; ``prime_success_sweep`` reads every sigma's
+entry from it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .curation import PnRSequence
 from .errors import EmptyCorpus, MissingGaze
 from .features import CONTACT_HEIGHT, CONTACT_SPEED
-from .geometry import as_vec3, component_norm
+from .geometry import as_vec3, component_norm, norm3
 from .motion import MotionSequence, head_forward_batch, resample, resampled_index
 from .skeleton import L_FOOT, L_WRIST, PELVIS, R_FOOT, R_WRIST
 
@@ -101,7 +103,7 @@ class EvalPair:
         gaze_at_prime = gt.motion.gaze[gt.prime_frame_index]
         if not np.all(np.isfinite(gaze_at_prime)):
             raise MissingGaze(f"{gt.id}: gaze missing at the prime frame")
-        length = np.linalg.norm(gaze_at_prime)
+        length = norm3(gaze_at_prime)
         if not length > 0.0:
             raise MissingGaze(f"{gt.id}: gaze at the prime frame has zero length")
         resampled = resample(gt.motion, n)
@@ -179,27 +181,20 @@ def prime_success(pair: EvalPair, theta_deg: float = DEFAULT_THETA_DEG,
                   sigma: float = DEFAULT_SIGMA) -> bool:
     """Minimum angular error over the window is within theta."""
     _check(theta_deg, sigma)
-    minimum = _window_minima(pair, np.asarray(sigma, dtype=np.float64))
-    return bool(minimum <= math.radians(theta_deg))
+    return bool(prime_window_errors(pair, sigma).min() <= math.radians(theta_deg))
 
 
 def reach_success(pair: EvalPair) -> bool:
     """Either predicted wrist within REACH_RADIUS of the goal at the last frame."""
     final = pair.predicted.joints[-1]
-    d = min(
-        float(np.linalg.norm(final[L_WRIST] - pair.goal_location)),
-        float(np.linalg.norm(final[R_WRIST] - pair.goal_location)),
-    )
+    d = min(norm3(final[L_WRIST] - pair.goal_location),
+            norm3(final[R_WRIST] - pair.goal_location))
     return d <= REACH_RADIUS
 
 
 def location_error_flag(pair: EvalPair) -> bool:
     """Final pelvis at least LOCATION_THRESHOLD from the GT final pelvis."""
-    d = float(
-        np.linalg.norm(
-            pair.predicted.joints[-1, PELVIS] - pair.ground_truth.joints[-1, PELVIS]
-        )
-    )
+    d = norm3(pair.predicted.joints[-1, PELVIS] - pair.ground_truth.joints[-1, PELVIS])
     return d >= LOCATION_THRESHOLD
 
 

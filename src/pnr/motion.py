@@ -180,10 +180,9 @@ def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform
     and faces +z. Returns the applied transform so callers can invert it
     or drag other scene geometry into the same frame."""
     psi0 = float(heading_angles(motion.joints[:1])[0])
-    r = yaw_matrices(-psi0)
     p0 = motion.joints[0, PELVIS]
     ground = np.array([p0[0], 0.0, p0[2]])
-    t = RigidTransform(r, -(r @ ground))
+    t = RigidTransform(yaw_matrices(-psi0), -yaw_apply(-psi0, ground))
     return motion.transformed(t), t
 
 

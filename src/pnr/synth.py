@@ -21,7 +21,7 @@ import numpy as np
 from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
 from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
-from .geometry import Aabb, as_vec3
+from .geometry import Aabb, as_vec3, norm3
 from .motion import (
     MAX_FRAMES,
     MotionSequence,
@@ -44,7 +44,7 @@ from .skeleton import (
 
 REST_LOCAL = REST_POSE - REST_POSE[0]
 ROOT_HEIGHT = REST_POSE[0, 1]
-HEAD_LEN = float(np.linalg.norm(REST_POSE[HEAD] - REST_POSE[NECK]))
+HEAD_LEN = norm3(REST_POSE[HEAD] - REST_POSE[NECK])
 
 STAND_DISTANCE = 0.45  # m from the goal where the walk ends
 NEAR_MISS_GAP = 0.03  # m planted over-the-top clearance
@@ -170,11 +170,9 @@ def _pose_track(times, root_xz, headings, look_targets,
 def _nearer_wrist(stand_xz, heading, goal):
     """The wrist of the rest body, standing at stand_xz and facing heading,
     that is nearer to the goal; the left one on a tie."""
-    rot = yaw_matrices(heading)
     root = np.array([stand_xz[0], ROOT_HEIGHT, stand_xz[1]])
-    l_w = rot @ REST_LOCAL[L_WRIST] + root
-    r_w = rot @ REST_LOCAL[R_WRIST] + root
-    return L_WRIST if np.linalg.norm(l_w - goal) <= np.linalg.norm(r_w - goal) else R_WRIST
+    l_w, r_w = yaw_apply(heading, REST_LOCAL[[L_WRIST, R_WRIST]]) + root
+    return L_WRIST if norm3(l_w - goal) <= norm3(r_w - goal) else R_WRIST
 
 
 def _gait_tracks(times, root_xz, headings, walk_start, walk_end):
@@ -344,7 +342,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
     look = np.tile(aim_point, (n_frames, 1))
     pre = times < t_p
     u0 = aim_point - np.array([start_xz[0], cam_height, start_xz[1]])
-    decoy_dir = yaw_matrices(decoy_yaw) @ (u0 / np.linalg.norm(u0))
+    decoy_dir = yaw_apply(decoy_yaw, u0 / norm3(u0))
     look[pre] = np.array([start_xz[0], cam_height, start_xz[1]]) + 5.0 * decoy_dir
 
     wrist_side = _nearer_wrist(stand_xz, theta, goal)
@@ -399,11 +397,11 @@ def _perturb_gaze(rng, dirs, cam_pos, box, pre_mask, std):
         if pre_mask[i]:
             limit = math.radians(5.0)
         else:
-            dist = float(np.linalg.norm(center - cam_pos[i]))
+            dist = norm3(center - cam_pos[i])
             limit = 0.8 * math.asin(min(min_half / max(dist, min_half), 1.0))
         angle = float(np.clip(rng.normal(0.0, std), -limit, limit))
         axis = np.cross(out[i], rng.normal(size=3))
-        norm = np.linalg.norm(axis)
+        norm = norm3(axis)
         if norm < 1e-9:
             continue
         axis /= norm
@@ -411,7 +409,7 @@ def _perturb_gaze(rng, dirs, cam_pos, box, pre_mask, std):
             out[i] * math.cos(angle)
             + np.cross(axis, out[i]) * math.sin(angle)
         )
-        out[i] /= np.linalg.norm(out[i])
+        out[i] /= norm3(out[i])
     return out
 
 
@@ -463,7 +461,7 @@ def procedural_pnr(initial: InitialState, goal, event_kind: str, n: int,
     start_xz = np.array([pose[0, 0], pose[0, 2]])
     goal_xz = np.array([goal[0], goal[2]])
     to_goal = goal_xz - start_xz
-    dist = float(np.linalg.norm(to_goal))
+    dist = norm3(to_goal)
     if dist > STAND_DISTANCE:
         walk_dir = to_goal / dist
         stand_xz = goal_xz - STAND_DISTANCE * walk_dir
@@ -473,7 +471,7 @@ def procedural_pnr(initial: InitialState, goal, event_kind: str, n: int,
         theta = math.atan2(to_goal[0], to_goal[1]) if dist > 1e-9 else psi0
 
     walk_start, arrive = 0.15 * total, 0.85 * total
-    walk_dist = float(np.linalg.norm(stand_xz - start_xz))
+    walk_dist = norm3(stand_xz - start_xz)
     if walk_dist > 1e-9:
         needed = walk_dist / max(arrive - walk_start, 1e-9)
         if needed > MAX_WALK_SPEED:

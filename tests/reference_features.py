@@ -6,7 +6,11 @@
 implementations (3x3 matrices built whole, rotations applied with
 ``np.einsum``); ``to_features`` takes the rest-pose bone directions from
 ``_rest_dirs``, the removed ``SkeletonSpec.bone_directions`` on the
-skeleton's offsets. ``test_features_reference.py`` requires the library
+skeleton's offsets. One edit was made since: ``shortest_arc`` takes the
+length of an antiparallel bone's perpendicular over its last axis
+(``axis=-1``). Without an axis ``np.linalg.norm`` is a BLAS dot product,
+whose bits depend on the kernel OpenBLAS picks for the CPU; over an axis
+it sums the squares left to right, as ``geometry.norm3`` does. ``test_features_reference.py`` requires the library
 versions to return bit-equal arrays, and ``features._arc_entries`` and
 ``features._FLIP_ROWS`` to give the rows of ``shortest_arc`` that the
 encoding stores.
@@ -86,9 +90,9 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         for idx in flipped:
             uu = u[tuple(idx)]
             perp = np.cross(uu, [1.0, 0.0, 0.0])
-            if np.linalg.norm(perp) < 1e-6:
+            if np.linalg.norm(perp, axis=-1) < 1e-6:
                 perp = np.cross(uu, [0.0, 1.0, 0.0])
-            perp /= np.linalg.norm(perp)
+            perp /= np.linalg.norm(perp, axis=-1)
             out[tuple(idx)] = 2.0 * np.outer(perp, perp) - np.eye(3)
     return out
 

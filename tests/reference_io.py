@@ -8,7 +8,7 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Eight changes were made to them since, as in ``pnr.io_jsonl``:
+Ten changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
@@ -28,7 +28,13 @@ string ("id must be a string", ...), a ``prime_mode`` other than
 ``direct_hit`` or ``near_miss``, a ``prime_frame_index`` that is not a
 JSON integer (3.7, "12" and true included), ``flags`` that are not a list
 of strings, a header ``fps``, ``t_p``, ``t_e`` or ``t_start`` that is a
-boolean or a string, and a row time (``t``, ``t_e``) that is a boolean.
+boolean or a string, and a row time (``t``, ``t_e``) that is a boolean;
+``read_sequence`` checks each frame row's ``t`` as ``read_recording``
+does ("record missing time", "frame times must be non-decreasing"),
+where it used to ignore it; and both readers refuse a boolean in a list
+read once per file, a header's ``goal`` or ``initial_velocity`` or an
+object's box corner or ``point`` ("goal must be a list of numbers", ...),
+which they used to read as 1 or 0.
 
 ``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
 the parse of a gaze or frame row that repeats the row before except for
@@ -81,6 +87,14 @@ def _finite_list(values, path, line_no, what):
     arr = np.asarray(values, dtype=np.float64)
     _require(np.all(np.isfinite(arr)), path, line_no, f"non-finite {what}")
     return arr
+
+
+def _no_booleans(values, path, line_no, name):
+    """Refuse a list holding true or false; returns the list."""
+    if isinstance(values, list):
+        for v in values:
+            _require(not isinstance(v, bool), path, line_no, f"{name} must be a list of numbers")
+    return values
 
 
 def write_recording(rec: Recording, path) -> None:
@@ -182,13 +196,16 @@ def read_recording(path) -> Recording:
                 oid = row.get("id")
                 _require(isinstance(oid, str), path, line_no, "object record needs id")
                 if "box" in row:
-                    mn = _finite_list(row["box"]["min"], path, line_no, "box min")
-                    mx = _finite_list(row["box"]["max"], path, line_no, "box max")
+                    mn = _finite_list(_no_booleans(row["box"]["min"], path, line_no, "box min"),
+                                      path, line_no, "box min")
+                    mx = _finite_list(_no_booleans(row["box"]["max"], path, line_no, "box max"),
+                                      path, line_no, "box max")
                     _require(np.all(mn <= mx), path, line_no, "box min exceeds max")
                     objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
                 elif "point" in row:
                     objects[oid] = ObjectTarget(
-                        oid, point=_finite_list(row["point"], path, line_no, "point"))
+                        oid, point=_finite_list(_no_booleans(row["point"], path, line_no,
+                                                             "point"), path, line_no, "point"))
                 else:
                     raise MalformedFile(path, line_no, "object record needs box or point")
             elif kind == "event":
@@ -256,6 +273,7 @@ def read_sequence(path) -> PnRSequence:
     path = Path(path)
     header = None
     joints_rows, gaze_rows = [], []
+    last_t = None
     with path.open("r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -275,6 +293,11 @@ def read_sequence(path) -> PnRSequence:
                 continue
             kind = row.get("k")
             if kind == "frame":
+                t = row.get("t")
+                _require(type(t) in (int, float), path, line_no, "record missing time")
+                _require(last_t is None or t >= last_t, path, line_no,
+                         "frame times must be non-decreasing")
+                last_t = t
                 joints = _finite_list(row["joints"], path, line_no, "joints")
                 _require(joints.size == 3 * N_JOINTS, path, line_no,
                          f"joints must have {3 * N_JOINTS} entries")
@@ -297,8 +320,9 @@ def read_sequence(path) -> PnRSequence:
                  "gaze must cover every frame or none")
         gaze = np.array(gaze_rows)
     motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
-    goal = _finite_list(header["goal"], path, 1, "goal")
-    velocity = np.asarray(header["initial_velocity"], dtype=np.float64).reshape(N_JOINTS, 3)
+    goal = _finite_list(_no_booleans(header["goal"], path, 1, "goal"), path, 1, "goal")
+    velocity = np.asarray(_no_booleans(header["initial_velocity"], path, 1, "initial_velocity"),
+                          dtype=np.float64).reshape(N_JOINTS, 3)
     for key in ("id", "video_id"):
         _require(isinstance(header[key], str), path, 1, f"{key} must be a string")
     prime_mode = header.get("prime_mode", "direct_hit")

@@ -14,8 +14,10 @@ from pnr.geometry import (
     Ray,
     RigidTransform,
     angular_error,
+    component_norm,
     near_miss,
     near_miss_batch,
+    norm3,
     prime_batch,
     slab_intersect,
     slab_intersect_batch,
@@ -55,6 +57,50 @@ class TestTransformPoint:
         t = RigidTransform.about_axis(vec3(1, 2, 2), 0.7, translation=vec3(3, -1, 2))
         p = vec3(0.3, -4.0, 1.5)
         assert np.allclose(t.inverse().apply_points(t.apply_points(p)), p, atol=1e-12)
+
+
+    def test_elementwise_sums(self):
+        # each component is ((0 + r_i0 x) + r_i1 y) + r_i2 z, plus t_i for
+        # points: no BLAS kernel decides how the products are summed
+        t = RigidTransform.about_axis(vec3(1, 2, 2), 0.7, translation=vec3(3, -1, 2))
+        pts = np.random.default_rng(3).normal(size=(4, 5, 3)) * 100.0
+        r, shift = t.rotation.tolist(), t.translation.tolist()
+        dirs = [[((0.0 + a * x) + b * y) + c * z for a, b, c in r] for x, y, z in
+                pts.reshape(-1, 3).tolist()]
+        want = np.array(dirs).reshape(pts.shape)
+        assert t.apply_dirs(pts).tobytes() == want.tobytes()
+        assert t.apply_points(pts).tobytes() == (want + shift).tobytes()
+        back = [((0.0 + a * shift[0]) + b * shift[1]) + c * shift[2] for a, b, c in zip(*r)]
+        assert t.inverse().translation.tobytes() == (-np.array(back)).tobytes()
+
+
+class TestNorm3:
+    def test_bits_of_component_norm(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-100, 100, size=(3000, 1))
+        v[::3, 0], v[1::4, 1], v[2::5, 2] = 0.0, -0.0, -0.0
+        v[::11] = [-0.0, 0.0, -0.0]
+        zero = np.zeros(len(v))
+        for got, want in (([norm3(row) for row in v], component_norm(*v.T)),
+                          ([norm3(row) for row in v[:, ::2]],
+                           component_norm(v[:, 0], v[:, 2], zero))):
+            assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v, want", [
+        ([1e200, 0.0, 0.0], 1e200),
+        ([-3e300, 4e300], 5e300),
+        ([1e-170, 0.0, 1e-170], math.sqrt(2.0) * 1e-170),
+        ([5e-324, -0.0, 0.0], 5e-324),
+        ([0.0, -0.0, 0.0], 0.0),
+        ([math.inf, 1.0, 0.0], math.inf),
+    ])
+    def test_squares_past_the_float_range(self, v, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm3(v) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_nan(self):
+        assert math.isnan(norm3([math.nan, 0.0, 1.0]))
 
 
 class TestSlabIntersect:

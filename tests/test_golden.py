@@ -2,59 +2,74 @@
 write byte-for-byte the files it wrote when these digests were recorded.
 
 Refactors of curation, pairing, resampling or the yaw kernels that claim
-identical outputs are held to that claim here. Float formatting and libm
-results enter the digests, so a platform whose numpy rounds differently
-fails this test without a change to pnr; regenerate the table only for a
-deliberate change of output, and say why in CHANGES.md.
+identical outputs are held to that claim here. Regenerate the table only
+for a deliberate change of output, and say why in CHANGES.md.
+
+No output byte may depend on the BLAS kernel that OpenBLAS picks for the
+CPU at run time: the data path makes no BLAS call. The chain is run again
+under several kernels (``OPENBLAS_CORETYPE``) in subprocesses to hold it
+to that. Run as a script, this file prints the digests of one chain run
+in the directory it is given.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pnr
 from pnr.cli import main
+from pnr.features import from_features, to_features
+from pnr.io_jsonl import read_sequences_dir
+from pnr.motion import resample
+from pnr.synth import procedural_pnr
 
 SPEC = {"n_recordings": 4, "prime_mode": "mixed", "gaze_noise_std": 0.01}
 
 # path relative to the working directory -> sha256 of its bytes
 DIGESTS = {
     "preds/synth-1926383459-e000.seq.jsonl":
-        "3b9cc50facb4d9b59188387d92b5a76b1011fd413b6e8f669dfdf5f0e0bfac8e",
+        "9c01e97575baa41752a06437c771fd78a7e1e9b046aa65784a202c65caaf28c5",
     "preds/synth-2880094716-e000.seq.jsonl":
-        "9a6a7de4082380948c5deb39f96df79c3d9fab6337d355ba9578469ac22192d1",
+        "c85047c44fcbf0d4784c7a2bd7cc86ad2af5f8cb68b39b596fde730f91ee7bc3",
     "preds/synth-681398388-e000.seq.jsonl":
-        "5db89f2c76208f008b3bf1c1641d9a82ef1d05cfb1e2e23803b299374bd9e3b4",
+        "0affc259106e143ad0ed885a87f2c8900ace0fcb6c7f3e95475cf085048a5862",
     "preds/synth-914257217-e000.seq.jsonl":
-        "80f2d5a88cd5334c344b79a5673c0b1777df822709c6057f5d52cf432b163173",
+        "5689373cab92b21cfe00fce7921060a3657820d208bcd66207d95399e87f9676",
     "recordings/synth-1926383459.labels.json":
         "dac8b84e2e3ca3dd504c8328b14c953bc107520fd0eb8666ef86eb6e3ef27e95",
     "recordings/synth-1926383459.rec.jsonl":
-        "76bd025d7d13fbed40f6fb78588993897d56572ac8371355d11f8df1e791ccdc",
+        "e33bb73b3d6f60246141708254b1223713727781e86194f39c8e74b26b447b1d",
     "recordings/synth-2880094716.labels.json":
         "551112f2a3758c0d463da7eba48ae97e2ac839b412b9e81241c7511840c3a4df",
     "recordings/synth-2880094716.rec.jsonl":
-        "f1c87deb13d29d12b3efd149ca16f78662dad0e78a66f1ff20d05664f396cbbf",
+        "7bf4168c6f0f0fa498373e7276a54672afe1cca0ee9e394b46f4acfc2cb6106b",
     "recordings/synth-681398388.labels.json":
         "80b4f99f3bb2ae271a3a901e18c63b066b4ce8491983560a278455059dae2ff2",
     "recordings/synth-681398388.rec.jsonl":
-        "61b88ca1911cfa22cc2c37daa8d2b9d8c09bf4cb668d7207da17976658400996",
+        "b8bc2a07fcd2bd8a28d7f0c0efa9c31c5d9c38a1896c6f6e066fff88f73c182a",
     "recordings/synth-914257217.labels.json":
         "12b9ce98d975ced517d7be2318b0b40b3351a2da9bbff55649867c61a0d5db11",
     "recordings/synth-914257217.rec.jsonl":
-        "6fe614cb156a7e77bd8a99cbded3068662d04ef3514fe57f10ead1d7c0565790",
+        "c489a742b93257c7584ad1666525790b147c14f1c796887282a1845ba98c83ca",
     "report.json":
-        "62a3c3795ba1a2753d86393116436ba9e9f6b5c1e0f4f4c60d899229c951f50a",
+        "241116b51a3a0d524bebbb059cfe5d427156ab20a5f55a849890e97fea8c21de",
     "report_n60.json":
         "a67854433031a72a0b2444c9bbacba35896373a6106651ef64bc573f2163b0da",
     "sequences/curation_log.json":
         "7a7bd1dff697ec75eb92db2dafca6dbd5edfa63540b13f36a5addb17378f50f8",
     "sequences/synth-1926383459-e000.seq.jsonl":
-        "97942145b73e25a00476f6fa6d750d5dacc8c4b75d768c1f5142f021a39fa667",
+        "7e5865e1a2097c4d86de6d5c23b78a80ec9bd6b9de642466cac72f29efc7c092",
     "sequences/synth-2880094716-e000.seq.jsonl":
-        "dbd77a3607367718ce49e302da9ad5609ed3f23797bd77916bed681c66019e63",
+        "bac3f766eab3a063ab985f46926b408f9001ab62a2bf222cc32be805fafdcc85",
     "sequences/synth-681398388-e000.seq.jsonl":
-        "fb0a07a9ca25af9ae9acb8f7b1f2dde9616282d50ddb7635f22661f681e8baae",
+        "849403a51305014159317a0cd152a81cf60e8161a3fd41c010453e0d1792c686",
     "sequences/synth-914257217-e000.seq.jsonl":
-        "29d74c19cdbf818ecde27682b3f073e7f7825c9723024937b15a767d3cfff366",
+        "3eafb55ee396510f123c87763e9ab6586455d4d777b5751bb2fcf6730737374b",
     "split.json":
         "c052fcb7d6091e4f5f7ea2d2a2973add1c922ddd6f99f057893a98186631eaef",
     "stats.json":
@@ -64,35 +79,87 @@ DIGESTS = {
 }
 
 
-def _run(capsys, *argv):
-    assert main(list(argv)) == 0, argv
-    return capsys.readouterr().out
+def _run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == 0, argv
+    return out.getvalue()
 
 
-def test_pipeline_outputs_match_golden_digests(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def chain_digests(root: Path) -> tuple[dict, str]:
+    """Run the README chain in ``root``; returns the digest of every file it
+    wrote, by path relative to ``root``, and what ``sweep`` printed."""
+    spec = root / "spec.json"
     spec.write_text(json.dumps(SPEC), encoding="utf-8")
-    d = {name: str(tmp_path / name) for name in
+    d = {name: root / name for name in
          ("recordings", "sequences", "preds", "split.json", "stats.json",
           "report.json", "report_n60.json", "sweep.csv")}
-    _run(capsys, "synth", "--spec", str(spec), "--seed", "11", "--out", d["recordings"])
-    _run(capsys, "curate", "--in", d["recordings"], "--out", d["sequences"])
-    _run(capsys, "split", "--in", d["sequences"], "--seed", "3", "--out", d["split.json"])
-    _run(capsys, "stats", "--in", d["sequences"], "--out", d["stats.json"])
-    _run(capsys, "baseline", "static", "--train", d["sequences"], "--gt", d["sequences"],
+    _run("synth", "--spec", spec, "--seed", "11", "--out", d["recordings"])
+    _run("curate", "--in", d["recordings"], "--out", d["sequences"])
+    _run("split", "--in", d["sequences"], "--seed", "3", "--out", d["split.json"])
+    _run("stats", "--in", d["sequences"], "--out", d["stats.json"])
+    _run("baseline", "static", "--train", d["sequences"], "--gt", d["sequences"],
          "--out", d["preds"])
-    _run(capsys, "evaluate", "--pred", d["preds"], "--gt", d["sequences"],
-         "--out", d["report.json"])
+    _run("evaluate", "--pred", d["preds"], "--gt", d["sequences"], "--out", d["report.json"])
     # self-evaluation at a frame count other than the files' own: both
     # sides resample, and the prime metrics are not all zero
-    _run(capsys, "evaluate", "--pred", d["sequences"], "--gt", d["sequences"], "--n", "60",
+    _run("evaluate", "--pred", d["sequences"], "--gt", d["sequences"], "--n", "60",
          "--out", d["report_n60.json"])
     sweep = ("sweep", "--pred", d["preds"], "--gt", d["sequences"],
              "--thetas", "0:90:10", "--sigmas", "0,0.2,1.0")
-    _run(capsys, *sweep, "--out", d["sweep.csv"])
-    printed = _run(capsys, *sweep)
+    _run(*sweep, "--out", d["sweep.csv"])
+    printed = _run(*sweep)
+    digests = {p.relative_to(root).as_posix(): _sha256(p.read_bytes())
+               for p in sorted(root.rglob("*")) if p.is_file() and p != spec}
+    return digests, printed
 
+
+def feature_digests(seq_dir: Path) -> dict:
+    """Digests of the 263-dim encoding of a procedural prediction for each
+    curated sequence, and of its decoding, as model evaluation makes them."""
+    out = {}
+    for gt in read_sequences_dir(seq_dir):
+        fps = resample(gt.motion, 150).fps
+        pred = procedural_pnr(gt.initial_state, gt.goal_location, gt.event.event.kind,
+                              n=150, fps=fps)
+        x = to_features(pred)
+        out[f"features/{gt.id}"] = _sha256(x.tobytes())
+        out[f"decoded/{gt.id}"] = _sha256(from_features(x, fps).joints.tobytes())
+    return out
+
+
+def test_pipeline_outputs_match_golden_digests(tmp_path):
+    got, printed = chain_digests(tmp_path)
     assert printed == (tmp_path / "sweep.csv").read_text(encoding="utf-8")
-    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.rglob("*")) if p.is_file() and p != spec}
     assert got == DIGESTS
+
+
+def test_digests_independent_of_blas_kernel(tmp_path):
+    # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy loads it, so each
+    # kernel needs a process of its own
+    src = str(Path(pnr.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    runs = {}
+    for kernel in ("Prescott", "Haswell", "SkylakeX"):
+        root = tmp_path / kernel
+        root.mkdir()
+        done = subprocess.run([sys.executable, __file__, str(root)], capture_output=True,
+                              text=True, timeout=120, env=dict(env, OPENBLAS_CORETYPE=kernel))
+        assert done.returncode == 0, done.stderr
+        runs[kernel] = json.loads(done.stdout)
+    # the golden files, and an encoding and a decoding per curated sequence
+    assert len(runs["Prescott"]) == len(DIGESTS) + 2 * SPEC["n_recordings"]
+    assert runs["Haswell"] == runs["Prescott"]
+    assert runs["SkylakeX"] == runs["Prescott"]
+
+
+if __name__ == "__main__":
+    root = Path(sys.argv[1])
+    digests, _ = chain_digests(root)
+    digests.update(feature_digests(root / "sequences"))
+    print(json.dumps(digests, sort_keys=True))

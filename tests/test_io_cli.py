@@ -316,6 +316,8 @@ class TestMalformedRows:
         ("flags", ["clamped_start", 1], "flags must be a list of strings"),
         ("t_p", True, "t_p must be a number"),
         ("fps", True, "fps must be a number"),
+        ("goal", [1.0, True, 2.0], "goal must be a list of numbers"),
+        ("initial_velocity", [0.0] * 65 + [False], "initial_velocity must be a list of numbers"),
     ])
     def test_sequence_header_type(self, seq_lines, tmp_path, key, value, reason):
         bad = self._set(seq_lines, 0, key, value, tmp_path / "h.seq.jsonl")
@@ -900,6 +902,58 @@ def test_non_finite_event_time_exit_2(curated_dir, tmp_path, capsys, value):
     out = tmp_path / "out"
     assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
     assert f"zzz-bad.rec.jsonl:{k + 1}: non-finite event time" in capsys.readouterr().err
+    assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ({"t": "x"}, "record missing time"),
+    ({"t": None}, "record missing time"),
+    ({"t": True}, "record missing time"),
+    ("drop", "record missing time"),
+    ({"t": -1.0}, "frame times must be non-decreasing"),
+])
+def test_bad_sequence_frame_time_exit_2(curated_dir, tmp_path, capsys, edit, reason):
+    # read_sequence used to ignore a frame row's time; read_recording
+    # has always refused these
+    seq_dir = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seq_dir)
+    bad = sorted(seq_dir.glob("*.seq.jsonl"))[0]
+    lines = bad.read_text(encoding="utf-8").split("\n")
+    row = json.loads(lines[5])
+    if edit == "drop":
+        del row["t"]
+    else:
+        row.update(edit)
+    lines[5] = json.dumps(row, separators=(",", ":"))
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    for argv in (["stats", "--in", str(seq_dir)],
+                 ["evaluate", "--pred", str(seq_dir), "--gt", str(seq_dir)]):
+        assert main(argv) == 2
+        assert f"{bad}:6: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("min", [True, 0.0, 0.0], "box min must be a list of numbers"),
+    ("max", [9.0, 9.0, False], "box max must be a list of numbers"),
+    ("point", [0.0, True, 1.0], "point must be a list of numbers"),
+])
+def test_boolean_in_object_list_exit_2(curated_dir, tmp_path, capsys, key, value, reason):
+    # read as 1.0 or 0.0 before; per-row lists (joints, gaze) still are
+    rec_dir = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", rec_dir)
+    lines = sorted(rec_dir.glob("*.rec.jsonl"))[0].read_text(encoding="utf-8").split("\n")
+    k = next(i for i, line in enumerate(lines) if '"k":"object"' in line)
+    row = json.loads(lines[k])
+    if key == "point":
+        row["point"] = value
+        del row["box"]
+    else:
+        row["box"][key] = value
+    lines[k] = json.dumps(row, separators=(",", ":"))
+    (rec_dir / "zzz-bad.rec.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
+    assert f"zzz-bad.rec.jsonl:{k + 1}: {reason}" in capsys.readouterr().err
     assert len(list(out.glob("*.seq.jsonl"))) == 2
 
 

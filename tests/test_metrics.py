@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +342,22 @@ class TestRigidInvariance:
         assert mpjpe(pair) == pytest.approx(mpjpe(moved), abs=1e-9)
 
 
+def curated(motion, prime_frame_index, t_p, t_e):
+    """A curated sequence around ``motion``, whose goal is (0, 1, 2)."""
+    from pnr.curation import InitialState, PnRSequence
+    from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
+    from pnr.geometry import Aabb
+
+    tgt = ObjectTarget("t", box=Aabb.from_center(vec3(0, 1, 2), vec3(0.1, 0.1, 0.1)))
+    return PnRSequence(
+        id="s", video_id="v",
+        event=PrimedEvent(InteractionEvent("pick", t_e, tgt), t_p),
+        motion=motion, goal_location=vec3(0, 1, 2),
+        initial_state=InitialState(motion.joints[0], np.zeros((22, 3))),
+        prime_frame_index=prime_frame_index,
+    )
+
+
 class TestEvalPairConstruction:
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -348,36 +365,31 @@ class TestEvalPairConstruction:
                      vec3(0, 0, 0), vec3(0, 0, 1))
 
     def test_missing_gaze_rejected(self):
-        from pnr.curation import InitialState, PnRSequence
-        from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-        from pnr.geometry import Aabb
-
-        motion = standing_motion(n=10)
-        tgt = ObjectTarget("t", box=Aabb.from_center(vec3(0, 1, 2), vec3(0.1, 0.1, 0.1)))
-        seq = PnRSequence(
-            id="s", video_id="v",
-            event=PrimedEvent(InteractionEvent("pick", 1.0, tgt), 0.5),
-            motion=motion, goal_location=vec3(0, 1, 2),
-            initial_state=InitialState(motion.joints[0], np.zeros((22, 3))),
-            prime_frame_index=2,
-        )
+        seq = curated(standing_motion(n=10), 2, t_p=0.5, t_e=1.0)
         with pytest.raises(MissingGaze):
             EvalPair.from_sequences(standing_motion(n=10), seq)
 
-    def test_from_sequences_resamples_and_maps_prime(self):
-        from pnr.curation import InitialState, PnRSequence
-        from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-        from pnr.geometry import Aabb
+    # the prime gaze used to be normalized by a length whose square
+    # overflowed (the first scored as unprimed, with an overflow warning)
+    # or underflowed to zero (the second refused as zero length)
+    @pytest.mark.parametrize("gaze, yaw_deg", [
+        ([1e200, 0.0, 0.0], 90.0),
+        ([1e-170, 0.0, 1e-170], 45.0),
+    ])
+    def test_extreme_gaze_length_self_evaluates_as_primed(self, gaze, yaw_deg):
+        # the body is turned so its head faces along the gaze
+        joints = yawed_pred(yaw_deg).joints
+        motion = MotionSequence(FPS, joints, gaze=np.tile(gaze, (len(joints), 1)))
+        seq = curated(motion, 30, t_p=1.0, t_e=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = EvalPair.from_sequences(motion, seq)
+            assert evaluate_pair(pair).prime_success
+        want = np.array(gaze) / np.array(gaze).max()
+        assert np.allclose(pair.prime_gaze, want / np.sqrt(want @ want), rtol=0, atol=1e-15)
 
-        motion = gt_motion(n=61)
-        tgt = ObjectTarget("t", box=Aabb.from_center(vec3(0, 1, 2), vec3(0.1, 0.1, 0.1)))
-        seq = PnRSequence(
-            id="s", video_id="v",
-            event=PrimedEvent(InteractionEvent("pick", 2.0, tgt), 1.0),
-            motion=motion, goal_location=vec3(0, 1, 2),
-            initial_state=InitialState(motion.joints[0], np.zeros((22, 3))),
-            prime_frame_index=30,
-        )
+    def test_from_sequences_resamples_and_maps_prime(self):
+        seq = curated(gt_motion(n=61), 30, t_p=1.0, t_e=2.0)
         pred = standing_motion(n=150, fps=FPS * 149 / 60)
         pair = EvalPair.from_sequences(pred, seq, n=150)
         assert pair.ground_truth.n_frames == 150
