@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pnr.curation import InitialState, PnRSequence
 from pnr.errors import EmptyCorpus, MissingGaze
-from pnr.geometry import RigidTransform, vec3
+from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
+from pnr.geometry import Aabb, RigidTransform, vec3
 from pnr.metrics import (
     EvalPair,
     MetricsConfig,
@@ -344,10 +346,6 @@ class TestRigidInvariance:
 
 def curated(motion, prime_frame_index, t_p, t_e):
     """A curated sequence around ``motion``, whose goal is (0, 1, 2)."""
-    from pnr.curation import InitialState, PnRSequence
-    from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-    from pnr.geometry import Aabb
-
     tgt = ObjectTarget("t", box=Aabb.from_center(vec3(0, 1, 2), vec3(0.1, 0.1, 0.1)))
     return PnRSequence(
         id="s", video_id="v",
