@@ -20,9 +20,9 @@ import numpy as np
 
 from . import io_jsonl as io
 from .curation import curate_corpus, split, stats
-from .errors import EmptyCorpus, PnrError
+from .errors import EmptyCorpus, MalformedFile, PnrError
 from .gaze import DEFAULT_TAU, DEFAULT_WINDOW
-from .geometry import Aabb
+from .geometry import Aabb, finite_number
 from .metrics import (
     DEFAULT_N_FRAMES,
     DEFAULT_SIGMA,
@@ -74,9 +74,13 @@ def cmd_curate(args) -> int:
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise PnrError(f"input directory not found: {in_dir}")
-    recordings, errors = io.read_recordings_dir(in_dir)
-    for exc in errors:
-        print(f"error: {exc}", file=sys.stderr)
+    recordings, errors = [], 0
+    for path in sorted(in_dir.glob(f"*{io.RECORDING_SUFFIX}")):
+        try:
+            recordings.append(io.read_recording(path))
+        except (OSError, MalformedFile) as exc:  # reported and skipped
+            print(f"error: {exc}", file=sys.stderr)
+            errors += 1
     if not recordings and not errors:
         print(f"warning: no recordings under {in_dir}", file=sys.stderr)
     seen = set()
@@ -94,7 +98,8 @@ def cmd_curate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for res in results:
-        io.write_sequences_dir(res.sequences, out_dir)
+        for seq in res.sequences:
+            io.write_sequence(seq, out_dir / f"{seq.id}{io.SEQUENCE_SUFFIX}")
     io.write_curation_log(results, out_dir / "curation_log.json")
     n_seq = sum(len(r.sequences) for r in results)
     n_drop = sum(len(r.drops) for r in results)
@@ -128,8 +133,8 @@ def _pairs(args) -> list:
     """EvalPairs on args.n frames for every ground-truth sequence with a
     prediction of the same id; EmptyCorpus when there are none. evaluate
     warns of each ground truth without a prediction."""
-    gt_seqs = io.read_sequences_dir(args.gt)
-    preds = {p.id: p.motion for p in io.read_sequences_dir(args.pred)}
+    gt_seqs = list(map(io.read_sequence, io.sequence_paths(args.gt)))
+    preds = {p.id: p.motion for p in map(io.read_sequence, io.sequence_paths(args.pred))}
     pairs = [EvalPair.from_sequences(preds[gt.id], gt, args.n)
              for gt in gt_seqs if gt.id in preds]
     if args.command == "evaluate":
@@ -169,6 +174,9 @@ def cmd_synth(args) -> int:
         prime_mode = payload.pop("prime_mode", "direct_hit")
         room = payload.pop("room", None)
         if room is not None:
+            if not (isinstance(room, dict) and all(
+                    type(c) is list and all(map(finite_number, c)) for c in room.values())):
+                raise ValueError("room corners must be lists of finite numbers")
             payload["room"] = Aabb(**room)
         mixed = prime_mode == "mixed"
         if not mixed:
@@ -210,7 +218,7 @@ def _number(text: str, ok, what: str) -> float:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not (math.isfinite(x) and ok(x)):
+    if not (finite_number(x) and ok(x)):
         raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return x
 

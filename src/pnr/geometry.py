@@ -10,6 +10,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,16 @@ PARALLEL_EPS = 1e-12
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
+_MAX = sys.float_info.max
+
+
+def finite_number(x) -> bool:
+    """Whether ``x`` is an int or a float (a numpy float64 included), never
+    a bool, within the float range: NaN, +-inf and integers past
+    +-sys.float_info.max fail. Every number read from outside passes this
+    one test: a file's header number or row time, a scenario spec's field
+    or room corner, a numeric option."""
+    return (type(x) in (int, float) or isinstance(x, float)) and -_MAX <= x <= _MAX
 
 
 def component_norm(x, y, z):
@@ -111,14 +122,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_translation(t) -> "RigidTransform":
-        return RigidTransform(np.eye(3), as_vec3(t))
-
-    @staticmethod
     def about_axis(axis, angle: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         """Rotation by ``angle`` about a unit ``axis`` (Rodrigues), then translate."""
         a = unit(axis)
@@ -180,10 +183,6 @@ class Aabb:
     @property
     def half_extents(self) -> np.ndarray:
         return 0.5 * (self.max - self.min)
-
-    def translated(self, delta) -> "Aabb":
-        d = as_vec3(delta)
-        return Aabb(self.min + d, self.max + d)
 
 
 @dataclass(frozen=True)

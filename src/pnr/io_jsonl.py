@@ -11,10 +11,10 @@ MalformedFile with the offending path and line number.
 Recordings and sequences are validated in one pass per file. A reader
 parses each line and checks there only what is cheap: the row is an
 object with the required keys, its lists have the right length and its
-times are in order. Numeric fields (joints, gaze directions, camera
-poses) are gathered per column, and each column is converted to float64
-and checked for finite values once; a bad value is still reported by its
-line.
+times are finite and in order (``_row_time``). Numeric fields (joints,
+gaze directions, camera poses) are gathered per column, and each column
+is converted to float64 and checked for finite values once; a bad value
+is still reported by its line.
 
 Writers build the gaze and frame rows of recordings and sequences from
 fixed templates around the text of their numeric fields (``_rows``). A
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 from contextlib import closing
 from pathlib import Path
@@ -49,7 +48,7 @@ import numpy as np
 from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
 from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
-from .geometry import Aabb
+from .geometry import Aabb, finite_number
 from .motion import MotionSequence
 from .skeleton import N_JOINTS
 
@@ -62,8 +61,9 @@ SEQUENCE_SUFFIX = ".seq.jsonl"
 
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
-# The types json.loads gives a number. A header number or a row time must
-# have one of them exactly: true and false load as bool, a subclass of int.
+# The types json.loads gives a number: true and false load as bool, a
+# subclass of int. A header number or a row time of another type is no
+# number; one of these types that fails finite_number is non-finite.
 _NUMBER = (int, float)
 
 # The heads of the gaze and frame rows the writers build from templates:
@@ -181,17 +181,45 @@ def _records(path):
                 yield line_no, parse(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}") from None
+            except ValueError:  # an integer longer than int() converts (4300 digits by default)
+                raise MalformedFile(path, line_no, "integer with too many digits") from None
 
 
 def _float(value, path, line_no, what) -> float:
     """A JSON number ``value`` as a finite float."""
-    _require(type(value) in _NUMBER, path, line_no, f"{what} must be a number")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    _require(math.isfinite(x), path, line_no, f"non-finite {what}")
-    return x
+    if not finite_number(value):
+        _require(type(value) in _NUMBER, path, line_no, f"{what} must be a number")
+        raise MalformedFile(path, line_no, f"non-finite {what}")
+    return float(value)
+
+
+def _header(row, path, line_no, keys=()) -> float:
+    """Check line 1 of a recording or sequence: the header, with id,
+    video_id, fps and ``keys``, string ids and a positive fps; gives the fps."""
+    _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
+             "first line must be the header")
+    for key in ("id", "video_id", "fps", *keys):
+        _require(key in row, path, line_no, f"header missing {key}")
+    fps = _float(row["fps"], path, line_no, "fps")
+    _require(fps > 0, path, line_no, "fps must be positive")
+    for key in ("id", "video_id"):
+        _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
+    return fps
+
+
+def _row_time(row, kind, last_t, path, line_no):
+    """The time of a gaze, frame or event row, checked in this order: a
+    number, finite, and not below the last row of its kind in ``last_t``
+    (which it updates); a gaze row's must also differ from it."""
+    t = row.get("t_e" if kind == "event" else "t")
+    prev = last_t.get(kind)
+    if not (finite_number(t) and (prev is None or t > prev)):
+        _require(type(t) in _NUMBER, path, line_no, "record missing time")
+        _require(finite_number(t), path, line_no, f"non-finite {kind} time")
+        _require(t >= prev, path, line_no, f"{kind} times must be non-decreasing")
+        _require(kind != "gaze", path, line_no, "gaze times must be strictly increasing")
+    last_t[kind] = t
+    return t
 
 
 def _vector(values, n, path, line_no, what, name=None) -> np.ndarray:
@@ -329,29 +357,13 @@ def read_recording(path) -> Recording:
     last_t = {}
     for line_no, row in _records(path):
         if header is None:
-            _require(isinstance(row, dict) and "schema_version" in row,
-                     path, line_no, "first line must be the header")
-            for key in ("id", "video_id", "fps"):
-                _require(key in row, path, line_no, f"header missing {key}")
-            _require(type(row["fps"]) in _NUMBER and row["fps"] > 0,
-                     path, line_no, "fps must be a positive number")
-            fps = _float(row["fps"], path, line_no, "fps")
-            _ids(row, path, line_no)
+            fps = _header(row, path, line_no)
             header = row
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
         if kind in ("gaze", "frame", "event"):
-            t = row.get("t_e" if kind == "event" else "t")
-            _require(type(t) in _NUMBER, path, line_no, "record missing time")
-            _require(kind != "event" or math.isfinite(t), path, line_no,
-                     "non-finite event time")
-            prev = last_t.get(kind)
-            _require(prev is None or t >= prev, path, line_no,
-                     f"{kind} times must be non-decreasing")
-            _require(kind != "gaze" or t != prev, path, line_no,
-                     "gaze times must be strictly increasing")
-            last_t[kind] = t
+            t = _row_time(row, kind, last_t, path, line_no)
         if kind == "gaze":
             _require("dir_cam" in row and "cam_pose" in row, path, line_no,
                      "gaze record needs dir_cam and cam_pose")
@@ -401,12 +413,8 @@ def read_recording(path) -> Recording:
     _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
     _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
 
-    times = np.array(gaze_t, dtype=np.float64)
-    finite = np.isfinite(times)
-    _require(finite.all(), path, rotations.line_nos[int(np.argmin(finite))],
-             "non-finite gaze time")
-    track = GazeTrack(times, points_cam.array(), rotations.array().reshape(-1, 3, 3),
-                      translations.array())
+    track = GazeTrack(np.array(gaze_t, dtype=np.float64), points_cam.array(),
+                      rotations.array().reshape(-1, 3, 3), translations.array())
     try:
         track.world_rays()  # cached on the track for curation
     except DegenerateGaze as exc:
@@ -470,38 +478,26 @@ class SequenceHeader(NamedTuple):
     flags: tuple
 
 
-def _ids(row, path, line_no) -> None:
-    """Check that a header's id and video_id are strings."""
-    for key in ("id", "video_id"):
-        _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
-
-
 def _sequence_header(row, path, line_no) -> SequenceHeader:
     """The header row of a sequence file, checked for everything that does
     not depend on its frames."""
-    _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
-             "first line must be the header")
-    for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
-                "goal", "prime_frame_index", "initial_velocity"):
-        _require(key in row, path, line_no, f"header missing {key}")
-    fps = _float(row["fps"], path, line_no, "fps")
-    _require(fps > 0, path, line_no, "fps must be positive")
+    fps = _header(row, path, line_no, ("kind", "t_p", "t_e", "t_start", "prime_mode", "goal",
+                                       "prime_frame_index", "initial_velocity", "flags"))
     t_p = _float(row["t_p"], path, line_no, "t_p")
     t_e = _float(row["t_e"], path, line_no, "t_e")
-    t_start = _float(row["t_start"], path, line_no, "t_start") if "t_start" in row else t_p - 2.0
+    t_start = _float(row["t_start"], path, line_no, "t_start")
     goal = _vector(row["goal"], 3, path, line_no, "goal")
     velocity = _vector(row["initial_velocity"], 3 * N_JOINTS, path, line_no,
                        "initial velocity", "initial_velocity")
     _require(row["kind"] in ("pick", "put"), path, line_no, "kind must be pick or put")
-    _ids(row, path, line_no)
-    prime_mode = row.get("prime_mode", DIRECT_HIT)
+    prime_mode = row["prime_mode"]
     _require(prime_mode in (DIRECT_HIT, NEAR_MISS), path, line_no,
              f"prime_mode must be {DIRECT_HIT} or {NEAR_MISS}")
     prime_frame_index = row["prime_frame_index"]
     _require(type(prime_frame_index) is int, path, line_no,
              "prime_frame_index must be an integer")
     _require(prime_frame_index >= 0, path, line_no, "prime_frame_index out of range")
-    flags = row.get("flags", [])
+    flags = row["flags"]
     _require(type(flags) is list, path, line_no, "flags must be a list")
     _require(all(isinstance(f, str) for f in flags), path, line_no,
              "flags must be a list of strings")
@@ -525,19 +521,15 @@ def read_sequence(path) -> PnRSequence:
     header = None
     joints = _Column(path, 3 * N_JOINTS, "joints")
     gaze = _Column(path, 3, "gaze")
-    last_t = None
+    last_t = {}
     for line_no, row in _records(path):
         if header is None:
             header = _sequence_header(row, path, line_no)
             continue
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
-        if kind == "frame":  # times checked as read_recording checks them
-            t = row.get("t")
-            _require(type(t) in _NUMBER, path, line_no, "record missing time")
-            _require(last_t is None or t >= last_t, path, line_no,
-                     "frame times must be non-decreasing")
-            last_t = t
+        if kind == "frame":
+            _row_time(row, kind, last_t, path, line_no)
             _require("joints" in row, path, line_no, "frame record needs joints")
             joints.add(row["joints"], line_no)
             if "gaze" in row:
@@ -576,38 +568,9 @@ def read_sequence(path) -> PnRSequence:
 # directories
 
 
-def read_recordings_dir(path) -> list:
-    """All recordings under a directory, sorted by file name. Entries that
-    are malformed or cannot be opened are reported and skipped; the list of
-    errors comes back too."""
-    path = Path(path)
-    recs, errors = [], []
-    for f in sorted(path.glob(f"*{RECORDING_SUFFIX}")):
-        try:
-            recs.append(read_recording(f))
-        except (OSError, MalformedFile) as exc:
-            errors.append(exc)
-    return recs, errors
-
-
-def write_sequences_dir(sequences, path) -> list:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    written = []
-    for seq in sequences:
-        out = path / f"{seq.id}{SEQUENCE_SUFFIX}"
-        write_sequence(seq, out)
-        written.append(out)
-    return written
-
-
 def sequence_paths(path) -> list:
     """The sequence files under a directory, sorted by file name."""
     return sorted(Path(path).glob(f"*{SEQUENCE_SUFFIX}"))
-
-
-def read_sequences_dir(path) -> list:
-    return [read_sequence(f) for f in sequence_paths(path)]
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ box center (direct-hit scenarios) or swept exactly 3 cm over the box top
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
 from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
-from .geometry import Aabb, as_vec3, norm3
+from .geometry import Aabb, as_vec3, finite_number, norm3
 from .motion import (
     MAX_FRAMES,
     MotionSequence,
@@ -77,7 +76,7 @@ class ScenarioSpec:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type == "float" and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if f.type == "float" and not finite_number(v):
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")

@@ -8,7 +8,7 @@ row before. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Ten changes were made to them since, as in ``pnr.io_jsonl``:
+Thirteen changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
@@ -34,7 +34,18 @@ does ("record missing time", "frame times must be non-decreasing"),
 where it used to ignore it; and both readers refuse a boolean in a list
 read once per file, a header's ``goal`` or ``initial_velocity`` or an
 object's box corner or ``point`` ("goal must be a list of numbers", ...),
-which they used to read as 1 or 0.
+which they used to read as 1 or 0; both readers check every row time (a
+gaze, frame or event time, and a sequence's frame times) in one order: a
+number ("record missing time"), finite ("non-finite frame time", ...),
+then not below the row before of its kind, so a NaN, infinite or
+out-of-range time is reported at its own line, where a frame time of
+Infinity used to be read, a NaN one to be reported at the next line, and
+an integer past the float range to crash; ``read_recording`` checks its
+header's ``fps`` as ``read_sequence`` does ("fps must be a number",
+"non-finite fps", "fps must be positive"), where it used to give "fps
+must be a positive number" for all three; and ``read_sequence`` requires
+``t_start``, ``prime_mode`` and ``flags`` in the header, which it used to
+default (``t_start`` to ``t_p - 2``, which only a 2 s prepend makes true).
 
 ``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
 the parse of a gaze or frame row that repeats the row before except for
@@ -76,11 +87,26 @@ def _require(cond, path, line_no, reason):
         raise MalformedFile(path, line_no, reason)
 
 
+def _is_finite(value):
+    """math.isfinite, false for an integer past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _finite(header, key, path):
     _require(type(header[key]) in (int, float), path, 1, f"{key} must be a number")
-    value = float(header[key])
-    _require(math.isfinite(value), path, 1, f"non-finite {key}")
-    return value
+    _require(_is_finite(header[key]), path, 1, f"non-finite {key}")
+    return float(header[key])
+
+
+def _check_time(t, kind, prev, path, line_no):
+    _require(type(t) in (int, float), path, line_no, "record missing time")
+    _require(_is_finite(t), path, line_no, f"non-finite {kind} time")
+    _require(prev is None or t >= prev, path, line_no, f"{kind} times must be non-decreasing")
+    _require(kind != "gaze" or t != prev, path, line_no,
+             "gaze times must be strictly increasing")
 
 
 def _finite_list(values, path, line_no, what):
@@ -156,9 +182,7 @@ def read_recording(path) -> Recording:
                          path, line_no, "first line must be the header")
                 for key in ("id", "video_id", "fps"):
                     _require(key in row, path, line_no, f"header missing {key}")
-                _require(type(row["fps"]) in (int, float) and row["fps"] > 0,
-                         path, line_no, "fps must be a positive number")
-                _finite(row, "fps", path)
+                _require(_finite(row, "fps", path) > 0, path, line_no, "fps must be positive")
                 for key in ("id", "video_id"):
                     _require(isinstance(row[key], str), path, line_no,
                              f"{key} must be a string")
@@ -167,14 +191,7 @@ def read_recording(path) -> Recording:
             kind = row.get("k")
             if kind in ("gaze", "frame", "event"):
                 t = row.get("t_e" if kind == "event" else "t")
-                _require(type(t) in (int, float), path, line_no, "record missing time")
-                _require(kind != "event" or math.isfinite(t), path, line_no,
-                         "non-finite event time")
-                prev = last_t.get(kind)
-                _require(prev is None or t >= prev, path, line_no,
-                         f"{kind} times must be non-decreasing")
-                _require(kind != "gaze" or t != prev, path, line_no,
-                         "gaze times must be strictly increasing")
+                _check_time(t, kind, last_t.get(kind), path, line_no)
                 last_t[kind] = t
             if kind == "gaze":
                 _require("dir_cam" in row and "cam_pose" in row, path, line_no,
@@ -286,17 +303,16 @@ def read_sequence(path) -> PnRSequence:
             if header is None:
                 _require("schema_version" in row, path, line_no,
                          "first line must be the header")
-                for key in ("id", "video_id", "fps", "kind", "t_p", "t_e",
-                            "goal", "prime_frame_index", "initial_velocity"):
+                for key in ("id", "video_id", "fps", "kind", "t_p", "t_e", "t_start",
+                            "prime_mode", "goal", "prime_frame_index", "initial_velocity",
+                            "flags"):
                     _require(key in row, path, line_no, f"header missing {key}")
                 header = row
                 continue
             kind = row.get("k")
             if kind == "frame":
                 t = row.get("t")
-                _require(type(t) in (int, float), path, line_no, "record missing time")
-                _require(last_t is None or t >= last_t, path, line_no,
-                         "frame times must be non-decreasing")
+                _check_time(t, "frame", last_t, path, line_no)
                 last_t = t
                 joints = _finite_list(row["joints"], path, line_no, "joints")
                 _require(joints.size == 3 * N_JOINTS, path, line_no,
@@ -310,8 +326,10 @@ def read_sequence(path) -> PnRSequence:
     _require(len(joints_rows) >= 2, path, 1, "sequence has fewer than 2 frames")
     fps = _finite(header, "fps", path)
     _require(fps > 0, path, 1, "fps must be positive")
+    for key in ("id", "video_id"):
+        _require(isinstance(header[key], str), path, 1, f"{key} must be a string")
     t_p, t_e = _finite(header, "t_p", path), _finite(header, "t_e", path)
-    span = t_e - (_finite(header, "t_start", path) if "t_start" in header else t_p - 2.0)
+    span = t_e - _finite(header, "t_start", path)
     _require(abs((len(joints_rows) - 1) - span * fps) <= 1.0, path, 1,
              "frame count does not match the header time span")
     gaze = None
@@ -323,16 +341,14 @@ def read_sequence(path) -> PnRSequence:
     goal = _finite_list(_no_booleans(header["goal"], path, 1, "goal"), path, 1, "goal")
     velocity = np.asarray(_no_booleans(header["initial_velocity"], path, 1, "initial_velocity"),
                           dtype=np.float64).reshape(N_JOINTS, 3)
-    for key in ("id", "video_id"):
-        _require(isinstance(header[key], str), path, 1, f"{key} must be a string")
-    prime_mode = header.get("prime_mode", "direct_hit")
+    prime_mode = header["prime_mode"]
     _require(prime_mode in ("direct_hit", "near_miss"), path, 1,
              "prime_mode must be direct_hit or near_miss")
     _require(type(header["prime_frame_index"]) is int, path, 1,
              "prime_frame_index must be an integer")
     prime_frame_index = int(header["prime_frame_index"])
     _require(0 <= prime_frame_index < motion.n_frames, path, 1, "prime_frame_index out of range")
-    flags = header.get("flags", [])
+    flags = header["flags"]
     _require(isinstance(flags, list), path, 1, "flags must be a list")
     _require(all(isinstance(f, str) for f in flags), path, 1, "flags must be a list of strings")
     target = ObjectTarget("goal", point=goal)

@@ -36,13 +36,15 @@ TEXTS = ["nan", "inf", "-inf", "0", "-0", "-1", "1", "2", "0.5", "7", "90", "180
 
 # Spec values stay small enough to synthesize at once: any duration and fps
 # drawn here either give at most 901 frames or are refused.
-NUMBERS = [float("nan"), float("inf"), float("-inf"), 0, -1, 0.5, 6.0, 30.0, 1e12, 1e300]
+NUMBERS = [float("nan"), float("inf"), float("-inf"), 0, -1, 0.5, 6.0, 30.0, 1e12, 1e300,
+           10 ** 400]
 WRONG_TYPES = ["x", None, [1.0], {}, True]
 ROOMS = [
     {"min": [-4, 0, -4], "max": [4, 2.5, 4]},
     {"min": [0, 0, 0], "max": [0, 0, 0]},
     {"min": [0, 0, 0], "max": [3, 0.7, 3]},
     {"min": [-1e308, 0, -1e308], "max": [1e308, 3, 1e308]},
+    {"min": [-10 ** 400, 0, -4], "max": [4, 2.5, 4]},
     {"min": [float("nan"), 0, 0], "max": [1, 1, 1]},
     {"min": [1, 1, 1], "max": [0, 0, 0]},
     {"min": [0, 0], "max": [1, 1]},

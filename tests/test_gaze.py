@@ -22,7 +22,7 @@ from oracles import focused_hit_batch, near_miss_oracle
 
 
 def identity_sample(t, point):
-    return GazeSample(t, vec3(*point), RigidTransform.identity())
+    return GazeSample(t, vec3(*point), RigidTransform(np.eye(3), np.zeros(3)))
 
 
 class TestGazeRay:
@@ -32,7 +32,7 @@ class TestGazeRay:
         assert np.allclose(r.dir, [0, 0, 1])
 
     def test_translation_cancels(self):
-        pose = RigidTransform.from_translation(vec3(1, 1, 1))
+        pose = RigidTransform(np.eye(3), vec3(1, 1, 1))
         r = gaze_ray(GazeSample(0.0, vec3(0, 0, 2), pose))
         assert np.allclose(r.origin, [1, 1, 1])
         assert np.allclose(r.dir, [0, 0, 1])

@@ -24,7 +24,7 @@ from pathlib import Path
 import pnr
 from pnr.cli import main
 from pnr.features import from_features, to_features
-from pnr.io_jsonl import read_sequences_dir
+from pnr.io_jsonl import read_sequence, sequence_paths
 from pnr.motion import resample
 from pnr.synth import procedural_pnr
 
@@ -122,7 +122,7 @@ def feature_digests(seq_dir: Path) -> dict:
     """Digests of the 263-dim encoding of a procedural prediction for each
     curated sequence, and of its decoding, as model evaluation makes them."""
     out = {}
-    for gt in read_sequences_dir(seq_dir):
+    for gt in map(read_sequence, sequence_paths(seq_dir)):
         fps = resample(gt.motion, 150).fps
         pred = procedural_pnr(gt.initial_state, gt.goal_location, gt.event.event.kind,
                               n=150, fps=fps)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_io as ref
 from pnr import io_jsonl as io
 from pnr.cli import MAX_THETAS, _frame_count, _thetas, main
 from pnr.curation import curate
@@ -17,6 +18,11 @@ from pnr.errors import MalformedFile
 from pnr.metrics import EvalPair
 from pnr.motion import MAX_FRAMES, MotionSequence, resample
 from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
+
+
+def read_sequences(path):
+    """Every sequence file under a directory, by file name."""
+    return [io.read_sequence(f) for f in io.sequence_paths(path)]
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +132,8 @@ class TestSequenceRoundtrip:
     def test_invalid_json_line_number(self, tmp_path):
         p = tmp_path / "bad.seq.jsonl"
         p.write_text('{"schema_version":1,"id":"x","video_id":"v","fps":30,'
-                     '"kind":"pick","t_p":1,"t_e":2,"goal":[0,0,0],'
-                     '"prime_frame_index":0,"initial_velocity":' +
+                     '"kind":"pick","t_p":1,"t_e":2,"t_start":0,"prime_mode":"direct_hit",'
+                     '"goal":[0,0,0],"prime_frame_index":0,"flags":[],"initial_velocity":' +
                      json.dumps([0.0] * 66) + '}\n{oops\n', encoding="utf-8")
         with pytest.raises(MalformedFile) as err:
             io.read_sequence(p)
@@ -327,7 +333,7 @@ class TestMalformedRows:
             assert (err.value.line_no, err.value.reason) == (1, reason)
 
     @pytest.mark.parametrize("key, value, reason", [
-        ("fps", True, "fps must be a positive number"),
+        ("fps", True, "fps must be a number"),
         ("id", None, "id must be a string"),
         ("video_id", [1], "video_id must be a string"),
     ])
@@ -523,7 +529,7 @@ class TestCliPipeline:
             assert (same / name).read_bytes() == (split / name).read_bytes()
         # each prediction is the mean pose of all training frames, retimed to
         # its ground truth resampled to --n frames
-        train = io.read_sequences_dir(seq_dir)
+        train = read_sequences(seq_dir)
         for gt in train:
             pred = io.read_sequence(same / f"{gt.id}{io.SEQUENCE_SUFFIX}")
             expected = static_baseline(train, n=150, fps=resample(gt.motion, 150).fps)
@@ -613,10 +619,11 @@ def test_prime_remap_rounds_exact_half_to_even(scenario, tmp_path):
     pred = resample(long.motion, 150)
     assert EvalPair.from_sequences(pred, long, n=150).prime_frame_index == 74
     gt_dir, pred_dir = tmp_path / "gt", tmp_path / "preds"
-    io.write_sequences_dir([long], gt_dir)
+    gt_dir.mkdir()
+    io.write_sequence(long, gt_dir / f"{long.id}{io.SEQUENCE_SUFFIX}")
     assert main(["baseline", "static", "--train", str(gt_dir), "--gt", str(gt_dir),
                  "--out", str(pred_dir), "--n", "150"]) == 0
-    (pred,) = io.read_sequences_dir(pred_dir)
+    (pred,) = read_sequences(pred_dir)
     assert pred.prime_frame_index == 74
 
 
@@ -643,7 +650,7 @@ def test_split_override_via_cli(tmp_path):
     rec_dir = write_corpus(tmp_path, n=3, seed=2)
     seq_dir = tmp_path / "seqs"
     main(["curate", "--in", str(rec_dir), "--out", str(seq_dir)])
-    seqs = io.read_sequences_dir(seq_dir)
+    seqs = read_sequences(seq_dir)
     vid = seqs[0].video_id
     override_file = tmp_path / "override.json"
     override_file.write_text(json.dumps({vid: "test"}))
@@ -679,16 +686,24 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     {"duration": 1e12},
     {"walk_speed": float("nan")},
     {"seed": 5},  # recording seeds come from --seed; a spec seed was ignored
+    # a boolean used to be read as 1 or 0, and an integer past the float
+    # range to crash synth
+    {"fps": True},
+    {"duration": 10 ** 400},
+    {"walk_speed": 10 ** 400},
+    {"room": {"min": [-10 ** 400, 0, -4], "max": [4, 2.5, 4]}},
+    {"room": {"min": [-4, False, -4], "max": [4, 2.5, 4]}},
 ], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max",
         "room_narrow", "fps_nan", "n_objects_1e9", "duration_1e12", "walk_speed_nan",
-        "seed"])
+        "seed", "fps_bool", "duration_int400", "walk_speed_int400", "room_int400",
+        "room_bool"])
 def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
     out = tmp_path / "out"
     code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)])
     assert code == 1
-    assert "bad scenario spec" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: bad scenario spec: ")
     assert not out.exists()
 
 
@@ -796,11 +811,13 @@ def _spec(tmp_path):
 
 def _zero_pose_preds(tmp_path, seqs):
     """A prediction per sequence whose joints are all zero: no head frame."""
-    preds = [replace(seq, motion=MotionSequence(seq.motion.fps,
-                                                np.zeros_like(seq.motion.joints)))
-             for seq in io.read_sequences_dir(seqs)]
-    io.write_sequences_dir(preds, tmp_path / "preds")
-    return str(tmp_path / "preds")
+    out = tmp_path / "preds"
+    out.mkdir()
+    for seq in read_sequences(seqs):
+        pred = replace(seq, motion=MotionSequence(seq.motion.fps,
+                                                  np.zeros_like(seq.motion.joints)))
+        io.write_sequence(pred, out / f"{seq.id}{io.SEQUENCE_SUFFIX}")
+    return str(out)
 
 
 def _recordings_plus(tmp_path, recs, bad_entry):
@@ -873,7 +890,7 @@ def _with_header(path, drop=(), **fields):
 
 @pytest.mark.parametrize("fps, reason", [
     (math.inf, "non-finite fps"), (10 ** 400, "non-finite fps"),
-    (math.nan, "fps must be a positive number"),
+    (math.nan, "non-finite fps"),
 ], ids=["inf", "huge_int", "nan"])
 def test_non_finite_recording_fps_exit_2(curated_dir, tmp_path, capsys, fps, reason):
     # an infinite fps used to pass the reader and crash curation
@@ -903,6 +920,59 @@ def test_non_finite_event_time_exit_2(curated_dir, tmp_path, capsys, value):
     assert main(["curate", "--in", str(rec_dir), "--out", str(out)]) == 2
     assert f"zzz-bad.rec.jsonl:{k + 1}: non-finite event time" in capsys.readouterr().err
     assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+
+def _timed_file(curated_dir, tmp_path, suffix, kind, at, text):
+    """A copy of the first recording or sequence, alone in tmp_path/in,
+    with the time of row ``at`` of ``kind`` written as ``text``; gives its
+    path and the row's 0-based line."""
+    src = Path(curated_dir)
+    src = src.parent / "recordings" if suffix == io.RECORDING_SUFFIX else src
+    lines = sorted(src.glob(f"*{suffix}"))[0].read_text(encoding="utf-8").split("\n")
+    k = [i for i, line in enumerate(lines) if f'"k":"{kind}"' in line][at]
+    row = json.loads(lines[k])
+    row["t_e" if kind == "event" else "t"] = "TIME"
+    lines[k] = json.dumps(row, separators=(",", ":")).replace('"TIME"', text)
+    (tmp_path / "in").mkdir()
+    bad = tmp_path / "in" / f"bad{suffix}"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    return bad, k
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "1e400", "int400"])
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("suffix, kind", [
+    (io.RECORDING_SUFFIX, "gaze"), (io.RECORDING_SUFFIX, "frame"),
+    (io.RECORDING_SUFFIX, "event"), (io.SEQUENCE_SUFFIX, "frame"),
+], ids=["rec_gaze", "rec_frame", "rec_event", "seq_frame"])
+def test_non_finite_row_time_at_its_line(curated_dir, tmp_path, capsys, suffix, kind, at, text):
+    # an infinite frame time used to be read, a NaN one reported at the
+    # next line, and an integer past the float range to crash curate
+    bad, k = _timed_file(curated_dir, tmp_path, suffix, kind, at, text)
+    want = (k + 1, f"non-finite {kind} time")
+    if suffix == io.RECORDING_SUFFIX:
+        reads, argv = (io.read_recording, ref.read_recording), ["curate", "--out", str(tmp_path)]
+    else:
+        reads, argv = (io.read_sequence, ref.read_sequence), ["stats"]
+    for read in reads:
+        with pytest.raises(MalformedFile) as err:
+            read(bad)
+        assert (err.value.line_no, err.value.reason) == want
+    assert main(argv + ["--in", str(tmp_path / "in")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{want[0]}: {want[1]}\n"
+
+
+@pytest.mark.parametrize("suffix, argv", [(io.RECORDING_SUFFIX, ["curate", "--out", "{out}"]),
+                                          (io.SEQUENCE_SUFFIX, ["stats"])],
+                         ids=["curate", "stats"])
+def test_integer_too_long_to_parse_exit_2(curated_dir, tmp_path, capsys, suffix, argv):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError, which used to escape the readers as a traceback
+    bad, k = _timed_file(curated_dir, tmp_path, suffix, "frame", 1, "1" * 5000)
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    assert main(argv + ["--in", str(tmp_path / "in")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{k + 1}: integer with too many digits\n"
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -980,8 +1050,12 @@ def test_non_finite_sequence_header_exit_2(curated_dir, tmp_path, capsys, key, v
     ({"prime_frame_index": "x"}, (), "prime_frame_index must be an integer"),
     ({"flags": 7}, (), "flags must be a list"),
     ({}, ("video_id",), "header missing video_id"),
+    ({}, ("t_start",), "header missing t_start"),
+    ({}, ("prime_mode",), "header missing prime_mode"),
+    ({}, ("flags",), "header missing flags"),
 ], ids=["nan_t_p", "zero_fps", "negative_fps", "short_goal", "bad_kind", "negative_prime",
-        "prime_not_int", "flags_not_list", "no_video_id"])
+        "prime_not_int", "flags_not_list", "no_video_id", "no_t_start", "no_prime_mode",
+        "no_flags"])
 def test_split_header_error_exit_2_as_read_sequence(curated_dir, tmp_path, capsys,
                                                     fields, drop, reason):
     # split reads headers alone, and reports a bad one as read_sequence does

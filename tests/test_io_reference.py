@@ -287,8 +287,9 @@ def test_non_positive_fps_reported_as_such(i, fps, tmp_path):
 
 WRONG_TYPES = [None, "x", 7, True, {}, []]
 BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], {}]
-# Values for a number: non-finite, zero or negative (an fps, a time)
-BAD_NUMBERS = BAD_ITEMS[:3] + [0, -1]
+# Values for a number: non-finite, past the float range, zero or negative
+# (an fps, a time)
+BAD_NUMBERS = BAD_ITEMS[:3] + [10 ** 400, 0, -1]
 NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
 MUTATIONS = ["delete_key", "wrong_type", "bad_number", "bad_item", "short_list",
              "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
@@ -300,7 +301,7 @@ HEADS = ('{"k":"gaze","t":', '{"k":"frame","t":')
 # or reads as another value, and values whose text holds a comma
 TIMES = ["1", "-0", "0", "2E-1", "1e400", "-1.5e-7", "0.30000000000000004", "1.", "+1",
          "01", ".5", "1e", "-", "1 ", "NaN", "Infinity", "-Infinity", "null", "true",
-         '"0.5"', '"0,5"', '"1,5"', "[0,1]", "[2,1]", "2,1]"]
+         '"0.5"', '"0,5"', '"1,5"', "[0,1]", "[2,1]", "2,1]", "1" + "0" * 400]
 # Text put before a row's closing brace, in two rows whose text after the
 # time is then still the same: a second "t" key (the last one wins), an
 # escaped one, a second "k", strings holding separators and quotes, a

@@ -38,9 +38,6 @@ ALLOWED = {
     "geometry.near_miss": "demos/01",
     "geometry.angular_error": "demos/01",
     # public API that only tests call
-    "geometry.RigidTransform.identity": "exported constructor",
-    "geometry.RigidTransform.from_translation": "exported constructor",
-    "geometry.Aabb.translated": "exported method",
     "motion.head_forward": "exported one-pose wrapper of head_forward_batch",
     "curation.PnRSequence.goal_pose": "the goal pose a sequence conditions on",
     # the decoder of the rotation channels, which nothing in the pipeline reads
@@ -94,7 +91,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([str(a) for a in argv]) == 0, argv
 
 pairs = []
-for gt in io_jsonl.read_sequences_dir(seqs):
+for gt in map(io_jsonl.read_sequence, io_jsonl.sequence_paths(seqs)):
     fps = motion.resample(gt.motion, 150).fps
     pred = synth.procedural_pnr(gt.initial_state, gt.goal_location, gt.event.event.kind,
                                 n=150, fps=fps)
