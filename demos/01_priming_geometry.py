@@ -13,7 +13,6 @@ from pnr import (
     InteractionEvent,
     ObjectTarget,
     Ray,
-    RigidTransform,
     angular_error,
     find_prime_time,
     gaze_ray,
@@ -21,6 +20,7 @@ from pnr import (
     slab_intersect,
 )
 from pnr.geometry import unit, vec3
+from pnr.motion import yaw_matrices
 
 print("== Ray vs axis-aligned box (slab test) ==")
 box = Aabb(vec3(2, -1, -1), vec3(4, 1, 1))
@@ -42,8 +42,9 @@ for height in (0.04, 0.10):
           f"-> primed={nm.primed}")
 
 print("\n== Gaze ray from an eye-tracker sample ==")
-pose = RigidTransform.about_axis(vec3(0, 1, 0), np.pi / 2, translation=vec3(1, 1.6, 0))
-sample = GazeSample(t=0.0, gaze_point_cam=vec3(0, 0, 2), cam_pose=pose)
+# camera at (1, 1.6, 0), turned 90 degrees about +y: its +z looks along world +x
+sample = GazeSample(t=0.0, gaze_point_cam=vec3(0, 0, 2),
+                    rotation=yaw_matrices(np.pi / 2), translation=vec3(1, 1.6, 0))
 ray = gaze_ray(sample)
 print(f"  camera at {ray.origin}, gaze direction {np.round(ray.dir, 3)}")
 

@@ -15,6 +15,7 @@ from pnr import (
     to_features,
 )
 from pnr.features import CONTACTS, LOCAL_POS, ROOT_HEIGHT, ROOT_LIN_VEL, ROOT_ROT_VEL
+from pnr.motion import yaw_apply
 
 rec, _ = generate_scenario(ScenarioSpec(seed=42))
 motion = rec.motion
@@ -22,12 +23,14 @@ print(f"== Source motion: {motion.n_frames} frames at {motion.fps:.0f} fps "
       f"({motion.duration:.1f} s) ==")
 print(f"  frame-0 pelvis: {np.round(motion.joints[0, 0], 3)}")
 
-canon, transform = canonicalize(motion)
+canon, angle, shift = canonicalize(motion)
 print("\n== Canonicalized (pelvis over origin, facing +z) ==")
 print(f"  frame-0 pelvis: {np.round(canon.joints[0, 0], 6)}")
-restored = canon.transformed(transform.inverse())
-print(f"  inverse transform restores the input within "
-      f"{np.abs(restored.joints - motion.joints).max():.2e} m")
+print(f"  yaw {np.degrees(angle):.1f} deg about +y, then a ground shift of "
+      f"{shift[0]:.3f} m in x and {shift[2]:.3f} m in z")
+restored = yaw_apply(-angle, canon.joints - shift)
+print(f"  the inverse yaw and shift restore the input within "
+      f"{np.abs(restored - motion.joints).max():.2e} m")
 
 fixed = resample(canon, 150)
 print(f"\n== Resampled to 150 frames ({fixed.fps:.2f} fps, same span) ==")

@@ -43,7 +43,6 @@ from .geometry import (
     IntersectResult,
     NearMissResult,
     Ray,
-    RigidTransform,
     angular_error,
     near_miss,
     slab_intersect,

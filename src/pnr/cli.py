@@ -34,7 +34,7 @@ from .metrics import (
 )
 from .curation import DEFAULT_MIN_MOVEMENT, DEFAULT_PREPEND
 from .motion import MAX_FRAMES, MotionSequence, resample, resampled_index
-from .synth import ScenarioSpec, generate_corpus, static_baseline
+from .synth import MAX_RECORDINGS, ScenarioSpec, generate_corpus, static_baseline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,8 +169,9 @@ def cmd_synth(args) -> int:
         if "seed" in payload:
             raise ValueError("seed is not a spec field: recording seeds are set by --seed")
         n_recordings = payload.pop("n_recordings", 1)
-        if type(n_recordings) is not int or n_recordings < 0:
-            raise ValueError(f"n_recordings must be an integer >= 0, got {n_recordings!r}")
+        if type(n_recordings) is not int or not 0 <= n_recordings <= MAX_RECORDINGS:
+            raise ValueError(f"n_recordings must be an integer in [0, {MAX_RECORDINGS}], "
+                             f"got {n_recordings!r}")
         prime_mode = payload.pop("prime_mode", "direct_hit")
         room = payload.pop("room", None)
         if room is not None:
@@ -185,9 +186,9 @@ def cmd_synth(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: bad scenario spec: {exc}", file=sys.stderr)
         return 1
+    corpus = generate_corpus(base, n_recordings, seed=args.seed, mixed_modes=mixed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(base, n_recordings, seed=args.seed, mixed_modes=mixed)
     for rec, labels in corpus:
         io.write_recording(rec, out_dir / f"{rec.id}{io.RECORDING_SUFFIX}")
         io.write_labels(labels, out_dir / f"{rec.id}.labels.json")

@@ -25,7 +25,7 @@ from .gaze import (
     PrimedEvent,
     find_prime_time,
 )
-from .motion import MotionSequence, body_movement, canonicalize, hand_movement
+from .motion import MotionSequence, body_movement, canonicalize, hand_movement, yaw_apply
 
 log = logging.getLogger(__name__)
 
@@ -162,10 +162,9 @@ def curate(
             drops.append(Drop(k, event.kind, event.t_e, REASON_TOO_SHORT))
             continue
 
-        joints = motion.joints[i0 : i1 + 1]
         frame_times = np.arange(i0, i1 + 1) / fps
         gaze_dirs = _nearest_gaze_dirs(recording.gaze, frame_times)
-        sliced = MotionSequence(fps, joints, gaze=gaze_dirs)
+        sliced = MotionSequence(fps, motion.joints[i0 : i1 + 1], gaze=gaze_dirs)
 
         if max(body_movement(sliced), hand_movement(sliced)) < min_movement:
             drops.append(Drop(k, event.kind, event.t_e, REASON_MINIMAL_MOVEMENT))
@@ -178,17 +177,15 @@ def curate(
             flags.append(FLAG_NO_PRECEDING_FRAME)
         prime_idx = int(np.clip(round(primed.t_p * fps) - i0, 0, i1 - i0))
 
-        sliced, transform = canonicalize(sliced)
+        sliced, angle, shift = canonicalize(sliced)
         sequences.append(
             PnRSequence(
                 id=f"{recording.id}-e{k:03d}",
                 video_id=recording.video_id,
                 event=primed,
                 motion=sliced,
-                goal_location=transform.apply_points(event.target.location),
-                initial_state=InitialState(
-                    transform.apply_points(joints[0]), transform.apply_dirs(velocity)
-                ),
+                goal_location=yaw_apply(angle, event.target.location) + shift,
+                initial_state=InitialState(sliced.joints[0], yaw_apply(angle, velocity)),
                 prime_frame_index=prime_idx,
                 flags=tuple(flags),
             )

@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGaze, EmptyWindow
-from .geometry import (
-    Aabb,
-    Ray,
-    RigidTransform,
-    as_vec3,
-    prime_batch,
-)
+from .geometry import Aabb, Ray, as_vec3, prime_batch
 
 DEFAULT_WINDOW = 10.0  # s
 DEFAULT_TAU = 0.05  # m
@@ -29,12 +23,18 @@ _DEGENERATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GazeSample:
+    """One GazeTrack row: the camera pose (``rotation`` (3, 3) and
+    ``translation`` (3,)) maps the camera-frame gaze point into the world.
+    It is checked as a row read from a file is, by GazeTrack: shapes and
+    finite values, with no orthonormality test."""
+
     t: float
     gaze_point_cam: np.ndarray
-    cam_pose: RigidTransform
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gaze_point_cam", as_vec3(self.gaze_point_cam))
+        GazeTrack.from_samples([self])
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class GazeTrack:
         return GazeTrack(
             np.array([s.t for s in samples]),
             np.array([s.gaze_point_cam for s in samples]),
-            np.array([s.cam_pose.rotation for s in samples]),
-            np.array([s.cam_pose.translation for s in samples]),
+            np.array([s.rotation for s in samples]),
+            np.array([s.translation for s in samples]),
         )
 
     def world_rays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
-"""Exact 3-D primitives: rigid transforms, rays, axis-aligned boxes and the
-intersection tests used to decide whether a gaze ray primes a target.
+"""Exact 3-D primitives: rays, axis-aligned boxes and the intersection
+tests used to decide whether a gaze ray primes a target.
 
 Conventions: lengths in meters, angles in radians, vectors are float64
 numpy arrays of shape (3,). All types are immutable values and all
@@ -20,7 +20,6 @@ import numpy as np
 PARALLEL_EPS = 1e-12
 
 _UNIT_TOL = 1e-9
-_ORTHO_TOL = 1e-7
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 _MAX = sys.float_info.max
 
@@ -56,18 +55,6 @@ def norm3(v) -> float:
     return math.sqrt(s)
 
 
-def _rotate(r, v) -> np.ndarray:
-    """Vectors v (..., 3) times the 3x3 matrix r, each component summed
-    left to right as ``((0.0 + r_i0*x) + r_i1*y) + r_i2*z`` into one array:
-    no BLAS kernel decides the order or fuses the products."""
-    v = np.asarray(v, dtype=np.float64)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out = np.empty(v.shape)
-    for i in range(3):
-        out[..., i] = ((0.0 + r[i, 0] * x) + r[i, 1] * y) + r[i, 2] * z
-    return out
-
-
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a (3,) float64 vector, rejecting non-finite components."""
     v = np.array([x, y, z], dtype=np.float64)
@@ -100,48 +87,6 @@ def as_unit(v) -> np.ndarray:
     if abs(norm3(v) - 1.0) > _UNIT_TOL:
         raise ValueError(f"vector is not unit length: {v}")
     return v
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid motion: x -> rotation x + translation (see _rotate)."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = as_vec3(self.translation)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHO_TOL):
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation must have determinant +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def about_axis(axis, angle: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        """Rotation by ``angle`` about a unit ``axis`` (Rodrigues), then translate."""
-        a = unit(axis)
-        k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-        r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-        return RigidTransform(r, as_vec3(translation))
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -_rotate(rt, self.translation))
-
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        """Transform an (..., 3) array of points."""
-        out = _rotate(self.rotation, pts)
-        out += self.translation
-        return out
-
-    def apply_dirs(self, dirs: np.ndarray) -> np.ndarray:
-        """Rotate an (..., 3) array of directions (no translation)."""
-        return _rotate(self.rotation, dirs)
 
 
 @dataclass(frozen=True)

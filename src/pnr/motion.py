@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePose
-from .geometry import RigidTransform, component_norm
+from .geometry import component_norm
 from .skeleton import (
     HEAD,
     L_HIP,
@@ -70,10 +70,6 @@ class MotionSequence:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.fps
-
-    def transformed(self, t: RigidTransform) -> "MotionSequence":
-        gaze = None if self.gaze is None else t.apply_dirs(self.gaze)
-        return MotionSequence(self.fps, t.apply_points(self.joints), gaze)
 
 
 def resample(motion: MotionSequence, n: int) -> MotionSequence:
@@ -175,15 +171,19 @@ def yaw_apply(angles, v) -> np.ndarray:
     return out
 
 
-def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, RigidTransform]:
+def canonicalize(motion: MotionSequence) -> tuple[MotionSequence, float, np.ndarray]:
     """Rigidly normalize so frame 0 has the pelvis over the ground origin
-    and faces +z. Returns the applied transform so callers can invert it
-    or drag other scene geometry into the same frame."""
-    psi0 = float(heading_angles(motion.joints[:1])[0])
+    and faces +z. Returns ``(canonical motion, angle, shift)``: a point p
+    maps to ``yaw_apply(angle, p) + shift`` and a direction d to
+    ``yaw_apply(angle, d)``, so callers can drag other scene geometry into
+    the same frame; ``yaw_apply(-angle, q - shift)`` maps a point back."""
+    angle = -float(heading_angles(motion.joints[:1])[0])
     p0 = motion.joints[0, PELVIS]
-    ground = np.array([p0[0], 0.0, p0[2]])
-    t = RigidTransform(yaw_matrices(-psi0), -yaw_apply(-psi0, ground))
-    return motion.transformed(t), t
+    shift = -yaw_apply(angle, np.array([p0[0], 0.0, p0[2]]))
+    joints = yaw_apply(angle, motion.joints)
+    joints += shift
+    gaze = None if motion.gaze is None else yaw_apply(angle, motion.gaze)
+    return MotionSequence(motion.fps, joints, gaze), angle, shift
 
 
 def head_forward_batch(joints: np.ndarray) -> np.ndarray:

@@ -56,6 +56,8 @@ SETTLE_TIME = 0.4  # s between arriving and the interaction
 REACH_TIME = 0.5  # s of wrist travel before the interaction
 ROOM_MARGIN = 0.4  # m kept between a random box center and the room walls
 MAX_WALK_SPEED = 3.0  # m/s the procedural synthesizer may walk
+MAX_OBJECTS = 1_000  # objects per scenario
+MAX_RECORDINGS = 100_000  # recordings per corpus
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,19 @@ class ScenarioSpec:
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
-        if self.planted_prime_offset < 0 or self.gaze_noise_std < 0:
-            raise ValueError("planted_prime_offset and gaze_noise_std must be >= 0")
+        if self.planted_prime_offset < 0 or self.gaze_noise_std < 0 or self.walk_speed < 0:
+            raise ValueError("planted_prime_offset, gaze_noise_std and walk_speed must be >= 0")
+        if not 0 <= self.min_goal_distance <= self.max_goal_distance:
+            raise ValueError("goal distances must satisfy 0 <= min_goal_distance "
+                             "<= max_goal_distance")
         if self.duration <= self.planted_prime_offset + 2.0:
             raise ValueError("duration must exceed planted_prime_offset + 2 s")
         # generate_scenario's frame count; min() keeps an overflow finite
         if round(min(self.duration * self.fps, MAX_FRAMES)) + 1 > MAX_FRAMES:
             raise ValueError(f"duration * fps gives more than {MAX_FRAMES} frames")
-        if type(self.n_objects) is not int or self.n_objects < 0:
-            raise ValueError(f"n_objects must be an integer >= 0, got {self.n_objects!r}")
+        if type(self.n_objects) is not int or not 0 <= self.n_objects <= MAX_OBJECTS:
+            raise ValueError(f"n_objects must be an integer in [0, {MAX_OBJECTS}], "
+                             f"got {self.n_objects!r}")
         with np.errstate(over="ignore"):  # _random_box's center range
             span = (self.room.max - ROOM_MARGIN) - (self.room.min + ROOM_MARGIN)
         if not np.all(np.isfinite(span) & (span >= 0.0)):  # as rng.uniform requires

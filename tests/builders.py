@@ -1,14 +1,54 @@
-"""Shared constructors for synthetic test motions, and the rotation rows
-the encoding stores for observed bone directions."""
+"""Shared constructors for synthetic test motions, a rigid motion of the
+scene, and the rotation rows the encoding stores for observed bone
+directions."""
 
 import numpy as np
 
 from pnr.features import _FLIP_ROWS, _arc_entries
+from pnr.metrics import EvalPair
 from pnr.motion import MotionSequence, canonicalize, yaw_matrices
 from pnr.skeleton import N_JOINTS, REST_DIRS, REST_POSE
 
 REST = REST_POSE
 REST_LOCAL = REST - REST[0]
+
+
+class Rig:
+    """A rigid motion x -> rotation @ x + shift of a test scene, applied
+    with numpy ``@``: the library has no general rigid transform, since
+    curation maps each sequence by a yaw and a shift alone."""
+
+    def __init__(self, rotation, shift=(0.0, 0.0, 0.0)):
+        self.rotation = np.asarray(rotation, dtype=np.float64)
+        self.shift = np.asarray(shift, dtype=np.float64)
+
+    @staticmethod
+    def about(axis, angle, shift=(0.0, 0.0, 0.0)):
+        """Rotation by ``angle`` about ``axis`` (Rodrigues), then ``shift``."""
+        a = np.asarray(axis, dtype=np.float64)
+        a = a / np.linalg.norm(a)
+        k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        return Rig(np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k), shift)
+
+    def points(self, p):
+        return np.asarray(p, dtype=np.float64) @ self.rotation.T + self.shift
+
+    def dirs(self, d):
+        return np.asarray(d, dtype=np.float64) @ self.rotation.T
+
+    def motion(self, m):
+        gaze = None if m.gaze is None else self.dirs(m.gaze)
+        return MotionSequence(m.fps, self.points(m.joints), gaze)
+
+    def pair(self, pair):
+        return EvalPair(
+            id=pair.id,
+            predicted=self.motion(pair.predicted),
+            ground_truth=self.motion(pair.ground_truth),
+            prime_frame_index=pair.prime_frame_index,
+            goal_location=self.points(pair.goal_location),
+            prime_gaze=self.dirs(pair.prime_gaze),
+        )
 
 
 def standing_motion(n=30, fps=30.0, offset=(0.0, 0.0, 0.0)):

@@ -21,7 +21,7 @@ from pnr.curation import (
 )
 from pnr.features import CONTACT_HEIGHT, CONTACT_SPEED, FEATURE_DIM, from_features, to_features
 from pnr.gaze import DEFAULT_TAU, DEFAULT_WINDOW, find_prime_time
-from pnr.geometry import RigidTransform, slab_intersect_batch, vec3
+from pnr.geometry import slab_intersect_batch, vec3
 from pnr.io_jsonl import write_json, write_sequence
 from pnr.metrics import (
     DEFAULT_N_FRAMES,
@@ -51,7 +51,7 @@ from pnr.synth import (
     static_baseline,
 )
 
-from builders import random_smooth_motion
+from builders import Rig, random_smooth_motion
 from oracles import N_SAMPLES, focused_hit_batch, oracle_grid_steps
 
 
@@ -260,17 +260,6 @@ def test_06_feature_roundtrip():
 # --------------------------------------------------------------------- 7
 
 
-def _transform_pair(pair, rig):
-    return EvalPair(
-        id=pair.id,
-        predicted=pair.predicted.transformed(rig),
-        ground_truth=pair.ground_truth.transformed(rig),
-        prime_frame_index=pair.prime_frame_index,
-        goal_location=rig.apply_points(pair.goal_location),
-        prime_gaze=rig.apply_dirs(pair.prime_gaze),
-    )
-
-
 def test_07_rigid_invariance(corpus):
     rng = np.random.default_rng(99)
     pairs = _procedural_pairs(corpus["test"][:20])
@@ -278,11 +267,11 @@ def test_07_rigid_invariance(corpus):
     for pair in pairs:
         # ground-preserving rigid motion: yaw plus horizontal translation
         # (foot skating and contact gates are height-referenced)
-        rig = RigidTransform(
+        rig = Rig(
             yaw_matrices(rng.uniform(0, 2 * math.pi)),
             vec3(rng.uniform(-5, 5), 0.0, rng.uniform(-5, 5)),
         )
-        moved = _transform_pair(pair, rig)
+        moved = rig.pair(pair)
         a, b = evaluate_pair(pair), evaluate_pair(moved)
         assert a.prime_success == b.prime_success
         assert a.reach_success == b.reach_success
@@ -291,10 +280,8 @@ def test_07_rigid_invariance(corpus):
                      (a.foot_skating, b.foot_skating)):
             worst = max(worst, abs(x - y))
         # the five height-free metrics survive arbitrary rigid transforms
-        free = RigidTransform.about_axis(
-            rng.normal(size=3), rng.uniform(0, math.pi),
-            translation=rng.uniform(-3, 3, 3))
-        far = _transform_pair(pair, free)
+        free = Rig.about(rng.normal(size=3), rng.uniform(0, math.pi), rng.uniform(-3, 3, 3))
+        far = free.pair(pair)
         assert prime_success(pair) == prime_success(far)
         assert reach_success(pair) == reach_success(far)
         assert location_error_flag(pair) == location_error_flag(far)
@@ -306,7 +293,7 @@ def test_07_rigid_invariance(corpus):
     for _ in range(200):
         m = random_smooth_motion(rng, n=5)
         pose = m.joints[2]
-        rot = RigidTransform.about_axis(rng.normal(size=3), rng.uniform(0, 2 * math.pi))
+        rot = Rig.about(rng.normal(size=3), rng.uniform(0, 2 * math.pi))
         f1 = head_forward(pose @ rot.rotation.T)
         f2 = rot.rotation @ head_forward(pose)
         ang = math.acos(min(1.0, max(-1.0, float(f1 @ f2))))

@@ -52,8 +52,9 @@ ROOMS = [
     5,
 ]
 SPEC_FIELDS = {
-    "n_recordings": st.sampled_from([0, 1, 2, -1, 2.5, "many", True, None]),
-    "n_objects": st.sampled_from([0, 2, -1, 1e9, "x", True, None]),
+    # counts past their caps are refused before anything is made
+    "n_recordings": st.sampled_from([0, 1, 2, -1, 2.5, "many", True, None, 10 ** 9, 10 ** 400]),
+    "n_objects": st.sampled_from([0, 2, -1, 1e9, "x", True, None, 10 ** 9, 10 ** 400]),
     "room": st.sampled_from(ROOMS),
     "prime_mode": st.sampled_from(["direct_hit", "near_miss", "mixed", "x", 5, None]),
     "planted_event_kind": st.sampled_from(["pick", "put", "x", 0]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnr.curation import (
     InitialState,
@@ -11,12 +13,13 @@ from pnr.curation import (
     stats,
 )
 from pnr.errors import EmptyCorpus
-from pnr.gaze import GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
+from pnr.gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from pnr.geometry import Aabb, vec3
-from pnr.motion import MotionSequence, canonicalize
+from pnr.motion import MotionSequence, canonicalize, yaw_apply
 from pnr.skeleton import PELVIS
+from pnr.synth import ScenarioSpec, generate_scenario
 
-from builders import REST, glide_motion, standing_motion
+from builders import REST, Rig, glide_motion, standing_motion
 
 FPS = 30.0
 TARGET = ObjectTarget("tgt", box=Aabb.from_center(vec3(0, 1.0, 6.0), vec3(0.1, 0.1, 0.1)))
@@ -110,14 +113,14 @@ class TestCurate:
 
     def test_initial_velocity_from_preceding_frame(self):
         # the world step into the slice's first frame, turned by the
-        # slice's own canonicalizing transform
+        # slice's own canonicalizing yaw
         rec = make_recording()
         seq = curate(rec).sequences[0]
         i0, i1 = int(round(3.0 * FPS)), int(round(8.0 * FPS))
-        _, transform = canonicalize(MotionSequence(FPS, rec.motion.joints[i0:i1 + 1]))
+        _, angle, _ = canonicalize(MotionSequence(FPS, rec.motion.joints[i0:i1 + 1]))
         step = rec.motion.joints[i0] - rec.motion.joints[i0 - 1]
         assert np.any(step != 0.0)
-        assert np.allclose(seq.initial_state.velocity, transform.apply_dirs(step))
+        assert np.allclose(seq.initial_state.velocity, yaw_apply(angle, step))
 
     def test_gaze_attached_to_frames(self):
         seq = curate(make_recording()).sequences[0]
@@ -138,6 +141,77 @@ class TestCurate:
         for rec, res in zip(recs, results):
             for x, y in zip(res.sequences, curate(rec).sequences):
                 assert np.array_equal(x.motion.joints, y.motion.joints)
+
+
+# (cos, sin) of k quarter turns: yaw matrices of 0 and +-1 turn exactly
+QUARTER_TURNS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+def scene(seed, mode, noise):
+    """A synthetic recording, its planted event first, plus a put on a
+    distractor box and picks of two point targets, each placed 2 cm off
+    one sample's gaze ray (inside the near-miss tau of 5 cm)."""
+    rec, _ = generate_scenario(ScenarioSpec(seed=seed, prime_mode=mode, gaze_noise_std=noise))
+    rng = np.random.default_rng(seed)
+    times = rec.gaze.times
+    origins, dirs = rec.gaze.world_rays()
+    objects = dict(rec.objects)
+    events = [rec.events[0], InteractionEvent("put", rec.events[0].t_e - 1.0,
+                                              objects["distractor00"])]
+    for name in ("p0", "p1"):
+        i = int(rng.integers(0, len(times) - 1))
+        side = np.cross(dirs[i], [0.0, 1.0, 0.0])
+        point = origins[i] + rng.uniform(1.0, 3.0) * dirs[i] + 0.02 * side / np.linalg.norm(side)
+        objects[name] = ObjectTarget(name, point=point)
+        t_e = times[min(i + int(rng.integers(0, 90)), len(times) - 1)]
+        events.append(InteractionEvent("pick", float(t_e), objects[name]))
+    return Recording(rec.id, rec.video_id, rec.gaze, rec.motion, objects, events)
+
+
+def moved(rec, k, shift):
+    """``rec`` with the whole world turned k quarter turns about +y and
+    then shifted: joints, camera poses, boxes and points. Gaze points stay
+    in the camera frame. Only the shift rounds."""
+    c, s = QUARTER_TURNS[k]
+    rig = Rig([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]], shift)
+
+    def target(t):
+        if t.point is not None:
+            return ObjectTarget(t.id, point=rig.points(t.point))
+        corners = rig.points([t.box.min, t.box.max])
+        return ObjectTarget(t.id, box=Aabb(corners.min(axis=0), corners.max(axis=0)))
+
+    objects = {name: target(t) for name, t in rec.objects.items()}
+    g = rec.gaze
+    gaze = GazeTrack(g.times, g.points_cam, rig.rotation @ g.rotations,
+                     rig.points(g.translations))
+    events = [InteractionEvent(e.kind, e.t_e, objects[e.target.id]) for e in rec.events]
+    return Recording(rec.id, rec.video_id, gaze, rig.motion(rec.motion), objects, events)
+
+
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from([DIRECT_HIT, NEAR_MISS]),
+       noise=st.sampled_from([0.0, 0.02]), k=st.integers(0, 3),
+       dx=st.integers(-1024, 1024), dz=st.integers(-1024, 1024))
+@settings(max_examples=100, deadline=None)
+def test_moving_the_world_changes_no_curated_sequence(seed, mode, noise, k, dx, dz):
+    # A sequence lives in the frame of its own first pose, so a yaw and a
+    # ground shift of the whole recording change nothing curation gives.
+    # The shift is in eighths of a meter and keeps the ground at y = 0,
+    # which the frame is measured from. Gaze noise applies in direct-hit
+    # scenes only.
+    rec = scene(seed, mode, noise)
+    a, b = curate(rec), curate(moved(rec, k, (dx / 8, 0.0, dz / 8)))
+    assert a.drops == b.drops
+    assert ([(s.id, s.t_p, s.event.prime_mode, s.prime_frame_index, s.flags)
+             for s in a.sequences]
+            == [(s.id, s.t_p, s.event.prime_mode, s.prime_frame_index, s.flags)
+                for s in b.sequences])
+    for x, y in zip(a.sequences, b.sequences):
+        for u, v in ((x.motion.joints, y.motion.joints), (x.motion.gaze, y.motion.gaze),
+                     (x.goal_location, y.goal_location),
+                     (x.initial_state.pose, y.initial_state.pose),
+                     (x.initial_state.velocity, y.initial_state.velocity)):
+            assert np.allclose(u, v, rtol=0.0, atol=1e-9)
 
 
 def seq_with(duration_s, gap_s, seq_id="s", video_id="v", fps=10.0):

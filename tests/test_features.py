@@ -73,7 +73,7 @@ def test_constant_turn_angular_velocity():
 
 def test_roundtrip_static():
     m = standing_motion(n=6)
-    canon, _ = canonicalize(m)
+    canon = canonicalize(m)[0]
     rec = from_features(to_features(canon), canon.fps)
     assert np.allclose(rec.joints, canon.joints, atol=1e-9)
 
@@ -139,7 +139,7 @@ def test_shortest_arc_antiparallel():
 
 
 def test_rotation_channels_identity_at_rest():
-    canon, _ = canonicalize(standing_motion(n=4))
+    canon = canonicalize(standing_motion(n=4))[0]
     feats = to_features(canon)
     rots = rot6d_to_matrix(feats[:, ROTATIONS].reshape(4, N_JOINTS - 1, 6))
     assert np.allclose(rots, np.eye(3), atol=1e-9)

@@ -15,14 +15,14 @@ from pnr.gaze import (
     find_prime_time,
     gaze_ray,
 )
-from pnr.geometry import Aabb, RigidTransform, vec3
+from pnr.geometry import Aabb, vec3
 
-from builders import glide_motion
+from builders import Rig, glide_motion
 from oracles import focused_hit_batch, near_miss_oracle
 
 
 def identity_sample(t, point):
-    return GazeSample(t, vec3(*point), RigidTransform(np.eye(3), np.zeros(3)))
+    return GazeSample(t, vec3(*point), np.eye(3), np.zeros(3))
 
 
 class TestGazeRay:
@@ -32,14 +32,13 @@ class TestGazeRay:
         assert np.allclose(r.dir, [0, 0, 1])
 
     def test_translation_cancels(self):
-        pose = RigidTransform(np.eye(3), vec3(1, 1, 1))
-        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 2), pose))
+        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 2), np.eye(3), vec3(1, 1, 1)))
         assert np.allclose(r.origin, [1, 1, 1])
         assert np.allclose(r.dir, [0, 0, 1])
 
     def test_rotated_frame(self):
-        pose = RigidTransform.about_axis(vec3(0, 1, 0), math.pi / 2)
-        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 1), pose))
+        rotation = Rig.about(vec3(0, 1, 0), math.pi / 2).rotation
+        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 1), rotation, np.zeros(3)))
         assert np.allclose(r.dir, [1, 0, 0], atol=1e-12)
 
     def test_degenerate_sample_raises(self):
@@ -50,6 +49,19 @@ class TestGazeRay:
         a = gaze_ray(identity_sample(0.0, (0, 0, 0.5)))
         b = gaze_ray(identity_sample(0.0, (0, 0, 7.0)))
         assert np.allclose(a.dir, b.dir)
+
+    def test_sample_checked_as_a_file_row(self):
+        # shapes and finite values, as for a recording's gaze row; a
+        # camera rotation that is not orthonormal is read as given
+        skew = np.diag([2.0, 1.0, 1.0])
+        r = gaze_ray(GazeSample(0.0, vec3(1, 0, 1), skew, np.zeros(3)))
+        assert np.allclose(r.dir, np.array([2.0, 0.0, 1.0]) / math.sqrt(5.0))
+        good = dict(t=0.0, gaze_point_cam=[0, 0, 1], rotation=np.eye(3), translation=[0, 0, 0])
+        for bad in ({"rotation": np.eye(2)}, {"translation": [0, 0]},
+                    {"gaze_point_cam": [0, 0, 1, 0]}, {"rotation": np.full((3, 3), np.nan)},
+                    {"translation": [0, math.inf, 0]}, {"t": math.nan}):
+            with pytest.raises(ValueError):
+                GazeSample(**(good | bad))
 
 
 class TestTargetPrimed:
@@ -182,15 +194,15 @@ class TestFindPrimeTime:
         # box maps to another box
         times = np.arange(0.0, 10.5, 0.5)
         track = sweeping_track(times, on_from=6.0, target_dir=(0, 0, 1))
-        rig = RigidTransform.about_axis(vec3(0, 1, 0), math.pi / 2, translation=vec3(1, 2, 3))
+        rig = Rig.about(vec3(0, 1, 0), math.pi / 2, vec3(1, 2, 3))
         rot_track = GazeTrack(
             track.times,
             track.points_cam,
             np.einsum("ij,njk->nik", rig.rotation, track.rotations),
-            rig.apply_points(track.translations),
+            rig.points(track.translations),
         )
         box = self.TARGET.as_box()
-        corners = np.array([rig.apply_points(box.min), rig.apply_points(box.max)])
+        corners = rig.points([box.min, box.max])
         rot_target = ObjectTarget("t", box=Aabb(corners.min(axis=0), corners.max(axis=0)))
         a = find_prime_time(track, self.event(), w=10.0)
         b = find_prime_time(rot_track, InteractionEvent("pick", 10.0, rot_target), w=10.0)

@@ -12,7 +12,6 @@ from pnr.geometry import (
     Aabb,
     IntersectResult,
     Ray,
-    RigidTransform,
     angular_error,
     component_norm,
     near_miss,
@@ -38,40 +37,6 @@ BOX = Aabb(vec3(2, -1, -1), vec3(4, 1, 1))
 
 def ray(o, d):
     return Ray(vec3(*o), unit(vec3(*d)))
-
-
-class TestTransformPoint:
-    def test_identity(self):
-        t = RigidTransform(np.eye(3), np.zeros(3))
-        assert np.allclose(t.apply_points(vec3(1, 2, 3)), [1, 2, 3])
-
-    def test_pure_translation(self):
-        t = RigidTransform(np.eye(3), vec3(0, 0, 5))
-        assert np.allclose(t.apply_points(vec3(1, 0, 0)), [1, 0, 5])
-
-    def test_rotation_90_about_z(self):
-        t = RigidTransform.about_axis(vec3(0, 0, 1), math.pi / 2)
-        assert np.allclose(t.apply_points(vec3(1, 0, 0)), [0, 1, 0], atol=1e-12)
-
-    def test_compose_inverse_roundtrip(self):
-        t = RigidTransform.about_axis(vec3(1, 2, 2), 0.7, translation=vec3(3, -1, 2))
-        p = vec3(0.3, -4.0, 1.5)
-        assert np.allclose(t.inverse().apply_points(t.apply_points(p)), p, atol=1e-12)
-
-
-    def test_elementwise_sums(self):
-        # each component is ((0 + r_i0 x) + r_i1 y) + r_i2 z, plus t_i for
-        # points: no BLAS kernel decides how the products are summed
-        t = RigidTransform.about_axis(vec3(1, 2, 2), 0.7, translation=vec3(3, -1, 2))
-        pts = np.random.default_rng(3).normal(size=(4, 5, 3)) * 100.0
-        r, shift = t.rotation.tolist(), t.translation.tolist()
-        dirs = [[((0.0 + a * x) + b * y) + c * z for a, b, c in r] for x, y, z in
-                pts.reshape(-1, 3).tolist()]
-        want = np.array(dirs).reshape(pts.shape)
-        assert t.apply_dirs(pts).tobytes() == want.tobytes()
-        assert t.apply_points(pts).tobytes() == (want + shift).tobytes()
-        back = [((0.0 + a * shift[0]) + b * shift[1]) + c * shift[2] for a, b, c in zip(*r)]
-        assert t.inverse().translation.tobytes() == (-np.array(back)).tobytes()
 
 
 class TestNorm3:

@@ -693,10 +693,22 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     {"walk_speed": 10 ** 400},
     {"room": {"min": [-10 ** 400, 0, -4], "max": [4, 2.5, 4]}},
     {"room": {"min": [-4, False, -4], "max": [4, 2.5, 4]}},
+    # counts past their caps: a 400-digit n_recordings used to crash synth
+    # after creating --out, and such an n_objects to allocate without end
+    {"n_recordings": 10 ** 400},
+    {"n_recordings": 100_001},
+    {"n_objects": 10 ** 400},
+    {"n_objects": 1_001},
+    # a negative speed or distance used to exit 2 as infeasible, or to
+    # synthesize a start past the goal
+    {"walk_speed": -1},
+    {"min_goal_distance": 5, "max_goal_distance": 1},
+    {"min_goal_distance": -2, "max_goal_distance": -1},
 ], ids=["n_many", "n_negative", "n_fraction", "n_bool", "room_number", "room_no_max",
         "room_narrow", "fps_nan", "n_objects_1e9", "duration_1e12", "walk_speed_nan",
         "seed", "fps_bool", "duration_int400", "walk_speed_int400", "room_int400",
-        "room_bool"])
+        "room_bool", "n_int400", "n_over_cap", "n_objects_int400", "n_objects_over_cap",
+        "walk_speed_negative", "goal_min_over_max", "goal_negative"])
 def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
@@ -704,6 +716,18 @@ def test_synth_bad_spec_field_exit_1(tmp_path, capsys, fields):
     code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: bad scenario spec: ")
+    assert not out.exists()
+
+
+def test_synth_in_range_spec_no_recording_realizes_exit_2(tmp_path, capsys):
+    # every field in range, but at walk speed 0 no start can lie
+    # min_goal_distance from the goal
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"walk_speed": 0.0}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "cannot cover" in capsys.readouterr().err
     assert not out.exists()
 
 

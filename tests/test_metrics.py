@@ -8,7 +8,7 @@ import pytest
 from pnr.curation import InitialState, PnRSequence
 from pnr.errors import EmptyCorpus, MissingGaze
 from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-from pnr.geometry import Aabb, RigidTransform, vec3
+from pnr.geometry import Aabb, vec3
 from pnr.metrics import (
     EvalPair,
     MetricsConfig,
@@ -27,7 +27,7 @@ from pnr.metrics import (
 from pnr.motion import MotionSequence, yaw_matrices
 from pnr.skeleton import L_FOOT, L_WRIST, R_WRIST
 
-from builders import REST, glide_motion, posed_frames, standing_motion
+from builders import REST, Rig, glide_motion, posed_frames, standing_motion
 
 FPS = 30.0
 N = 60
@@ -302,17 +302,6 @@ class TestSweep:
             prime_success_sweep(self.pairs(), thetas, sigmas)
 
 
-def transformed_pair(pair, rig):
-    return EvalPair(
-        id=pair.id,
-        predicted=pair.predicted.transformed(rig),
-        ground_truth=pair.ground_truth.transformed(rig),
-        prime_frame_index=pair.prime_frame_index,
-        goal_location=rig.apply_points(pair.goal_location),
-        prime_gaze=rig.apply_dirs(pair.prime_gaze),
-    )
-
-
 class TestRigidInvariance:
     def make(self):
         pred = glide_motion(speed=0.8, n=N, fps=FPS)
@@ -321,8 +310,7 @@ class TestRigidInvariance:
 
     def test_ground_preserving_all_six(self):
         pair = self.make()
-        rig = RigidTransform(yaw_matrices(1.234), vec3(3.7, 0.0, -2.1))
-        moved = transformed_pair(pair, rig)
+        moved = Rig(yaw_matrices(1.234), vec3(3.7, 0.0, -2.1)).pair(pair)
         a, b = evaluate_pair(pair), evaluate_pair(moved)
         assert a.prime_success == b.prime_success
         assert a.reach_success == b.reach_success
@@ -335,8 +323,7 @@ class TestRigidInvariance:
         # foot skating is height-gated so only ground-preserving motions
         # leave it unchanged; the other five survive any rigid transform
         pair = self.make()
-        rig = RigidTransform.about_axis(vec3(1, 2, 0.5), 0.9, translation=vec3(1, 2, 3))
-        moved = transformed_pair(pair, rig)
+        moved = Rig.about(vec3(1, 2, 0.5), 0.9, vec3(1, 2, 3)).pair(pair)
         assert prime_success(pair) == prime_success(moved)
         assert reach_success(pair) == reach_success(moved)
         assert location_error_flag(pair) == location_error_flag(moved)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnr.errors import DegeneratePose
-from pnr.geometry import RigidTransform, vec3
+from pnr.geometry import vec3
 from pnr.motion import (
     MotionSequence,
     body_movement,
@@ -12,7 +12,9 @@ from pnr.motion import (
     hand_movement,
     head_forward,
     head_forward_batch,
+    heading_angles,
     resample,
+    yaw_apply,
     yaw_matrices,
 )
 from pnr.skeleton import (
@@ -27,7 +29,7 @@ from pnr.skeleton import (
     REST_POSE,
 )
 
-from builders import REST, glide_motion, random_smooth_motion, standing_motion
+from builders import REST, Rig, glide_motion, random_smooth_motion, standing_motion
 
 
 class TestResample:
@@ -75,33 +77,44 @@ class TestResample:
 class TestCanonicalize:
     def test_already_canonical_is_identity(self):
         m = glide_motion()
-        canon, t = canonicalize(m)
-        assert np.allclose(t.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(t.translation, 0.0, atol=1e-12)
+        canon, angle, shift = canonicalize(m)
+        assert angle == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(shift, 0.0, atol=1e-12)
         assert np.allclose(canon.joints, m.joints)
 
     def test_translation_inverse(self):
         m = standing_motion(offset=(3.0, 0.0, 4.0))
-        _, t = canonicalize(m)
-        assert np.allclose(t.translation, [-3, 0, -4], atol=1e-12)
+        _, _, shift = canonicalize(m)
+        assert np.allclose(shift, [-3, 0, -4], atol=1e-12)
 
     def test_rotation_inverse_roundtrip(self):
         base = glide_motion(n=20)
-        rot = RigidTransform(yaw_matrices(math.pi / 2), vec3(0, 0, 0))
-        rotated = base.transformed(rot)
-        canon, t = canonicalize(rotated)
+        rotated = Rig(yaw_matrices(math.pi / 2)).motion(base)
+        canon, angle, shift = canonicalize(rotated)
         assert np.allclose(canon.joints, base.joints, atol=1e-9)
-        # applying the inverse transform restores the rotated input
-        back = canon.transformed(t.inverse())
-        assert np.allclose(back.joints, rotated.joints, atol=1e-9)
+        # the inverse yaw and shift restore the rotated input
+        back = yaw_apply(-angle, canon.joints - shift)
+        assert np.allclose(back, rotated.joints, atol=1e-9)
 
     def test_general_rigid_roundtrip(self):
         m = random_smooth_motion(np.random.default_rng(8), n=40)
-        rig = RigidTransform(yaw_matrices(1.1), vec3(2.0, 0.0, -1.5))
-        canon, t = canonicalize(m.transformed(rig))
-        assert np.allclose(canon.transformed(t.inverse()).joints,
-                           m.transformed(rig).joints, atol=1e-9)
+        moved = Rig(yaw_matrices(1.1), vec3(2.0, 0.0, -1.5)).motion(m)
+        canon, angle, shift = canonicalize(moved)
+        assert np.allclose(yaw_apply(-angle, canon.joints - shift), moved.joints, atol=1e-9)
         assert np.allclose(canon.joints[0, PELVIS][[0, 2]], 0.0, atol=1e-9)
+
+    def test_maps_points_and_dirs_by_angle_and_shift(self):
+        # points by yaw_apply(angle, p) + shift, directions by the yaw
+        # alone; the angle undoes the first frame's heading
+        m = random_smooth_motion(np.random.default_rng(4), n=12)
+        gaze = np.random.default_rng(5).normal(size=(12, 3))
+        moved = Rig(yaw_matrices(2.0), vec3(-1.25, 0.5, 3.0)).motion(
+            MotionSequence(m.fps, m.joints, gaze))
+        canon, angle, shift = canonicalize(moved)
+        assert angle == -heading_angles(moved.joints[:1])[0]
+        assert shift[1] == 0.0
+        assert canon.joints.tobytes() == (yaw_apply(angle, moved.joints) + shift).tobytes()
+        assert canon.gaze.tobytes() == yaw_apply(angle, moved.gaze).tobytes()
 
 
 class TestHeadForward:
@@ -131,9 +144,9 @@ class TestHeadForward:
         for _ in range(20):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            t = RigidTransform.about_axis(axis, rng.uniform(0, 2 * math.pi))
-            f = head_forward(REST @ t.rotation.T)
-            assert np.allclose(f, t.rotation @ head_forward(REST), atol=1e-6)
+            r = Rig.about(axis, rng.uniform(0, 2 * math.pi)).rotation
+            f = head_forward(REST @ r.T)
+            assert np.allclose(f, r @ head_forward(REST), atol=1e-6)
 
     def test_degenerate_pose_raises(self):
         pose = REST.copy()
@@ -172,8 +185,7 @@ class TestMovement:
 
     def test_rigid_invariance(self):
         m = random_smooth_motion(np.random.default_rng(2), n=40)
-        t = RigidTransform.about_axis(vec3(0, 1, 0), 0.8, translation=vec3(5, 0, -2))
-        moved = m.transformed(t)
+        moved = Rig.about(vec3(0, 1, 0), 0.8, vec3(5, 0, -2)).motion(m)
         assert body_movement(moved) == pytest.approx(body_movement(m))
         assert hand_movement(moved) == pytest.approx(hand_movement(m))
 

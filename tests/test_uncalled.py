@@ -30,8 +30,6 @@ ALLOWED = {
     "geometry.vec3": "demos/01",
     "geometry.unit": "demos/01",
     "geometry.as_unit": "demos/01, through Ray and angular_error",
-    "geometry.RigidTransform.about_axis": "demos/01",
-    "geometry.RigidTransform.inverse": "demos/04",
     "geometry.Ray.__post_init__": "demos/01",
     "geometry.Ray.at": "demos/01, through near_miss",
     "geometry.slab_intersect": "demos/01",
