@@ -2,8 +2,9 @@
 baseline, over the JSONL interchange formats.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input:
-a file or input entry that cannot be opened or parsed, an --out that
-cannot be written, a pose with no head frame, or nothing to work on.
+a file or input entry that cannot be opened or parsed, two inputs with
+one id, an --out that cannot be written, a pose with no head frame, or
+nothing to work on.
 Angles are degrees at this boundary and radians inside.
 """
 
@@ -43,10 +44,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _unique(items, what: str, path):
+    """``items``, recordings or sequences read from the directory ``path``,
+    passed on one at a time; PnrError at the first id that two share."""
+    seen = set()
+    for item in items:
+        if item.id in seen:
+            raise PnrError(f"duplicate {what} id {item.id!r} in {path}")
+        seen.add(item.id)
+        yield item
+
+
 def _sequences(read, path, what: str = "") -> list:
     """``read`` (io.read_sequence, or read_sequence_header) of every
-    sequence file under a directory; EmptyCorpus when there are none."""
-    sequences = [read(f) for f in io.sequence_paths(path)]
+    sequence file under a directory; EmptyCorpus when there are none, and
+    PnrError when two share an id."""
+    sequences = list(_unique(map(read, io.sequence_paths(path)), "sequence", path))
     if not sequences:
         raise EmptyCorpus(f"no {what}sequences under {path}")
     return sequences
@@ -83,13 +96,8 @@ def cmd_curate(args) -> int:
             errors += 1
     if not recordings and not errors:
         print(f"warning: no recordings under {in_dir}", file=sys.stderr)
-    seen = set()
-    for rec in recordings:
-        if rec.id in seen:
-            raise PnrError(f"duplicate recording id {rec.id!r} in {in_dir}")
-        seen.add(rec.id)
     results = curate_corpus(
-        recordings,
+        list(_unique(recordings, "recording", in_dir)),
         prepend=args.prepend,
         w=args.w,
         tau=args.tau,
@@ -131,10 +139,12 @@ def cmd_split(args) -> int:
 
 def _pairs(args) -> list:
     """EvalPairs on args.n frames for every ground-truth sequence with a
-    prediction of the same id; EmptyCorpus when there are none. evaluate
-    warns of each ground truth without a prediction."""
-    gt_seqs = list(map(io.read_sequence, io.sequence_paths(args.gt)))
-    preds = {p.id: p.motion for p in map(io.read_sequence, io.sequence_paths(args.pred))}
+    prediction of the same id; EmptyCorpus when there are none, and
+    PnrError when either directory repeats an id. evaluate warns of each
+    ground truth without a prediction."""
+    gt_seqs, preds = (_unique(map(io.read_sequence, io.sequence_paths(d)), "sequence", d)
+                      for d in (args.gt, args.pred))
+    gt_seqs, preds = list(gt_seqs), {p.id: p.motion for p in preds}
     pairs = [EvalPair.from_sequences(preds[gt.id], gt, args.n)
              for gt in gt_seqs if gt.id in preds]
     if args.command == "evaluate":

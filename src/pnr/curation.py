@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -253,16 +253,10 @@ class SplitManifest:
     ratio: float
     train_video_ids: tuple
     test_video_ids: tuple
-    assignments: dict  # sequence id -> "train" | "test"
+    assignments: dict  # sequence id -> "train" | "test", in id order
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ratio": self.ratio,
-            "train_video_ids": list(self.train_video_ids),
-            "test_video_ids": list(self.test_video_ids),
-            "assignments": {k: self.assignments[k] for k in sorted(self.assignments)},
-        }
+        return asdict(self)
 
 
 def split(sequences, ratio: float = 0.7, seed: int = 0, video_overrides=None) -> SplitManifest:
@@ -286,5 +280,5 @@ def split(sequences, ratio: float = 0.7, seed: int = 0, video_overrides=None) ->
             side[v] = s
     train = tuple(sorted(v for v in side if side[v] == "train"))
     test = tuple(sorted(v for v in side if side[v] == "test"))
-    assignments = {s.id: side[s.video_id] for s in sequences}
+    assignments = {s.id: side[s.video_id] for s in sorted(sequences, key=lambda s: s.id)}
     return SplitManifest(seed, ratio, train, test, assignments)

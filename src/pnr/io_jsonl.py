@@ -21,9 +21,9 @@ fixed templates around the text of their numeric fields (``_rows``). A
 field whose bits equal the row before's (a held pose, a camera at rest,
 every frame of a static prediction) reuses that row's text instead of
 formatting its floats again. Headers, object and event rows, reports,
-manifests and labels go through ``_dump``, one shared JSON encoder. Both
-spell floats as json.dumps does, so the bytes are those of one
-``json.dumps`` per row.
+manifests and labels go through ``_dump``, one shared JSON encoder, which
+writes a numpy array as its ``tolist()``. Both spell floats as json.dumps
+does, so the bytes are those of one ``json.dumps`` per row.
 
 Readers mirror this (``_Parser``): a gaze or frame row that repeats the
 line before it except for its time reuses the parse of that line and
@@ -40,6 +40,7 @@ import json
 import logging
 import re
 from contextlib import closing
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +60,8 @@ SCHEMA_VERSION = 1
 RECORDING_SUFFIX = ".rec.jsonl"
 SEQUENCE_SUFFIX = ".seq.jsonl"
 
-_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
+                         default=np.ndarray.tolist).encode
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
 # The types json.loads gives a number: true and false load as bool, a
 # subclass of int. A header number or a row time of another type is no
@@ -329,9 +331,9 @@ def write_recording(rec: Recording, path) -> None:
             tgt = rec.objects[oid]
             row = {"k": "object", "id": oid}
             if tgt.box is not None:
-                row["box"] = {"min": tgt.box.min.tolist(), "max": tgt.box.max.tolist()}
+                row["box"] = {"min": tgt.box.min, "max": tgt.box.max}
             else:
-                row["point"] = tgt.point.tolist()
+                row["point"] = tgt.point
             f.write(_dump(row) + "\n")
         g = rec.gaze
         f.writelines(
@@ -440,29 +442,9 @@ def read_recording(path) -> Recording:
 # curated sequences
 
 
-def write_sequence(seq: PnRSequence, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(_dump({
-            "schema_version": SCHEMA_VERSION,
-            "id": seq.id,
-            "video_id": seq.video_id,
-            "fps": seq.motion.fps,
-            "kind": seq.event.event.kind,
-            "t_p": seq.t_p,
-            "t_e": seq.t_e,
-            "t_start": seq.t_e - seq.motion.duration,
-            "prime_mode": seq.event.prime_mode,
-            "goal": seq.goal_location.tolist(),
-            "prime_frame_index": seq.prime_frame_index,
-            "initial_velocity": seq.initial_state.velocity.reshape(66).tolist(),
-            "flags": list(seq.flags),
-        }) + "\n")
-        f.writelines(_frame_lines(seq.motion, seq.motion.gaze))
-
-
 class SequenceHeader(NamedTuple):
-    """Line 1 of a sequence file, checked."""
+    """Line 1 of a sequence file, checked; its fields are the header's
+    keys after schema_version, in file order."""
 
     id: str
     video_id: str
@@ -473,16 +455,26 @@ class SequenceHeader(NamedTuple):
     t_start: float
     prime_mode: str
     goal: np.ndarray
-    initial_velocity: np.ndarray
     prime_frame_index: int
+    initial_velocity: np.ndarray
     flags: tuple
+
+
+def write_sequence(seq: PnRSequence, path) -> None:
+    header = SequenceHeader(
+        seq.id, seq.video_id, seq.motion.fps, seq.event.event.kind, seq.t_p, seq.t_e,
+        seq.t_e - seq.motion.duration, seq.event.prime_mode, seq.goal_location,
+        seq.prime_frame_index, seq.initial_state.velocity.reshape(3 * N_JOINTS),
+        tuple(seq.flags))
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(_dump({"schema_version": SCHEMA_VERSION, **header._asdict()}) + "\n")
+        f.writelines(_frame_lines(seq.motion, seq.motion.gaze))
 
 
 def _sequence_header(row, path, line_no) -> SequenceHeader:
     """The header row of a sequence file, checked for everything that does
     not depend on its frames."""
-    fps = _header(row, path, line_no, ("kind", "t_p", "t_e", "t_start", "prime_mode", "goal",
-                                       "prime_frame_index", "initial_velocity", "flags"))
+    fps = _header(row, path, line_no, SequenceHeader._fields[3:])
     t_p = _float(row["t_p"], path, line_no, "t_p")
     t_e = _float(row["t_e"], path, line_no, "t_e")
     t_start = _float(row["t_start"], path, line_no, "t_start")
@@ -502,7 +494,7 @@ def _sequence_header(row, path, line_no) -> SequenceHeader:
     _require(all(isinstance(f, str) for f in flags), path, line_no,
              "flags must be a list of strings")
     return SequenceHeader(row["id"], row["video_id"], fps, row["kind"], t_p, t_e, t_start,
-                          prime_mode, goal, velocity, prime_frame_index, tuple(flags))
+                          prime_mode, goal, prime_frame_index, velocity, tuple(flags))
 
 
 def read_sequence_header(path) -> SequenceHeader:
@@ -596,21 +588,7 @@ def write_sweep_csv(thetas_deg, sigmas, grid, path) -> None:
 
 
 def write_labels(labels, path) -> None:
-    payload = {
-        "recording_id": labels.recording_id,
-        "events": [
-            {
-                "t_p": ev.t_p,
-                "t_e": ev.t_e,
-                "kind": ev.kind,
-                "object_id": ev.object_id,
-                "goal": np.asarray(ev.goal).tolist(),
-                "prime_mode": ev.prime_mode,
-            }
-            for ev in labels.events
-        ],
-    }
-    write_json(payload, path)
+    write_json(asdict(labels), path)
 
 
 def write_curation_log(results, path) -> None:
@@ -620,11 +598,7 @@ def write_curation_log(results, path) -> None:
             {
                 "id": r.recording_id,
                 "n_sequences": len(r.sequences),
-                "drops": [
-                    {"event_index": d.event_index, "kind": d.kind,
-                     "t_e": d.t_e, "reason": d.reason}
-                    for d in r.drops
-                ],
+                "drops": [asdict(d) for d in r.drops],
             }
             for r in results
         ],

@@ -24,7 +24,7 @@ entry from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -236,15 +236,7 @@ class PairOutcome:
     foot_skating: float
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "prime_success": self.prime_success,
-            "reach_success": self.reach_success,
-            "location_error": self.location_error,
-            "goal_mpjpe": self.goal_mpjpe,
-            "mpjpe": self.mpjpe,
-            "foot_skating": self.foot_skating,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,14 @@ class TestSplit:
         m = split(seqs, ratio=0.7, seed=0)
         assert len(set(m.assignments.values())) == 1
 
+    def test_manifest_in_id_order(self):
+        # the manifest lists sequences by id whatever order they come in,
+        # as split's file-name order need not be
+        seqs = [seq_with(4.0, 2.0, seq_id=i, video_id=i) for i in ("a.b", "a", "Z", "a-b")]
+        m = split(seqs, ratio=0.5, seed=0).to_dict()
+        assert list(m["assignments"]) == ["Z", "a", "a-b", "a.b"]
+        assert list(m) == ["seed", "ratio", "train_video_ids", "test_video_ids", "assignments"]
+
     def test_override_honored(self):
         m = split(self.make_corpus(), ratio=0.7, seed=3, video_overrides={"v0": "test"})
         assert "v0" in m.test_video_ids

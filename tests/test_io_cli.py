@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -545,7 +546,11 @@ class TestCliPipeline:
         assert main(["stats", "--in", str(tmp_path / "nowhere")]) == 2
 
     def test_console_entrypoint(self):
-        out = subprocess.run([sys.executable, "-m", "pnr.cli", "--help"],
+        # the subprocess imports the pnr these tests import, installed or not
+        env = dict(os.environ)
+        src = str(Path(io.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "pnr.cli", "--help"], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "curate" in out.stdout
@@ -1077,9 +1082,19 @@ def test_non_finite_sequence_header_exit_2(curated_dir, tmp_path, capsys, key, v
     ({}, ("t_start",), "header missing t_start"),
     ({}, ("prime_mode",), "header missing prime_mode"),
     ({}, ("flags",), "header missing flags"),
+    ({}, ("id",), "header missing id"),
+    ({}, ("fps",), "header missing fps"),
+    ({}, ("kind",), "header missing kind"),
+    ({}, ("t_p",), "header missing t_p"),
+    ({}, ("t_e",), "header missing t_e"),
+    ({}, ("goal",), "header missing goal"),
+    ({}, ("prime_frame_index",), "header missing prime_frame_index"),
+    ({}, ("initial_velocity",), "header missing initial_velocity"),
+    ({}, ("prime_frame_index", "initial_velocity"), "header missing prime_frame_index"),
 ], ids=["nan_t_p", "zero_fps", "negative_fps", "short_goal", "bad_kind", "negative_prime",
         "prime_not_int", "flags_not_list", "no_video_id", "no_t_start", "no_prime_mode",
-        "no_flags"])
+        "no_flags", "no_id", "no_fps", "no_kind", "no_t_p", "no_t_e", "no_goal",
+        "no_prime_frame_index", "no_initial_velocity", "no_prime_or_velocity"])
 def test_split_header_error_exit_2_as_read_sequence(curated_dir, tmp_path, capsys,
                                                     fields, drop, reason):
     # split reads headers alone, and reports a bad one as read_sequence does
@@ -1111,3 +1126,39 @@ def test_split_reads_headers_only(curated_dir, tmp_path, capsys):
     assert main(["split", "--in", str(seq_dir), "--seed", "4",
                  "--out", str(tmp_path / "got.json")]) == 0
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def _with_copy(src, dst, suffix):
+    """A copy of the directory src at dst, its first ``suffix`` file copied
+    once more under a second name; gives that file's id."""
+    shutil.copytree(src, dst)
+    first = sorted(dst.glob(f"*{suffix}"))[0]
+    shutil.copy(first, dst / f"zzz-copy{suffix}")
+    return json.loads(first.read_text(encoding="utf-8").split("\n")[0])["id"]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda d, s, out: ["stats", "--in", d, "--out", out],
+    lambda d, s, out: ["split", "--in", d, "--seed", "1", "--out", out],
+    lambda d, s, out: ["baseline", "static", "--train", d, "--gt", s, "--out", out],
+    lambda d, s, out: ["evaluate", "--pred", d, "--gt", s, "--out", out],
+    lambda d, s, out: ["sweep", "--pred", s, "--gt", d, "--out", out],
+], ids=["stats", "split", "baseline", "evaluate_pred", "sweep_gt"])
+def test_duplicate_sequence_id_exit_2(curated_dir, tmp_path, capsys, make_argv):
+    # a sequence copied under a second name used to be scored twice by
+    # evaluate, and overwritten by the other in baseline's output
+    dup = tmp_path / "dup"
+    seq_id = _with_copy(Path(curated_dir), dup, io.SEQUENCE_SUFFIX)
+    out = tmp_path / "out"
+    assert main(make_argv(str(dup), curated_dir, str(out))) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate sequence id {seq_id!r} in {dup}\n")
+    assert not out.exists()
+
+
+def test_duplicate_recording_id_exit_2(curated_dir, tmp_path, capsys):
+    recs = tmp_path / "recs"
+    rec_id = _with_copy(Path(curated_dir).parent / "recordings", recs, io.RECORDING_SUFFIX)
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate recording id {rec_id!r} in {recs}\n")
+    assert not out.exists()
