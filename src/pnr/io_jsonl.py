@@ -17,21 +17,23 @@ is converted to float64 and checked for finite values once; a bad value
 is still reported by its line.
 
 Writers build the gaze and frame rows of recordings and sequences from
-fixed templates around the text of their numeric fields (``_rows``). A
-field whose bits equal the row before's (a held pose, a camera at rest,
-every frame of a static prediction) reuses that row's text instead of
-formatting its floats again. Headers, object and event rows, reports,
-manifests and labels go through ``_dump``, one shared JSON encoder, which
-writes a numpy array as its ``tolist()``. Both spell floats as json.dumps
-does, so the bytes are those of one ``json.dumps`` per row.
+fixed templates around the text of their numeric fields (``_rows``),
+which orjson spells a block of rows at a time. Headers, object and event
+rows, reports, manifests and labels go through ``_dump``, one shared JSON
+encoder, which writes a numpy array as its ``tolist()``. Both spell
+floats as json.dumps does, so the bytes are those of one ``json.dumps``
+per row.
 
-Readers mirror this (``_Parser``): a gaze or frame row that repeats the
-line before it except for its time reuses the parse of that line and
-parses only its time. Every row they yield equals ``json.loads`` of its
-line, and every other line goes through ``json.loads`` as it is; a row
-that does not repeat costs an ``endswith`` and a short slice more.
-``read_sequence_header`` reads only line 1 of a sequence and checks it
-as ``read_sequence`` does.
+Readers parse gaze and frame rows with orjson and every other line with
+json.loads (``_loads``). A row orjson refuses (NaN, Infinity, a number
+past the float range, a lone surrogate escape, malformed JSON) is parsed
+by json.loads, so it reads as it always did or fails with json's
+message. Every parsed line equals json.loads of it but for one case: an
+integer literal beyond 64 bits in a gaze or frame row, other than its
+time, reads as its nearest double. The readers use such a value, a
+joint, say, only through its float64 conversion, which makes the same
+double of json's int. ``read_sequence_header`` reads only line 1 of a
+sequence and checks it as ``read_sequence`` does.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
@@ -73,9 +76,12 @@ _NUMBER = (int, float)
 # text of the row's numeric fields.
 _GAZE_HEAD = '{"k":"gaze","t":'
 _FRAME_HEAD = '{"k":"frame","t":'
-# One JSON number as json.loads reads it: a float when it has a fraction
-# or an exponent (group 1 or 2), an int otherwise
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+# How many rows ``_rows`` has orjson spell at once, so that a long
+# recording never holds the text of all its rows
+_BLOCK_ROWS = 1024
+# orjson reads an integer literal beyond 64 bits as a float; a row time
+# of this magnitude or more may be one, and is read again by json.loads
+_INT64 = 2.0 ** 63
 
 
 def _require(cond, path, line_no, reason):
@@ -83,86 +89,22 @@ def _require(cond, path, line_no, reason):
         raise MalformedFile(path, line_no, reason)
 
 
-def _json_number(text):
-    """The value json.loads gives ``text`` when it is one JSON number, else None."""
-    m = _JSON_NUMBER.fullmatch(text)
-    if m is None:
-        return None
-    return float(text) if m[1] or m[2] else int(text)
-
-
-class _Parser:
-    """json.loads for the lines of one file, reusing the parse of a row
-    that repeats the one before except for its time.
-
-    The reference is the last line parsed in full. When it is a template
-    row (a template head, a time, then a tail: the text from the first
-    comma after the head on), a line made of the same head, another time
-    and the same tail is given the reference's parse with its own time.
-    That equals json.loads of the line when both times are JSON numbers
-    and the tail holds no key "t" (nor "k"): the two lines are then the
-    same tokens but for the time. The tail holds at least one string for
-    each key of the reference beyond "k" and "t" and for each key of its
-    object values, and a string has at least two quotes, so a tail with
-    exactly twice that many quotes holds no other string, and so no
-    further "t". Any line that does not fit is parsed in full, so its
-    errors are those of json.loads.
-
-    A row that does not repeat pays for one ``endswith`` of the
-    reference's last characters, which it almost always fails, and for
-    keeping its own. The reference's tail is found at the first line that
-    ends as it does, and the reference is checked at the first line that
-    has its tail."""
-
-    _PROBE = 16  # how many last characters of the reference a line is tested for
-
-    def __init__(self):
-        self.probe = "\n"  # the reference's last characters; no stripped line ends so
-        self.line = self.row = None  # the reference and its parse
-        self.head = self.tail = None  # its head and tail once found; "" when it has none
-        self.exact = None  # whether its parse can be reused, once known
-
-    def parse(self, line):
-        if line.endswith(self.probe):
-            row = self._repeat(line)
-            if row is not None:
+def _loads(line):
+    """json.loads of one line, through orjson where the line is a gaze or
+    frame row that orjson reads as json.loads does. A line that orjson
+    refuses, a row whose "k" is another kind (a repeated key), and a row
+    whose time may be an integer literal beyond 64 bits go through
+    json.loads, so their values and errors stay json's."""
+    if line.startswith((_GAZE_HEAD, _FRAME_HEAD)):
+        try:
+            row = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            t = row["t"]
+            if row["k"] in ("gaze", "frame") and (type(t) is not float or abs(t) < _INT64):
                 return row
-        row = json.loads(line)
-        self.probe, self.line, self.row, self.tail = line[-self._PROBE:], line, row, None
-        return row
-
-    def _repeat(self, line):
-        """The reference's row at the time of ``line``; None where that may
-        differ from the line's own parse."""
-        if self.tail is None:
-            self.head, self.tail = self._split()
-            self.exact = None
-        head, tail = self.head, self.tail
-        if not (tail and line.endswith(tail) and line.startswith(head)):
-            return None
-        if self.exact is None:
-            self.exact = self._exact()
-        t = _json_number(line[len(head):len(line) - len(tail)]) if self.exact else None
-        if t is None:
-            return None
-        row = self.row.copy()
-        row["t"] = t
-        return row
-
-    def _split(self):
-        """(head, tail) of the reference; ("", "") when it is not a template row."""
-        ref = self.line
-        head = next((h for h in (_FRAME_HEAD, _GAZE_HEAD) if ref.startswith(h)), "")
-        end = ref.find(",", len(head)) if head else -1
-        return (head, ref[end:]) if end > 0 else ("", "")
-
-    def _exact(self):
-        """Whether the reference's time is a JSON number and its tail holds
-        no string beyond the keys of its parse."""
-        ref, row, tail = self.line, self.row, self.tail
-        keys = len(row) - 2 + sum(len(v) for v in row.values() if type(v) is dict)
-        return (_json_number(ref[len(self.head):len(ref) - len(tail)]) is not None
-                and tail.count('"') == 2 * keys)
+    return json.loads(line)
 
 
 def _records(path):
@@ -171,7 +113,6 @@ def _records(path):
     ids are written unescaped, and splitlines would also break them at
     U+2028 and other separators. Bytes that are not UTF-8 arrive as lone
     surrogates and are reported at their line."""
-    parse = _Parser().parse
     with path.open("r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -180,7 +121,7 @@ def _records(path):
             if not line.isascii() and _UNDECODED.search(line):
                 raise MalformedFile(path, line_no, "not valid UTF-8")
             try:
-                yield line_no, parse(line)
+                yield line_no, _loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}") from None
             except ValueError:  # an integer longer than int() converts (4300 digits by default)
@@ -286,19 +227,22 @@ class _Column:
 
 def _rows(values, width):
     """The rows of a float64 array, ``width`` values each, as the text of
-    their comma-joined JSON numbers, one row at a time. A row whose bits
-    equal the previous row's reuses its text; comparing bits rather than
-    values keeps 0.0 and -0.0 apart. The values are finite, as every
-    container that holds them checks, so there is no NaN or Infinity
-    spelling here."""
+    their comma-joined JSON numbers, one row at a time, spelled as
+    ``float.__repr__`` spells them. orjson spells a block of rows at once.
+    It agrees with repr on zero and on every double of magnitude in
+    [1e-4, 1e16), but writes 1e-05 as 0.00001 and 1e+16 as 1e16, so a row
+    holding a value outside that range is spelled with repr. The values
+    are finite, as every container that holds them checks, so there is no
+    NaN or Infinity spelling here."""
     rows = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, width)
-    bits = rows.view(np.uint64)
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    for row, new in zip(rows, fresh.tolist()):
-        if new:
-            text = ",".join(map(float.__repr__, row.tolist()))
-        yield text
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        texts = text[2:-2].split("],[")
+        size = np.abs(block)
+        for i in np.flatnonzero(((size < 1e-4) & (size != 0) | (size >= 1e16)).any(axis=1)):
+            texts[i] = ",".join(map(float.__repr__, block[i].tolist()))
+        yield from texts
 
 
 def _frame_lines(motion, gaze=None):

@@ -3,8 +3,8 @@ JSONL formats, kept for tests only.
 
 These are the per-row implementations that ``pnr.io_jsonl`` replaced: it
 reads a file in one batch per numeric field, and writes gaze and frame
-rows from text templates that reuse the text of a field repeated from the
-row before. Here every row is converted and checked on its own and
+rows from text templates around the numbers that orjson spells for a
+block of rows. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
@@ -47,14 +47,17 @@ must be a positive number" for all three; and ``read_sequence`` requires
 ``t_start``, ``prime_mode`` and ``flags`` in the header, which it used to
 default (``t_start`` to ``t_p - 2``, which only a 2 s prepend makes true).
 
-``pnr.io_jsonl`` also differs from these in two ways. Its readers reuse
-the parse of a gaze or frame row that repeats the row before except for
-its time, where these parse every line; the values read are the same.
-And it checks a sequence header's values when it reads line 1, where
-these check them after the frames: a file with one error is reported
-alike, but a file with an error in both its header and a frame row is
-reported at the header there and at the frame here, and ``pnr split``,
-which reads headers alone, reports header errors only.
+``pnr.io_jsonl`` also differs from these in two ways. Its readers parse
+gaze and frame rows with orjson, and any row that orjson refuses or may
+read otherwise with ``json.loads``, where these parse every line with
+``json.loads``; the values read are the same. (An integer past 64 bits in
+a row's numeric list is parsed as its nearest double, which is the
+float64 these convert ``json.loads``'s int to.) And it checks a sequence
+header's values when it reads line 1, where these check them after the
+frames: a file with one error is reported alike, but a file with an
+error in both its header and a frame row is reported at the header there
+and at the frame here, and ``pnr split``, which reads headers alone,
+reports header errors only.
 """
 
 from __future__ import annotations

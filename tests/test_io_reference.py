@@ -6,10 +6,12 @@ mutated files the new readers must agree with the reference: the same
 line and reason where it raises MalformedFile, an equal result where it
 returns, and a MalformedFile (never another exception) where it crashed.
 Lists are flat in the written schema; the mutations never nest them.
-Mutated rows are written back in the writers' compact form, and the
-text-level edits of ``_repeat_edit`` make a row repeat the one before
-except for its time, which is where the new readers reuse a parse; on
-those files every parsed row must also equal ``json.loads`` of its line.
+Mutated rows are written back in the writers' compact form. The readers
+parse gaze and frame rows with orjson and fall back to ``json.loads``
+(``io._loads``); the text-level edits of ``_repeat_edit`` and the
+character edits of ``test_loads_agrees_with_json_loads`` put odd times,
+keys and numbers into such rows, and every parsed row must then equal
+``json.loads`` of its line, which is the oracle here.
 """
 
 import json
@@ -293,7 +295,9 @@ BAD_NUMBERS = BAD_ITEMS[:3] + [10 ** 400, 0, -1]
 NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
 MUTATIONS = ["delete_key", "wrong_type", "bad_number", "bad_item", "short_list",
              "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
-             "non_object", "repeat_edit"]
+             "non_object", "repeat_edit", "big_integer"]
+# An integer past 64 bits: json.loads keeps it, orjson reads its nearest double
+BIG_INTEGER = 98765432109876543210
 # The heads of the rows that the writers build from templates; the time
 # follows, up to the first comma.
 HEADS = ('{"k":"gaze","t":', '{"k":"frame","t":')
@@ -301,14 +305,18 @@ HEADS = ('{"k":"gaze","t":', '{"k":"frame","t":')
 # or reads as another value, and values whose text holds a comma
 TIMES = ["1", "-0", "0", "2E-1", "1e400", "-1.5e-7", "0.30000000000000004", "1.", "+1",
          "01", ".5", "1e", "-", "1 ", "NaN", "Infinity", "-Infinity", "null", "true",
-         '"0.5"', '"0,5"', '"1,5"', "[0,1]", "[2,1]", "2,1]", "1" + "0" * 400]
+         '"0.5"', '"0,5"', '"1,5"', "[0,1]", "[2,1]", "2,1]", "1" + "0" * 400,
+         # integers at the 64-bit edges, past which orjson reads a float
+         "9223372036854775807", "9223372036854775808", "18446744073709551615",
+         "18446744073709551616", "-9223372036854775808", "-9223372036854775809",
+         "123456789012345678901234567890"]
 # Text put before a row's closing brace, in two rows whose text after the
 # time is then still the same: a second "t" key (the last one wins), an
 # escaped one, a second "k", strings holding separators and quotes, a
 # nested "t", whitespace
 TAIL_EDITS = [',"t":0.5', ',"\\u0074":0.5', ',"t":1,"t":2', ',"t":[1,2]', ',"k":"gaze"',
               ',"k":"frame"', ',"k":"event"', ',"note":"x,\\"t\\":1"', ',"x":{"t":1}',
-              ',"t\\"":1', " ", ""]
+              ',"t\\"":1', ',"t":18446744073709551616', " ", ""]
 
 
 def _key_paths(row, prefix=()):
@@ -396,6 +404,11 @@ def _mutate(data, lines):
                 values.pop()
             else:
                 values.append(0.5)
+        elif kind == "big_integer" and "prime_frame_index" in row:
+            row["prime_frame_index"] = BIG_INTEGER
+        elif kind == "big_integer" and "joints" in row:
+            joints = row["joints"]
+            joints[data.draw(st.integers(0, len(joints) - 1), label="item")] = BIG_INTEGER
         elif kind == "repeat_time" and i > 0:
             prev = json.loads(lines[i - 1])
             for key in ("t", "t_e"):
@@ -518,9 +531,13 @@ def test_edited_repeats_parse_as_json_loads(data, kind, i, clean_lines):
     (("0.1", "NaN"), ""), (("NaN", "0.1"), ""), (("0.1", "1 "), ""),
     (("[0,1]", "2,1]"), ""),              # the time before is not a number
     (('"0,5"', '7,5"'), ""),
+    # integers that orjson reads as floats, as a time and as an event's
+    (("0.1", "-9223372036854775809"), ""), (("0.1", "18446744073709551616"), ""),
+    (("0.1", "0.2"), ',"k":"event","t_e":123456789012345678901234567890'),
 ], ids=["dup_t", "escaped_t", "string_separator", "nested_t", "int", "exponent",
         "minus_zero", "trailing_dot", "plus", "leading_zero", "nan", "nan_before",
-        "space", "list_before", "string_before"])
+        "space", "list_before", "string_before", "below_int64", "past_uint64",
+        "event_big_t_e"])
 @pytest.mark.parametrize("kind", ["rec", "seq"])
 def test_repeat_hazards_parse_as_json_loads(kind, times, edit, clean_lines, tmp_path):
     # the first template row of the file with held rows, and a copy of it
@@ -539,9 +556,8 @@ def test_repeat_hazards_parse_as_json_loads(kind, times, edit, clean_lines, tmp_
 @pytest.mark.parametrize("kind", ["rec", "seq"])
 def test_rows_that_end_alike_parse_as_json_loads(kind, clean_lines, tmp_path):
     # A row that ends as the one before but differs earlier in its tail,
-    # then the first row again: each is its own reference in turn. Then a
-    # row of the other template kind with that tail, and one more of the
-    # first kind: the head is part of what repeats.
+    # then the first row again; then a row of the other template kind
+    # with that tail, and one more of the first kind
     d, lines = clean_lines
     lines = list(lines[kind, 2])  # CLEAN[2]
     i = next(k for k, line in enumerate(lines) if _template(line))
@@ -557,14 +573,99 @@ def test_rows_that_end_alike_parse_as_json_loads(kind, clean_lines, tmp_path):
     assert _parsed(edited) == _loaded(edited)
 
 
-def test_static_prediction_reuses_its_first_frame(tmp_path, monkeypatch):
-    # Every frame of a static prediction repeats the first but for its
-    # time: reading its 150 frames parses the header and frame 0 in full.
+def test_static_prediction_round_trips(tmp_path):
+    # every frame of a static prediction repeats the first but for its time
     seq = SEQUENCES[-1]
     assert seq.motion.n_frames == 150
     p = tmp_path / "static.seq.jsonl"
     io.write_sequence(seq, p)
-    loads, parsed = json.loads, []
-    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
     assert_sequences_equal(io.read_sequence(p), seq)
-    assert len(parsed) == 2
+
+
+# Text that character edits put into a row: digits, the other characters
+# of a number, quotes, braces, commas, NaN and whitespace
+JSONISH = [*"0123456789", *".eE+-", '"', "{", "}", ",", "NaN", " ", "\t"]
+
+
+def _as_loaded(value, top=True):
+    """json.loads's value as the readers parse it: an integer past 64
+    bits anywhere in a gaze or frame row but its time is its nearest
+    double, which the readers' float64 conversion makes of it anyway."""
+    if isinstance(value, dict):
+        return {k: v if top and k == "t" else _as_loaded(v, False) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_loaded(v, False) for v in value]
+    if type(value) is int and not -2 ** 63 <= value < 2 ** 64:
+        return float(value)
+    return value
+
+
+def _json_text(parse, line):
+    try:
+        return json.dumps(parse(line))
+    except ValueError as exc:  # JSONDecodeError, or too many digits
+        return type(exc).__name__, str(exc)
+
+
+@given(data=st.data(), kind=st.sampled_from(["rec", "seq"]),
+       i=st.integers(0, len(CLEAN) - 1))
+@settings(max_examples=300, deadline=None)
+def test_loads_agrees_with_json_loads(data, kind, i, clean_lines):
+    # Character edits of a gaze or frame row: what parses must parse as
+    # json.loads parses it, and what json.loads refuses must fail as it
+    # does (orjson's own errors never show)
+    _, lines = clean_lines
+    rows = [line for line in lines[kind, i] if _template(line)]
+    line = data.draw(st.sampled_from(rows), label="row")
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(line)), label="at")
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]), label="op")
+        text = "" if op == "delete" else data.draw(st.sampled_from(JSONISH), label="text")
+        line = line[:at] + text + line[at + (op != "insert"):]
+    want = _json_text(lambda text: _as_loaded(json.loads(text)), line)
+    assert _json_text(io._loads, line) == want
+
+
+ULPS = 50
+
+
+def _spelling_cases():
+    """Rows of values at the edges of the range where orjson spells a
+    double as repr does, [1e-4, 1e16), and random ones inside it."""
+    rng = np.random.default_rng(21)
+    inside = [np.ldexp(rng.uniform(1.0, 2.0, 16), e) for e in range(-14, 54)]
+    inside = np.concatenate(inside)
+    inside = inside[(inside >= 1e-4) & (inside < 1e16)]
+    edges = []
+    for edge in (1e-4, 1e16):
+        below, above = [edge], [edge]
+        for _ in range(ULPS):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        edges += below[1:] + above
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, 5e-324, tiny * 3, 2.2250738585072009e-308, 1e-310,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    values = np.concatenate([inside, edges, special])
+    values = np.concatenate([values, -values])
+    rows = list(values.reshape(-1, 1).repeat(3, axis=1))
+    # one value outside the range among two inside it, in each position
+    for k in range(3):
+        for out in (1e-5, -1e-300, 1e16, -1e300, 5e-324):
+            row = rng.uniform(-10.0, 10.0, 3)
+            row[k] = out
+            rows.append(row)
+    return np.array(rows)
+
+
+SPELLING = _spelling_cases()
+
+
+@pytest.mark.parametrize("n", [0, 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1, len(SPELLING)])
+def test_rows_spell_floats_as_repr(n):
+    # The cases in turn, the mixed rows first; the last row is a mixed
+    # one, alone in its block when n is one block plus one row
+    rows = np.resize(SPELLING[::-1], (n, 3))
+    rows[-1:] = SPELLING[-1]
+    want = [",".join(map(float.__repr__, row)) for row in rows.tolist()]
+    assert list(io._rows(rows, 3)) == want
