@@ -626,9 +626,6 @@ def test_loads_agrees_with_json_loads(data, kind, i, clean_lines):
     assert _json_text(io._loads, line) == want
 
 
-ULPS = 50
-
-
 def _spelling_cases():
     """Rows of values at the edges of the range where orjson spells a
     double as repr does, [1e-4, 1e16), and random ones inside it."""
@@ -639,7 +636,7 @@ def _spelling_cases():
     edges = []
     for edge in (1e-4, 1e16):
         below, above = [edge], [edge]
-        for _ in range(ULPS):
+        for _ in range(50):  # ulps
             below.append(np.nextafter(below[-1], 0.0))
             above.append(np.nextafter(above[-1], np.inf))
         edges += below[1:] + above
