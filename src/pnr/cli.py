@@ -71,6 +71,8 @@ def _json_object(path: str, of: str) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise PnrError(f"{path}: not a JSON file: {exc}") from None
+    except RecursionError:
+        raise PnrError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise PnrError(f"{path}: must be a JSON object of {of}")
     return payload
@@ -249,9 +251,10 @@ MAX_THETAS = 18_001
 
 
 def _thetas(text: str) -> list:
-    """argparse type of --thetas: start:stop:step (stop included when the
-    steps reach it, at most MAX_THETAS angles) or a comma list, in degrees
-    within [0, 180]."""
+    """argparse type of --thetas: a comma list, or start:stop:step, which
+    gives start + k * step for every integer k >= 0 whose angle does not
+    pass stop (stop included when a step lands on it), at most MAX_THETAS
+    angles; degrees within [0, 180]."""
     if ":" not in text:
         return [_angle(x) for x in text.split(",")]
     parts = text.split(":")
@@ -259,14 +262,17 @@ def _thetas(text: str) -> list:
         raise argparse.ArgumentTypeError("theta range must be start:stop:step")
     start, stop = _angle(parts[0]), _angle(parts[1])
     step = _number(parts[2], lambda x: x > 0.0, "a range step > 0")
-    # np.arange below yields ceil(span / step) angles; it exceeds the cap
-    # exactly when span / step does
-    if (stop + step * 0.5 - start) / step > MAX_THETAS:
-        raise argparse.ArgumentTypeError(
-            f"range {text!r} gives more than {MAX_THETAS} angles")
-    thetas = list(np.arange(start, stop + step * 0.5, step))
-    if not thetas or thetas[-1] > 180.0:
-        raise argparse.ArgumentTypeError(f"range {text!r} must give angles in [0, 180]")
+    span = stop - start
+    too_many = argparse.ArgumentTypeError(f"range {text!r} gives more than {MAX_THETAS} angles")
+    if span / step > MAX_THETAS:  # checked before any angle is made
+        raise too_many
+    # span / step is rounded: k runs one past it, which may still land on stop
+    angles = start + np.arange(int(span / step) + 2) * step
+    thetas = angles[angles <= stop].tolist()
+    if len(thetas) > MAX_THETAS:
+        raise too_many
+    if not thetas:
+        raise argparse.ArgumentTypeError(f"range {text!r} gives no angle: start is past stop")
     return thetas
 
 

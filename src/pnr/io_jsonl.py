@@ -18,22 +18,28 @@ is still reported by its line.
 
 Writers build the gaze and frame rows of recordings and sequences from
 fixed templates around the text of their numeric fields (``_rows``),
-which orjson spells a block of rows at a time. Headers, object and event
-rows, reports, manifests and labels go through ``_dump``, one shared JSON
-encoder, which writes a numpy array as its ``tolist()``. Both spell
-floats as json.dumps does, so the bytes are those of one ``json.dumps``
-per row.
+which orjson spells a block of rows at a time; a row holding a value of
+magnitude in [1e-9, 1e-4) or of 1e16 and above, where orjson's spelling
+differs, is spelled again with ``float.__repr__``. Headers, object and
+event rows, reports, manifests and labels go through ``_dump``, one
+shared JSON encoder, which writes a numpy array as its ``tolist()``.
+Both spell floats as json.dumps does, so the bytes are those of one
+``json.dumps`` per row.
 
 Readers parse gaze and frame rows with orjson and every other line with
 json.loads (``_loads``). A row orjson refuses (NaN, Infinity, a number
 past the float range, a lone surrogate escape, malformed JSON) is parsed
 by json.loads, so it reads as it always did or fails with json's
-message. Every parsed line equals json.loads of it but for one case: an
-integer literal beyond 64 bits in a gaze or frame row, other than its
+message. Every parsed line equals json.loads of it but for two cases.
+An integer literal beyond 64 bits in a gaze or frame row, other than its
 time, reads as its nearest double. The readers use such a value, a
 joint, say, only through its float64 conversion, which makes the same
-double of json's int. ``read_sequence_header`` reads only line 1 of a
-sequence and checks it as ``read_sequence`` does.
+double of json's int. And orjson reads a gaze or frame row nested to any
+depth, where json.loads gives up past about 1,000 levels ("JSON nested
+too deeply"): such a value fails the check of its key, a list of numbers
+or a time, or is skipped with a key the readers do not read.
+``read_sequence_header`` reads only line 1 of a sequence and checks it
+as ``read_sequence`` does.
 """
 
 from __future__ import annotations
@@ -126,6 +132,8 @@ def _records(path):
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}") from None
             except ValueError:  # an integer longer than int() converts (4300 digits by default)
                 raise MalformedFile(path, line_no, "integer with too many digits") from None
+            except RecursionError:  # json.loads gives up past about 1,000 levels
+                raise MalformedFile(path, line_no, "JSON nested too deeply") from None
 
 
 def _float(value, path, line_no, what) -> float:
@@ -177,8 +185,12 @@ def _vector(values, n, path, line_no, what, name=None) -> np.ndarray:
 def _floats(values, n, path, line_no, what, name=None) -> np.ndarray:
     """One value as a flat array of n finite floats (any shape when n is
     None), converted and checked on its own; ``what`` names it in the
-    non-finite error, ``name`` in the others."""
+    non-finite error, ``name`` in the others. A list holding a string is
+    refused, which the float64 conversion would parse if it spelled a
+    number."""
     name = name or what
+    _require(not (type(values) is list and str in map(type, values)), path, line_no,
+             f"{name} must be a list of numbers")
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -208,12 +220,19 @@ class _Column:
         self.line_nos.append(line_no)
 
     def array(self) -> np.ndarray:
-        """All rows as one (len(self), n) array."""
+        """All rows as one (len(self), n) array. The rows are converted as
+        numpy finds their type, not straight to float64, which would parse
+        a string."""
+        shape = (len(self.rows), self.n)
         try:
-            arr = np.array(self.rows, dtype=np.float64).reshape(len(self.rows), self.n)
-        except (TypeError, ValueError, OverflowError):
-            # some item is not a number; converting row by row names the first
+            arr = np.array(self.rows)
+        except ValueError:  # lists nested in some rows
+            arr = None
+        if arr is None or arr.dtype.kind not in "biuf" or arr.shape != shape:
+            # a string, an item that is no number, an integer past 64 bits
+            # or nested lists; converting row by row names the first bad row
             arr = np.array([self._vector(v, at) for v, at in zip(self.rows, self.line_nos)])
+        arr = arr.astype(np.float64, copy=False).reshape(shape)
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             raise MalformedFile(self.path, self.line_nos[int(np.argmin(finite))],
@@ -229,18 +248,20 @@ def _rows(values, width):
     """The rows of a float64 array, ``width`` values each, as the text of
     their comma-joined JSON numbers, one row at a time, spelled as
     ``float.__repr__`` spells them. orjson spells a block of rows at once.
-    It agrees with repr on zero and on every double of magnitude in
-    [1e-4, 1e16), but writes 1e-05 as 0.00001 and 1e+16 as 1e16, so a row
-    holding a value outside that range is spelled with repr. The values
-    are finite, as every container that holds them checks, so there is no
-    NaN or Infinity spelling here."""
+    It differs from repr only on doubles of magnitude in [1e-9, 1e-4),
+    where it writes 1e-05 as 0.00001 and 1e-09 as 1e-9, and on those of
+    1e16 and above, where it writes 1e+16 as 1e16; below 1e-9, subnormals
+    included, both write the same exponent. So only a row holding a value
+    in those two bands is spelled with repr. The values are finite, as
+    every container that holds them checks, so there is no NaN or
+    Infinity spelling here."""
     rows = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, width)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
         texts = text[2:-2].split("],[")
         size = np.abs(block)
-        for i in np.flatnonzero(((size < 1e-4) & (size != 0) | (size >= 1e16)).any(axis=1)):
+        for i in np.flatnonzero(((size >= 1e-9) & (size < 1e-4) | (size >= 1e16)).any(axis=1)):
             texts[i] = ",".join(map(float.__repr__, block[i].tolist()))
         yield from texts
 

@@ -8,7 +8,7 @@ block of rows. Here every row is converted and checked on its own and
 written with its own ``json.dumps`` call. ``test_io_reference.py``
 requires ``pnr.io_jsonl`` to write the same bytes, read the same values
 and report malformed input at the same line with the same reason.
-Thirteen changes were made to them since, as in ``pnr.io_jsonl``:
+Sixteen changes were made to them since, as in ``pnr.io_jsonl``:
 ``read_sequence`` rejects a ``prime_frame_index`` outside the frames;
 ``read_recording`` skips timed object rows (object trajectories) with a
 warning instead of reading them, and ``write_recording`` writes none;
@@ -45,14 +45,24 @@ header's ``fps`` as ``read_sequence`` does ("fps must be a number",
 "non-finite fps", "fps must be positive"), where it used to give "fps
 must be a positive number" for all three; and ``read_sequence`` requires
 ``t_start``, ``prime_mode`` and ``flags`` in the header, which it used to
-default (``t_start`` to ``t_p - 2``, which only a 2 s prepend makes true).
+default (``t_start`` to ``t_p - 2``, which only a 2 s prepend makes true);
+both readers refuse a string in any list of numbers ("joints must be a
+list of numbers", "cam_pose.r must be ...", ...), which np.asarray used to
+parse when it spelled a number, and crash on when it did not, and
+``read_sequence`` reports a non-finite ``initial_velocity`` at line 1
+("non-finite initial velocity"), where it used to crash; and both report
+a line nested too deeply for ``json.loads`` ("JSON nested too deeply"),
+where its RecursionError used to escape.
 
 ``pnr.io_jsonl`` also differs from these in two ways. Its readers parse
 gaze and frame rows with orjson, and any row that orjson refuses or may
 read otherwise with ``json.loads``, where these parse every line with
 ``json.loads``; the values read are the same. (An integer past 64 bits in
 a row's numeric list is parsed as its nearest double, which is the
-float64 these convert ``json.loads``'s int to.) And it checks a sequence
+float64 these convert ``json.loads``'s int to. A gaze or frame row nested
+past the depth ``json.loads`` reads is read by orjson and fails, if at
+all, at the key that holds the nested value, where these report "JSON
+nested too deeply".) And it checks a sequence
 header's values when it reads line 1, where these check them after the
 frames: a file with one error is reported alike, but a file with an
 error in both its header and a frame row is reported at the header there
@@ -112,7 +122,12 @@ def _check_time(t, kind, prev, path, line_no):
              "gaze times must be strictly increasing")
 
 
-def _finite_list(values, path, line_no, what):
+def _finite_list(values, path, line_no, what, name=None):
+    """Refuse a list holding a string, which np.asarray would parse."""
+    if isinstance(values, list):
+        for v in values:
+            _require(not isinstance(v, str), path, line_no,
+                     f"{name or what} must be a list of numbers")
     arr = np.asarray(values, dtype=np.float64)
     _require(np.all(np.isfinite(arr)), path, line_no, f"non-finite {what}")
     return arr
@@ -180,6 +195,8 @@ def read_recording(path) -> Recording:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
+            except RecursionError:
+                raise MalformedFile(path, line_no, "JSON nested too deeply")
             if header is None:
                 _require(isinstance(row, dict) and "schema_version" in row,
                          path, line_no, "first line must be the header")
@@ -199,13 +216,15 @@ def read_recording(path) -> Recording:
             if kind == "gaze":
                 _require("dir_cam" in row and "cam_pose" in row, path, line_no,
                          "gaze record needs dir_cam and cam_pose")
-                r = _finite_list(row["cam_pose"]["r"], path, line_no, "cam rotation")
+                r = _finite_list(row["cam_pose"]["r"], path, line_no, "cam rotation",
+                                 "cam_pose.r")
                 _require(r.size == 9, path, line_no, "cam_pose.r must have 9 entries")
                 gaze_rows.append((
                     float(row["t"]),
-                    _finite_list(row["dir_cam"], path, line_no, "gaze direction"),
+                    _finite_list(row["dir_cam"], path, line_no, "gaze direction", "dir_cam"),
                     r.reshape(3, 3),
-                    _finite_list(row["cam_pose"]["t"], path, line_no, "cam translation"),
+                    _finite_list(row["cam_pose"]["t"], path, line_no, "cam translation",
+                                 "cam_pose.t"),
                 ))
             elif kind == "frame":
                 joints = _finite_list(row["joints"], path, line_no, "joints")
@@ -303,6 +322,8 @@ def read_sequence(path) -> PnRSequence:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFile(path, line_no, f"invalid JSON: {exc.msg}")
+            except RecursionError:
+                raise MalformedFile(path, line_no, "JSON nested too deeply")
             if header is None:
                 _require("schema_version" in row, path, line_no,
                          "first line must be the header")
@@ -342,8 +363,8 @@ def read_sequence(path) -> PnRSequence:
         gaze = np.array(gaze_rows)
     motion = MotionSequence(fps, np.array(joints_rows), gaze=gaze)
     goal = _finite_list(_no_booleans(header["goal"], path, 1, "goal"), path, 1, "goal")
-    velocity = np.asarray(_no_booleans(header["initial_velocity"], path, 1, "initial_velocity"),
-                          dtype=np.float64).reshape(N_JOINTS, 3)
+    velocity = _finite_list(_no_booleans(header["initial_velocity"], path, 1, "initial_velocity"),
+                            path, 1, "initial velocity", "initial_velocity").reshape(N_JOINTS, 3)
     prime_mode = header["prime_mode"]
     _require(prime_mode in ("direct_hit", "near_miss"), path, 1,
              "prime_mode must be direct_hit or near_miss")

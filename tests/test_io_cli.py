@@ -637,7 +637,8 @@ def test_prime_remap_rounds_exact_half_to_even(scenario, tmp_path):
     (b"\xff{}", "not a JSON file"),
     (b'["video-0001"]', "must be a JSON object of video_id -> side"),
     (b'{"video-0001": "validation"}', "must be train or test, got 'validation'"),
-], ids=["not_json", "not_utf8", "not_object", "bad_side"])
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+], ids=["not_json", "not_utf8", "not_object", "bad_side", "nested_too_deeply"])
 def test_split_bad_override_exit_2(tmp_path, capsys, content, reason):
     rec_dir = write_corpus(tmp_path, n=2)
     seq_dir = tmp_path / "seqs"
@@ -668,7 +669,8 @@ def test_split_override_via_cli(tmp_path):
 @pytest.mark.parametrize("content, reason", [
     (b"\xff{}", "not a JSON file"),
     (b"[1]", "must be a JSON object of scenario fields"),
-], ids=["not_utf8", "not_object"])
+    (b'{"room": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
+], ids=["not_utf8", "not_object", "nested_too_deeply"])
 def test_synth_bad_spec_exit_2(tmp_path, capsys, content, reason):
     spec = tmp_path / "spec.json"
     spec.write_bytes(content)
@@ -764,7 +766,6 @@ def curated_dir(tmp_path_factory):
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:90:0"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:10:-1"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "10:0:1"], "--thetas"),
-    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:180:100"], "--thetas"),
     (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--n", "100000000000000000000"],
      "--n"),
     (["split", "--in", "{seqs}", "--seed", "-1"], "--seed"),
@@ -773,7 +774,7 @@ def curated_dir(tmp_path_factory):
         "split_ratio_1.5", "curate_tau_-1", "curate_w_-1", "curate_min_movement_nan",
         "curate_prepend_nan", "evaluate_sigma_-1", "evaluate_theta_nan", "evaluate_theta_181",
         "sweep_sigmas_-1", "sweep_thetas_step_0", "sweep_thetas_step_-1", "sweep_thetas_empty",
-        "sweep_thetas_past_180", "evaluate_n_huge", "split_seed_-1", "synth_seed_-1"])
+        "evaluate_n_huge", "split_seed_-1", "synth_seed_-1"])
 def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option):
     argv = [a.format(seqs=curated_dir, out=tmp_path / "preds", spec=_spec(tmp_path))
             for a in argv]
@@ -801,6 +802,23 @@ def test_thetas_range_size_checked_before_arange(curated_dir, monkeypatch, capsy
     thetas = _thetas("0:180:0.01")
     assert len(thetas) == MAX_THETAS == 18_001
     assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(180.0)
+
+
+@pytest.mark.parametrize("thetas, count, last", [
+    ("0:90:2", 46, 90.0),
+    ("0:180:100", 2, 100.0),
+    ("0:180:7", 26, 175.0),
+    ("10:170:0.7", 229, 169.6),
+], ids=["default", "0_180_100", "0_180_7", "10_170_0.7"])
+def test_thetas_range_never_passes_stop(curated_dir, tmp_path, thetas, count, last):
+    # start + k * step for integer k >= 0, up to the last angle not past stop
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--pred", curated_dir, "--gt", curated_dir, "--thetas", thetas,
+                 "--sigmas", "0", "--out", str(out)]) == 0
+    angles = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    start, stop, step = map(float, thetas.split(":"))
+    assert angles == [start + k * step for k in range(count)]
+    assert angles[-1] == pytest.approx(last) and angles[-1] <= stop
 
 
 def test_huge_sigma_is_the_whole_window(curated_dir, tmp_path):
@@ -951,21 +969,28 @@ def test_non_finite_event_time_exit_2(curated_dir, tmp_path, capsys, value):
     assert len(list(out.glob("*.seq.jsonl"))) == 2
 
 
-def _timed_file(curated_dir, tmp_path, suffix, kind, at, text):
+def _row_file(curated_dir, tmp_path, suffix, kind, at, edit):
     """A copy of the first recording or sequence, alone in tmp_path/in,
-    with the time of row ``at`` of ``kind`` written as ``text``; gives its
-    path and the row's 0-based line."""
+    with row ``at`` of ``kind`` written as ``edit`` gives it from its
+    parsed value; gives its path and the row's 0-based line."""
     src = Path(curated_dir)
     src = src.parent / "recordings" if suffix == io.RECORDING_SUFFIX else src
     lines = sorted(src.glob(f"*{suffix}"))[0].read_text(encoding="utf-8").split("\n")
     k = [i for i, line in enumerate(lines) if f'"k":"{kind}"' in line][at]
-    row = json.loads(lines[k])
-    row["t_e" if kind == "event" else "t"] = "TIME"
-    lines[k] = json.dumps(row, separators=(",", ":")).replace('"TIME"', text)
+    lines[k] = edit(json.loads(lines[k]))
     (tmp_path / "in").mkdir()
     bad = tmp_path / "in" / f"bad{suffix}"
     bad.write_text("\n".join(lines), encoding="utf-8")
     return bad, k
+
+
+def _timed_file(curated_dir, tmp_path, suffix, kind, at, text):
+    """_row_file with the time of the row written as ``text``."""
+    def edit(row):
+        row["t_e" if kind == "event" else "t"] = "TIME"
+        return json.dumps(row, separators=(",", ":")).replace('"TIME"', text)
+
+    return _row_file(curated_dir, tmp_path, suffix, kind, at, edit)
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
@@ -1002,6 +1027,54 @@ def test_integer_too_long_to_parse_exit_2(curated_dir, tmp_path, capsys, suffix,
     argv = [a.format(out=tmp_path / "out") for a in argv]
     assert main(argv + ["--in", str(tmp_path / "in")]) == 2
     assert capsys.readouterr().err == f"error: {bad}:{k + 1}: integer with too many digits\n"
+
+
+@pytest.mark.parametrize("suffix, kind, reason", [
+    (io.RECORDING_SUFFIX, "event", "JSON nested too deeply"),
+    (io.RECORDING_SUFFIX, "gaze", "record missing time"),
+    (io.SEQUENCE_SUFFIX, "frame", "record missing time"),
+], ids=["rec_event", "rec_gaze", "seq_frame"])
+def test_nested_too_deeply_exit_2(curated_dir, tmp_path, capsys, suffix, kind, reason):
+    # json.loads raises RecursionError past about 1,000 levels, which used
+    # to escape curate as a traceback; orjson reads gaze and frame rows to
+    # any depth, and such a time fails as any other list would
+    bad, k = _timed_file(curated_dir, tmp_path, suffix, kind, 0,
+                         "[" * 100_000 + "]" * 100_000)
+    argv = ["curate", "--out", str(tmp_path / "out")] if kind != "frame" else ["stats"]
+    assert main(argv + ["--in", str(tmp_path / "in")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{k + 1}: {reason}\n"
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("suffix, kind, key", [
+    (io.RECORDING_SUFFIX, "gaze", "dir_cam"), (io.RECORDING_SUFFIX, "gaze", "cam_pose.r"),
+    (io.RECORDING_SUFFIX, "gaze", "cam_pose.t"), (io.RECORDING_SUFFIX, "frame", "joints"),
+    (io.SEQUENCE_SUFFIX, "frame", "joints"), (io.SEQUENCE_SUFFIX, "frame", "gaze"),
+], ids=["rec_dir_cam", "rec_cam_pose_r", "rec_cam_pose_t", "rec_joints", "seq_joints",
+        "seq_gaze"])
+def test_numeric_string_in_row_list_exit_2(curated_dir, tmp_path, capsys, suffix, kind, key,
+                                           at):
+    # a float64 conversion parses "1.5", so such a file used to read as
+    # if it held 1.5; true and false in these lists still read as 1 and 0
+    def edit(row):
+        values = row
+        for part in key.split("."):
+            values = values[part]
+        values[1] = str(values[1])
+        return json.dumps(row, separators=(",", ":"))
+
+    bad, k = _row_file(curated_dir, tmp_path, suffix, kind, at, edit)
+    want = (k + 1, f"{key} must be a list of numbers")
+    if suffix == io.RECORDING_SUFFIX:
+        reads, argv = (io.read_recording, ref.read_recording), ["curate", "--out", str(tmp_path)]
+    else:
+        reads, argv = (io.read_sequence, ref.read_sequence), ["stats"]
+    for read in reads:
+        with pytest.raises(MalformedFile) as err:
+            read(bad)
+        assert (err.value.line_no, err.value.reason) == want
+    assert main(argv + ["--in", str(tmp_path / "in")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{want[0]}: {want[1]}\n"
 
 
 @pytest.mark.parametrize("edit, reason", [

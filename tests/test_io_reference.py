@@ -288,16 +288,18 @@ def test_non_positive_fps_reported_as_such(i, fps, tmp_path):
 # mutated files
 
 WRONG_TYPES = [None, "x", 7, True, {}, []]
-BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], {}]
+BAD_ITEMS = [float("nan"), float("inf"), float("-inf"), None, "x", True, [1.0], {}, "1.5"]
 # Values for a number: non-finite, past the float range, zero or negative
 # (an fps, a time)
 BAD_NUMBERS = BAD_ITEMS[:3] + [10 ** 400, 0, -1]
 NON_OBJECTS = ["[1,2]", '"x"', "7", "null"]
 MUTATIONS = ["delete_key", "wrong_type", "bad_number", "bad_item", "short_list",
              "long_list", "repeat_time", "swap_lines", "drop_line", "truncate",
-             "non_object", "repeat_edit", "big_integer"]
+             "non_object", "repeat_edit", "big_integer", "nest_deeply"]
 # An integer past 64 bits: json.loads keeps it, orjson reads its nearest double
 BIG_INTEGER = 98765432109876543210
+# Lists nested past the depth json.loads reads
+DEEP = "[" * 100_000 + "]" * 100_000
 # The heads of the rows that the writers build from templates; the time
 # follows, up to the first comma.
 HEADS = ('{"k":"gaze","t":', '{"k":"frame","t":')
@@ -375,6 +377,10 @@ def _mutate(data, lines):
         lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
     elif kind == "non_object":
         lines[i] = data.draw(st.sampled_from(NON_OBJECTS), label="value")
+    elif kind == "nest_deeply":
+        # a key nested too deeply to parse; orjson, which reads the gaze and
+        # frame rows, reads any depth, so such a row is nested as a whole
+        lines[i] = DEEP if _template(lines[i]) else f'{lines[i][:-1]},"deep":{DEEP}}}'
     elif kind == "swap_lines":
         j = i + 1 if i + 1 < len(lines) else i - 1
         lines[i], lines[j] = lines[j], lines[i]
@@ -627,14 +633,19 @@ def test_loads_agrees_with_json_loads(data, kind, i, clean_lines):
 
 
 def _spelling_cases():
-    """Rows of values at the edges of the range where orjson spells a
-    double as repr does, [1e-4, 1e16), and random ones inside it."""
+    """Rows of values at the edges of the bands where orjson spells a
+    double otherwise than repr, [1e-9, 1e-4) and [1e16, inf), random ones
+    in [1e-4, 1e16), and random ones below 1e-9, subnormals included,
+    where both spell it alike."""
     rng = np.random.default_rng(21)
     inside = [np.ldexp(rng.uniform(1.0, 2.0, 16), e) for e in range(-14, 54)]
     inside = np.concatenate(inside)
     inside = inside[(inside >= 1e-4) & (inside < 1e16)]
+    # 16 per binary exponent, from the subnormals to the one holding 1e-9
+    below_band = np.concatenate([np.ldexp(rng.uniform(1.0, 2.0, 16), e)
+                                 for e in range(-1074, -29)])
     edges = []
-    for edge in (1e-4, 1e16):
+    for edge in (1e-9, 1e-4, 1e16):
         below, above = [edge], [edge]
         for _ in range(50):  # ulps
             below.append(np.nextafter(below[-1], 0.0))
@@ -643,14 +654,20 @@ def _spelling_cases():
     tiny = np.finfo(np.float64).smallest_subnormal
     special = [0.0, -0.0, 5e-324, tiny * 3, 2.2250738585072009e-308, 1e-310,
                np.finfo(np.float64).max, -np.finfo(np.float64).max]
-    values = np.concatenate([inside, edges, special])
+    values = np.concatenate([inside, below_band, edges, special])
     values = np.concatenate([values, -values])
     rows = list(values.reshape(-1, 1).repeat(3, axis=1))
-    # one value outside the range among two inside it, in each position
+    # one value outside [1e-4, 1e16) among two inside it, in each position
     for k in range(3):
-        for out in (1e-5, -1e-300, 1e16, -1e300, 5e-324):
+        for out in (1e-5, -1e-300, 1e16, -1e300, 5e-324, 2.7e-17, -1e-9):
             row = rng.uniform(-10.0, 10.0, 3)
             row[k] = out
+            rows.append(row)
+    # one value in the band among rounding residues below it, in each position
+    for k in range(3):
+        for band in (3e-7, -1e-9, 9.99e-5):
+            row = rng.uniform(1e-20, 1e-10, 3) * rng.choice([-1.0, 1.0], 3)
+            row[k] = band
             rows.append(row)
     return np.array(rows)
 
@@ -658,7 +675,8 @@ def _spelling_cases():
 SPELLING = _spelling_cases()
 
 
-@pytest.mark.parametrize("n", [0, 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1, len(SPELLING)])
+@pytest.mark.parametrize("n", [0, 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1, len(SPELLING)],
+                         ids=["0", "1", str(io._BLOCK_ROWS), str(io._BLOCK_ROWS + 1), "all"])
 def test_rows_spell_floats_as_repr(n):
     # The cases in turn, the mixed rows first; the last row is a mixed
     # one, alone in its block when n is one block plus one row
