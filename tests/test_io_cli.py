@@ -971,8 +971,8 @@ def test_non_finite_event_time_exit_2(curated_dir, tmp_path, capsys, value):
 
 def _row_file(curated_dir, tmp_path, suffix, kind, at, edit):
     """A copy of the first recording or sequence, alone in tmp_path/in,
-    with row ``at`` of ``kind`` written as ``edit`` gives it from its
-    parsed value; gives its path and the row's 0-based line."""
+    with row ``at`` of ``kind`` replaced by the line that ``edit`` makes
+    of its parsed value; gives its path and the row's 0-based line."""
     src = Path(curated_dir)
     src = src.parent / "recordings" if suffix == io.RECORDING_SUFFIX else src
     lines = sorted(src.glob(f"*{suffix}"))[0].read_text(encoding="utf-8").split("\n")
@@ -1055,7 +1055,7 @@ def test_nested_too_deeply_exit_2(curated_dir, tmp_path, capsys, suffix, kind, r
 def test_numeric_string_in_row_list_exit_2(curated_dir, tmp_path, capsys, suffix, kind, key,
                                            at):
     # a float64 conversion parses "1.5", so such a file used to read as
-    # if it held 1.5; true and false in these lists still read as 1 and 0
+    # if it held 1.5
     def edit(row):
         values = row
         for part in key.split("."):

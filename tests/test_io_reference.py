@@ -242,18 +242,22 @@ def test_bad_joint_reported_at_its_line(frame, item, reason, tmp_path):
 def test_nested_lists_rejected(tmp_path):
     # The reference accepted joints written as 22 lists of 3, as they have
     # 66 numbers in all; the schema writes flat lists, and so must a file.
+    # 66 lists of one number in every row once passed the bulk conversion.
     p = tmp_path / "nested.rec.jsonl"
     io.write_recording(RECORDINGS[0], p)
-    lines = p.read_text(encoding="utf-8").split("\n")
-    frames = [i for i, line in enumerate(lines) if '"k":"frame"' in line]
-    for i in frames:
-        row = json.loads(lines[i])
-        row["joints"] = np.reshape(row["joints"], (22, 3)).tolist()
-        lines[i] = json.dumps(row)
-    p.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(MalformedFile) as err:
-        io.read_recording(p)
-    assert (err.value.line_no, err.value.reason) == (frames[0] + 1, "joints must have 66 entries")
+    clean = p.read_text(encoding="utf-8").split("\n")
+    frames = [i for i, line in enumerate(clean) if '"k":"frame"' in line]
+    for shape in ((22, 3), (66, 1)):
+        lines = list(clean)
+        for i in frames:
+            row = json.loads(lines[i])
+            row["joints"] = np.reshape(row["joints"], shape).tolist()
+            lines[i] = json.dumps(row)
+        p.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            io.read_recording(p)
+        assert (err.value.line_no, err.value.reason) == \
+            (frames[0] + 1, "joints must have 66 entries")
 
 
 def test_zero_fps_sequence_rejected(tmp_path):
