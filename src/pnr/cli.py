@@ -13,14 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import io_jsonl as io
-from .curation import curate_corpus, split, stats
+from . import curation, io_jsonl as io
+from .curation import split, stats
 from .errors import EmptyCorpus, MalformedFile, PnrError
 from .gaze import DEFAULT_TAU, DEFAULT_WINDOW
 from .geometry import Aabb, finite_number
@@ -34,7 +37,7 @@ from .metrics import (
     prime_success_sweep,
 )
 from .curation import DEFAULT_MIN_MOVEMENT, DEFAULT_PREPEND
-from .motion import MAX_FRAMES, MotionSequence, resample, resampled_index
+from .motion import MAX_FRAMES, MotionSequence, resampled_fps, resampled_index
 from .synth import MAX_RECORDINGS, ScenarioSpec, generate_corpus, static_baseline
 
 
@@ -55,14 +58,17 @@ def _unique(items, what: str, path):
         yield item
 
 
-def _sequences(read, path, what: str = "") -> list:
-    """``read`` (io.read_sequence, or read_sequence_header) of every
-    sequence file under a directory; EmptyCorpus when there are none, and
-    PnrError when two share an id."""
-    sequences = list(_unique(map(read, io.sequence_paths(path)), "sequence", path))
-    if not sequences:
+def _sequences(read, path, what: str = ""):
+    """``read`` (io.read_sequence, or read_sequence_header) of each
+    sequence file under a directory, one at a time in file-name order;
+    PnrError at the first id that two share, and EmptyCorpus after the
+    last file when there are none."""
+    empty = True
+    for item in _unique(map(read, io.sequence_paths(path)), "sequence", path):
+        empty = False
+        yield item
+    if empty:
         raise EmptyCorpus(f"no {what}sequences under {path}")
-    return sequences
 
 
 def _json_object(path: str, of: str) -> dict:
@@ -85,36 +91,60 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
+@contextmanager
+def _staged(out_dir: Path):
+    """A new hidden directory to write into, on the file system of out_dir:
+    inside out_dir when that is a directory, else in its nearest existing
+    parent. When the block ends without error, its files are moved into
+    out_dir, made if missing, in name order. It is removed either way, so
+    a failed or interrupted run leaves out_dir as it was."""
+    near = next((p for p in (out_dir, *out_dir.parents) if p.is_dir()), out_dir.parent)
+    staging = Path(tempfile.mkdtemp(prefix=".pnr-staging-", dir=near))
+    try:
+        yield staging
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            path.replace(out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def cmd_curate(args) -> int:
+    """Read, curate and write one recording at a time, in file-name order.
+    A file that cannot be read is reported and skipped; the files are
+    published when every recording is done, so a duplicate id writes
+    nothing."""
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise PnrError(f"input directory not found: {in_dir}")
-    recordings, errors = [], 0
-    for path in sorted(in_dir.glob(f"*{io.RECORDING_SUFFIX}")):
-        try:
-            recordings.append(io.read_recording(path))
-        except (OSError, MalformedFile) as exc:  # reported and skipped
-            print(f"error: {exc}", file=sys.stderr)
-            errors += 1
-    if not recordings and not errors:
-        print(f"warning: no recordings under {in_dir}", file=sys.stderr)
-    results = curate_corpus(
-        list(_unique(recordings, "recording", in_dir)),
-        prepend=args.prepend,
-        w=args.w,
-        tau=args.tau,
-        min_movement=args.min_movement,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for res in results:
-        for seq in res.sequences:
-            io.write_sequence(seq, out_dir / f"{seq.id}{io.SEQUENCE_SUFFIX}")
-    io.write_curation_log(results, out_dir / "curation_log.json")
-    n_seq = sum(len(r.sequences) for r in results)
-    n_drop = sum(len(r.drops) for r in results)
-    print(f"curated {n_seq} sequences from {len(recordings)} recordings "
-          f"({n_drop} events dropped)")
+    errors = 0
+
+    def recordings():
+        nonlocal errors
+        for path in sorted(in_dir.glob(f"*{io.RECORDING_SUFFIX}")):
+            try:
+                rec = io.read_recording(path)
+            except (OSError, MalformedFile) as exc:  # reported and skipped
+                print(f"error: {exc}", file=sys.stderr)
+                errors += 1
+                continue
+            yield rec
+
+    log = []  # (recording id, sequence count, drops) per recording
+    with _staged(Path(args.out_dir)) as staging:
+        for rec in _unique(recordings(), "recording", in_dir):
+            # through the module, so that a wrapper of curation.curate sees the call
+            res = curation.curate(rec, prepend=args.prepend, w=args.w, tau=args.tau,
+                                  min_movement=args.min_movement)
+            for seq in res.sequences:
+                io.write_sequence(seq, staging / f"{seq.id}{io.SEQUENCE_SUFFIX}")
+            log.append((res.recording_id, len(res.sequences), res.drops))
+        if not log and not errors:
+            print(f"warning: no recordings under {in_dir}", file=sys.stderr)
+        io.write_curation_log(log, staging / "curation_log.json")
+    n_seq = sum(n for _, n, _ in log)
+    n_drop = sum(len(drops) for _, _, drops in log)
+    print(f"curated {n_seq} sequences from {len(log)} recordings ({n_drop} events dropped)")
     return 2 if errors else 0
 
 
@@ -125,7 +155,7 @@ def cmd_stats(args) -> int:
 
 def cmd_split(args) -> int:
     # the split needs only ids and video ids: read each file's header alone
-    headers = _sequences(io.read_sequence_header, args.in_dir)
+    headers = list(_sequences(io.read_sequence_header, args.in_dir))
     overrides = None
     if args.override:
         overrides = _json_object(args.override, "video_id -> side")
@@ -139,29 +169,33 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _pairs(args) -> list:
-    """EvalPairs on args.n frames for every ground-truth sequence with a
-    prediction of the same id; EmptyCorpus when there are none, and
-    PnrError when either directory repeats an id. evaluate warns of each
-    ground truth without a prediction."""
-    gt_seqs, preds = (_unique(map(io.read_sequence, io.sequence_paths(d)), "sequence", d)
-                      for d in (args.gt, args.pred))
-    gt_seqs, preds = list(gt_seqs), {p.id: p.motion for p in preds}
-    pairs = [EvalPair.from_sequences(preds[gt.id], gt, args.n)
-             for gt in gt_seqs if gt.id in preds]
-    if args.command == "evaluate":
-        for gt in gt_seqs:
-            if gt.id not in preds:
-                print(f"warning: no prediction for {gt.id}", file=sys.stderr)
-    if not pairs:
+def _pairs(args):
+    """EvalPairs on args.n frames, one at a time, for every ground-truth
+    sequence with a prediction of the same id. The predictions' headers
+    are read first; then each ground truth in file-name order, with its
+    prediction; then the predictions no ground truth matched, so that
+    every file is checked. PnrError when either directory repeats an id,
+    and EmptyCorpus after the last file when there is no pair. evaluate
+    warns of each ground truth without a prediction as it reads it."""
+    paths = io.sequence_paths(args.pred)
+    headers = _unique(map(io.read_sequence_header, paths), "sequence", args.pred)
+    preds = {header.id: path for header, path in zip(headers, paths)}
+    empty = True
+    for gt in _unique(map(io.read_sequence, io.sequence_paths(args.gt)), "sequence", args.gt):
+        if gt.id in preds:
+            empty = False
+            yield EvalPair.from_sequences(io.read_sequence(preds.pop(gt.id)).motion, gt, args.n)
+        elif args.command == "evaluate":
+            print(f"warning: no prediction for {gt.id}", file=sys.stderr)
+    for path in preds.values():
+        io.read_sequence(path)
+    if empty:
         raise EmptyCorpus(f"no (prediction, ground truth) pairs to {args.command}")
-    return pairs
 
 
 def cmd_evaluate(args) -> int:
-    pairs = _pairs(args)
     config = MetricsConfig(theta_deg=args.theta, sigma=args.sigma, n_frames=args.n)
-    report = evaluate(pairs, config)
+    report = evaluate(_pairs(args), config)
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -209,19 +243,30 @@ def cmd_synth(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    train = _sequences(io.read_sequence, args.train, "training ")
+    """One pass over the training sequences, which also gives the ground
+    truths when --gt is the same directory. Of each ground truth only its
+    prediction's header is kept: the sequence without its frames, its
+    prime frame and its fps on --n frames."""
     same_dir = Path(args.gt).resolve() == Path(args.train).resolve()
-    gt_seqs = train if same_dir else _sequences(io.read_sequence, args.gt, "ground-truth ")
+    kept = []
+
+    def keep(gt):
+        kept.append((replace(gt, motion=None, prime_frame_index=resampled_index(
+            gt.prime_frame_index, gt.motion.n_frames, args.n)),
+            resampled_fps(gt.motion.fps, gt.motion.n_frames, args.n)))
+        return gt
+
+    train = _sequences(io.read_sequence, args.train, "training ")
+    mean_pose = static_baseline(map(keep, train) if same_dir else train, n=args.n).joints
+    if not same_dir:
+        for gt in _sequences(io.read_sequence, args.gt, "ground-truth "):
+            keep(gt)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean_pose = static_baseline(train, n=args.n).joints
-    for gt in gt_seqs:
-        gt_res = resample(gt.motion, args.n)
-        pred = MotionSequence(gt_res.fps, mean_pose)
-        seq = replace(gt, motion=pred, prime_frame_index=resampled_index(
-            gt.prime_frame_index, gt.motion.n_frames, args.n))
+    for gt, fps in kept:
+        seq = replace(gt, motion=MotionSequence(fps, mean_pose))
         io.write_sequence(seq, out_dir / f"{seq.id}{io.SEQUENCE_SUFFIX}")
-    print(f"wrote {len(gt_seqs)} static predictions to {out_dir}")
+    print(f"wrote {len(kept)} static predictions to {out_dir}")
     return 0
 
 

@@ -225,15 +225,14 @@ class DatasetStats:
 def stats(sequences) -> DatasetStats:
     """Count, means and sample standard deviations (n-1 denominator) of
     duration, prime gap and body/hand movement. A single sequence reports
-    zero stds, flagged degenerate."""
-    sequences = list(sequences)
-    if not sequences:
+    zero stds, flagged degenerate. ``sequences`` is read once, and only
+    those four numbers of each sequence are kept."""
+    rows = [(s.motion.duration, s.prime_gap, body_movement(s.motion), hand_movement(s.motion))
+            for s in sequences]
+    if not rows:
         raise EmptyCorpus("stats over zero sequences")
-    durations = np.array([s.motion.duration for s in sequences])
-    gaps = np.array([s.prime_gap for s in sequences])
-    body = np.array([body_movement(s.motion) for s in sequences])
-    hand = np.array([hand_movement(s.motion) for s in sequences])
-    degenerate = len(sequences) == 1
+    durations, gaps, body, hand = map(np.array, zip(*rows))
+    degenerate = len(rows) == 1
 
     def mean_std(x):
         if degenerate:
@@ -244,7 +243,7 @@ def stats(sequences) -> DatasetStats:
     g = mean_std(gaps)
     b = mean_std(body)
     h = mean_std(hand)
-    return DatasetStats(len(sequences), d[0], d[1], g[0], g[1], b[0], b[1], h[0], h[1], degenerate)
+    return DatasetStats(len(rows), d[0], d[1], g[0], g[1], b[0], b[1], h[0], h[1], degenerate)
 
 
 @dataclass(frozen=True)

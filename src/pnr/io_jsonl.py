@@ -514,7 +514,8 @@ def read_sequence(path) -> PnRSequence:
         event=event,
         motion=motion,
         goal_location=header.goal,
-        initial_state=InitialState(motion.joints[0],
+        # a copy, so that a kept initial state does not keep every frame
+        initial_state=InitialState(motion.joints[0].copy(),
                                    header.initial_velocity.reshape(N_JOINTS, 3)),
         prime_frame_index=header.prime_frame_index,
         flags=header.flags,
@@ -556,20 +557,15 @@ def write_labels(labels, path) -> None:
     write_json(asdict(labels), path)
 
 
-def write_curation_log(results, path) -> None:
-    """Per-recording drop bookkeeping, deterministic by input order."""
-    payload = {
-        "recordings": [
-            {
-                "id": r.recording_id,
-                "n_sequences": len(r.sequences),
-                "drops": [asdict(d) for d in r.drops],
-            }
-            for r in results
-        ],
+def write_curation_log(entries, path) -> None:
+    """Per-recording drop bookkeeping, deterministic by input order: one
+    (recording id, sequence count, drops) entry per recording."""
+    recordings = [{"id": rec_id, "n_sequences": n, "drops": [asdict(d) for d in drops]}
+                  for rec_id, n, drops in entries]
+    write_json({
+        "recordings": recordings,
         "totals": {
-            "sequences": sum(len(r.sequences) for r in results),
-            "drops": sum(len(r.drops) for r in results),
+            "sequences": sum(r["n_sequences"] for r in recordings),
+            "drops": sum(len(r["drops"]) for r in recordings),
         },
-    }
-    write_json(payload, path)
+    }, path)

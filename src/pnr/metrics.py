@@ -279,11 +279,11 @@ def evaluate_pair(pair: EvalPair, config: MetricsConfig = MetricsConfig()) -> Pa
 
 def evaluate(pairs, config: MetricsConfig = MetricsConfig()) -> MetricsReport:
     """All six metrics over a corpus of pairs; success metrics are
-    percentages of the pair count."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyCorpus("evaluate over zero pairs")
+    percentages of the pair count. ``pairs`` is read once, and only each
+    pair's outcome is kept."""
     outcomes = [evaluate_pair(p, config) for p in pairs]
+    if not outcomes:
+        raise EmptyCorpus("evaluate over zero pairs")
     n = len(outcomes)
     return MetricsReport(
         prime_success=100.0 * sum(o.prime_success for o in outcomes) / n,
@@ -305,21 +305,21 @@ def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     minimum over its widest window (_window_minima), in any order of
     sigmas and with repeats, so cell (k, j) equals the mean of
     prime_success(pair, thetas_deg[j], sigmas[k]) over the pairs, times
-    100. The grid is counted one sigma row at a time, which keeps memory
-    at pairs x thetas."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyCorpus("sweep over zero pairs")
+    100. ``pairs`` is read once, and only each pair's minima are kept. The
+    grid is counted one sigma row at a time, which keeps memory at pairs x
+    thetas."""
     thetas = np.asarray(list(thetas_deg), dtype=np.float64)
     sigmas = np.asarray(list(sigmas), dtype=np.float64)
     if not np.all(thetas >= -np.inf):
         raise ValueError("thetas must not be NaN")
     if not np.all(sigmas >= 0.0):
         raise ValueError("sigmas must be >= 0")
+    # with no sigma there is nothing to compute, but every pair is still read
+    mins = np.array([_window_minima(pair, sigmas) if len(sigmas) else sigmas
+                     for pair in pairs])
+    if not len(mins):
+        raise EmptyCorpus("sweep over zero pairs")
     grid = np.zeros((len(sigmas), len(thetas)))
-    if not len(sigmas):
-        return grid
-    mins = np.array([_window_minima(pair, sigmas) for pair in pairs])
     limits = np.radians(thetas)
     for k in range(len(sigmas)):
         grid[k] = 100.0 * np.mean(mins[:, k][:, None] <= limits[None, :], axis=0)

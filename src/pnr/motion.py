@@ -90,8 +90,13 @@ def resample(motion: MotionSequence, n: int) -> MotionSequence:
     gaze = None
     if motion.gaze is not None:
         gaze = motion.gaze[np.round(pos).astype(int)]
-    fps = motion.fps * (n - 1) / (src - 1)
-    return MotionSequence(fps, joints, gaze)
+    return MotionSequence(resampled_fps(motion.fps, src, n), joints, gaze)
+
+
+def resampled_fps(fps: float, src: int, n: int) -> float:
+    """The fps of an ``n``-frame resample of ``src`` frames at ``fps``: the
+    same duration over n - 1 frame steps."""
+    return fps * (n - 1) / (src - 1)
 
 
 def resampled_index(i: int, src: int, n: int) -> int:

@@ -434,15 +434,14 @@ def generate_corpus(base: ScenarioSpec, n_recordings: int, seed: int = 0,
 
 def static_baseline(train, n: int, fps: float = 30.0) -> MotionSequence:
     """Average full-body pose over every frame of the training sequences,
-    replicated for n frames."""
-    train = list(train)
-    if not train:
-        raise EmptyCorpus("static baseline needs a non-empty train set")
+    replicated for n frames; ``train`` is read once, as a running sum."""
     total = np.zeros((N_JOINTS, 3))
     count = 0
     for seq in train:
         total += seq.motion.joints.sum(axis=0)
         count += seq.motion.n_frames
+    if not count:
+        raise EmptyCorpus("static baseline needs a non-empty train set")
     mean_pose = total / count
     return MotionSequence(fps, np.tile(mean_pose, (n, 1, 1)))
 

@@ -1,9 +1,17 @@
 """Shared constructors for synthetic test motions, a rigid motion of the
 scene, and the rotation rows the encoding stores for observed bone
-directions."""
+directions; and a runner of one ``pnr`` command in a child process that
+reports the child's peak RSS."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+import pnr
 from pnr.features import _FLIP_ROWS, _arc_entries
 from pnr.metrics import EvalPair
 from pnr.motion import MotionSequence, canonicalize, yaw_matrices
@@ -115,3 +123,47 @@ def stored_rows(bones, v):
     rows = np.stack(entries, axis=-1)
     rows[~safe] = _FLIP_ROWS[np.broadcast_to(bones, safe.shape)[~safe]]
     return rows
+
+
+class PnrRun(NamedTuple):
+    """One ``pnr`` command run in a child process."""
+
+    returncode: int
+    stdout: str
+    stderr: str
+    peak_rss_mb: float
+
+
+# The child forks before it imports pnr: an exec'd process starts with the
+# peak RSS of the process that spawned it (Linux keeps it across exec), a
+# forked one with its own, so the command's peak is not hidden under that
+# of the test runner. The fork writes its ru_maxrss (KiB) to argv[1].
+_CHILD = r"""
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    from pnr.cli import main
+    try:
+        code = main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with open(sys.argv[1], "w") as f:
+        f.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+    os._exit(code)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def run_pnr(argv, rss_file) -> PnrRun:
+    """``pnr argv`` in a fresh interpreter that imports the pnr the tests
+    import; ``rss_file`` is a scratch path for the child's report."""
+    env = dict(os.environ)
+    src = str(Path(pnr.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(rss_file), *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    rss_file = Path(rss_file)
+    peak = int(rss_file.read_text()) / 1024.0 if rss_file.exists() else float("nan")
+    return PnrRun(done.returncode, done.stdout, done.stderr, peak)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_io as ref
+from builders import run_pnr
 from pnr import io_jsonl as io
 from pnr.cli import MAX_THETAS, _frame_count, _thetas, main
 from pnr.curation import curate
@@ -514,6 +515,41 @@ class TestCliPipeline:
         assert f"zzz-bad.rec.jsonl:{k + 1}: not valid UTF-8" in capsys.readouterr().err
         assert len(list(out.glob("*.seq.jsonl"))) == 2
 
+    def test_curate_stderr_order(self, tmp_path):
+        # good recordings among a warning and two malformed ones: each
+        # file's messages come when it is read, in file-name order, and the
+        # good recordings are still curated
+        src = write_corpus(tmp_path, n=3)
+        good = [p.read_text(encoding="utf-8").splitlines()
+                for p in sorted(src.glob("*.rec.jsonl"))]
+        rec_dir = tmp_path / "mixed"
+        rec_dir.mkdir()
+
+        def put(name, lines):
+            (rec_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return rec_dir / name
+
+        k = next(i for i, line in enumerate(good[0]) if '"k":"frame"' in line)
+        row = json.loads(good[0][k])
+        del row["joints"]
+        put("a.rec.jsonl", good[0])
+        bad_row = put("b.rec.jsonl", good[0][:k] + [json.dumps(row)] + good[0][k + 1:])
+        header = json.dumps(dict(json.loads(good[1][0]), id="c-warn"))
+        warned = put("c.rec.jsonl", [header, '{"k":"note"}'] + good[1][1:])
+        put("d.rec.jsonl", good[1])
+        bad_header = put("e.rec.jsonl", ['{"schema_version":1,"id":"x","video_id":"v"}'])
+        put("f.rec.jsonl", good[2])
+        out = tmp_path / "out"
+        run = run_pnr(["curate", "--in", rec_dir, "--out", out], tmp_path / "rss")
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            f"error: {bad_row}:{k + 1}: frame record needs joints",
+            f"{warned}:2: skipping unknown record kind 'note'",
+            f"error: {bad_header}:1: header missing fps",
+        ]
+        assert run.stdout == "curated 4 sequences from 4 recordings (0 events dropped)\n"
+        assert len(list(out.glob("*.seq.jsonl"))) == 4
+
     def test_baseline_same_dir_read_once_same_bytes(self, tmp_path):
         rec_dir = write_corpus(tmp_path, n=2)
         seq_dir, copy_dir = tmp_path / "seqs", tmp_path / "seqs-copy"
@@ -595,6 +631,32 @@ def test_evaluate_prime_index_past_end_exit_2(tmp_path, capsys):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["evaluate", "--pred", str(seq_dir), "--gt", str(seq_dir)]) == 2
     assert f"{p.name}:1: prime_frame_index out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_unmatched_prediction_read_after_ground_truths(curated_dir, tmp_path, capsys, command):
+    # each ground truth is read with its prediction, in file-name order, and
+    # evaluate warns of one without a prediction there; a prediction that no
+    # ground truth matches is read in full after them, so a bad row in it
+    # still exits 2
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    shutil.copytree(curated_dir, gt_dir)
+    shutil.copytree(curated_dir, pred_dir)
+    first, second = sorted(gt_dir.glob("*.seq.jsonl"))
+    second.unlink()
+    lines = first.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), id="extra"))
+    (gt_dir / "extra.seq.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad = pred_dir / second.name
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].replace('"joints":[', '"joints":["x",')
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)]) == 2
+    warnings = ["warning: no prediction for extra"] if command == "evaluate" else []
+    assert capsys.readouterr().err.splitlines() == warnings + [
+        f"error: {bad}:4: joints must be a list of numbers"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -1201,12 +1263,12 @@ def test_split_reads_headers_only(curated_dir, tmp_path, capsys):
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
-def _with_copy(src, dst, suffix):
+def _with_copy(src, dst, suffix, name="zzz-copy"):
     """A copy of the directory src at dst, its first ``suffix`` file copied
     once more under a second name; gives that file's id."""
     shutil.copytree(src, dst)
     first = sorted(dst.glob(f"*{suffix}"))[0]
-    shutil.copy(first, dst / f"zzz-copy{suffix}")
+    shutil.copy(first, dst / f"{name}{suffix}")
     return json.loads(first.read_text(encoding="utf-8").split("\n")[0])["id"]
 
 
@@ -1229,9 +1291,15 @@ def test_duplicate_sequence_id_exit_2(curated_dir, tmp_path, capsys, make_argv):
 
 
 def test_duplicate_recording_id_exit_2(curated_dir, tmp_path, capsys):
-    recs = tmp_path / "recs"
-    rec_id = _with_copy(Path(curated_dir).parent / "recordings", recs, io.RECORDING_SUFFIX)
-    out = tmp_path / "out"
-    assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: duplicate recording id {rec_id!r} in {recs}\n")
-    assert not out.exists()
+    # the copy is read second, or last, after every other recording was
+    # curated and staged: still nothing is written, and no staging is left
+    for name in ("aaa-copy", "zzz-copy"):
+        case = tmp_path / name
+        recs = case / "recs"
+        rec_id = _with_copy(Path(curated_dir).parent / "recordings", recs,
+                            io.RECORDING_SUFFIX, name)
+        out = case / "out"
+        assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: duplicate recording id {rec_id!r} in {recs}\n")
+        assert not out.exists()
+        assert list(case.iterdir()) == [recs]
