@@ -202,10 +202,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = prime_success_sweep(_pairs(args), args.thetas, args.sigmas)
+    text = io.sweep_csv(args.thetas, args.sigmas, grid)
     if args.out:
-        io.write_sweep_csv(args.thetas, args.sigmas, grid, args.out)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        print(io.sweep_csv(args.thetas, args.sigmas, grid), end="")
+        print(text, end="")
     return 0
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import component_norm, norm3
-from .motion import MotionSequence, heading_angles, yaw_planes
+from .motion import MotionSequence, heading_angles, wrap_angle, yaw_planes
 from .skeleton import CONTACT_JOINTS, N_JOINTS, PARENTS, PELVIS, REST_DIRS
 
 FEATURE_DIM = 263
@@ -129,10 +129,6 @@ _FLIP_ROWS = np.array([_flip_rows(u) for u in REST_DIRS])
 _FLIP_ROWS.flags.writeable = False
 
 
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-
 def to_features(motion: MotionSequence) -> np.ndarray:
     """Per-frame 263-dim features of a canonicalized motion, (N, 263)."""
     joints = motion.joints
@@ -140,7 +136,7 @@ def to_features(motion: MotionSequence) -> np.ndarray:
     psi = heading_angles(joints)
 
     feats = np.zeros((n, FEATURE_DIM))
-    feats[:-1, ROOT_ROT_VEL] = _wrap_angle(np.diff(psi))
+    feats[:-1, ROOT_ROT_VEL] = wrap_angle(np.diff(psi))
 
     # every vector the encoding turns into the root frame, as x, y and z
     # planes with one row per frame: the ground step of the pelvis, the 21

@@ -17,6 +17,8 @@ DEFAULT_TAU = 0.05  # m
 
 DIRECT_HIT = "direct_hit"
 NEAR_MISS = "near_miss"
+PRIME_MODES = (DIRECT_HIT, NEAR_MISS)
+EVENT_KINDS = ("pick", "put")
 
 _DEGENERATE_TOL = 1e-9
 
@@ -129,7 +131,7 @@ class InteractionEvent:
     target: ObjectTarget
 
     def __post_init__(self):
-        if self.kind not in ("pick", "put"):
+        if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 

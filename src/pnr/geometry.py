@@ -57,10 +57,7 @@ def norm3(v) -> float:
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a (3,) float64 vector, rejecting non-finite components."""
-    v = np.array([x, y, z], dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector {v}")
-    return v
+    return as_vec3([x, y, z])
 
 
 def as_vec3(v) -> np.ndarray:

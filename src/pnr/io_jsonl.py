@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -57,7 +56,7 @@ import orjson
 
 from .curation import InitialState, PnRSequence, Recording
 from .errors import DegenerateGaze, MalformedFile
-from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
+from .gaze import EVENT_KINDS, PRIME_MODES, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
 from .geometry import Aabb, finite_number
 from .motion import MotionSequence
 from .skeleton import N_JOINTS
@@ -144,9 +143,21 @@ def _float(value, path, line_no, what) -> float:
     return float(value)
 
 
-def _header(row, path, line_no, keys=()) -> float:
+def _first(path, check):
+    """check(row, path, line number) of a file's first record, and an
+    iterator over the records after it; "empty file" at line 1 when there
+    is no record."""
+    records = _records(path)
+    for line_no, row in records:
+        return check(row, path, line_no), records
+    raise MalformedFile(path, 1, "empty file")
+
+
+def _header(row, path, line_no, keys=()) -> tuple:
     """Check line 1 of a recording or sequence: the header, with id,
-    video_id, fps and ``keys``, string ids and a positive fps; gives the fps."""
+    video_id, fps and ``keys``, string ids and a positive fps; gives
+    (id, video_id, fps). The id names the files written from it, so it must
+    be a file name: no "/" or NUL, and not "." or ".."."""
     _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
              "first line must be the header")
     for key in ("id", "video_id", "fps", *keys):
@@ -155,7 +166,9 @@ def _header(row, path, line_no, keys=()) -> float:
     _require(fps > 0, path, line_no, "fps must be positive")
     for key in ("id", "video_id"):
         _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
-    return fps
+    _require(row["id"] not in (".", "..") and "/" not in row["id"] and "\0" not in row["id"],
+             path, line_no, "id must be a file name: no /, NUL, . or ..")
+    return row["id"], row["video_id"], fps
 
 
 def _row_time(row, kind, last_t, path, line_no):
@@ -204,7 +217,9 @@ class _Column:
     """One numeric field of a file with n values per row: joints, a gaze
     direction, a camera rotation. ``add`` gives a row only a cheap shape
     check; ``array`` converts all rows to float64 and checks them for
-    finite values at once, and still reports a bad row by its line."""
+    finite values at once, and still reports a bad row by its line. A row
+    takes true and false as 1 and 0, in the bulk conversion and in the
+    row-by-row check (``_floats``) alike."""
 
     def __init__(self, path, n, what, name=None):
         self.path, self.n, self.what, self.name = path, n, what, name
@@ -215,7 +230,7 @@ class _Column:
 
     def add(self, values, line_no) -> None:
         if type(values) is not list or len(values) != self.n:
-            values = self._vector(values, line_no)
+            values = _floats(values, self.n, self.path, line_no, self.what, self.name)
         self.rows.append(values)
         self.line_nos.append(line_no)
 
@@ -231,17 +246,14 @@ class _Column:
         if arr is None or arr.dtype.kind not in "biuf" or arr.shape != shape:
             # a string, an item that is no number, an integer past 64 bits
             # or nested lists; converting row by row names the first bad row
-            arr = np.array([self._vector(v, at) for v, at in zip(self.rows, self.line_nos)])
+            arr = np.array([_floats(v, self.n, self.path, at, self.what, self.name)
+                            for v, at in zip(self.rows, self.line_nos)])
         arr = arr.astype(np.float64, copy=False).reshape(shape)
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             raise MalformedFile(self.path, self.line_nos[int(np.argmin(finite))],
                                 f"non-finite {self.what}")
         return arr
-
-    def _vector(self, values, line_no):
-        # rows take true and false as 1 and 0, as the bulk conversion in array() does
-        return _floats(values, self.n, self.path, line_no, self.what, self.name)
 
 
 def _rows(values, width):
@@ -313,7 +325,7 @@ def write_recording(rec: Recording, path) -> None:
 
 def read_recording(path) -> Recording:
     path = Path(path)
-    header = None
+    (rec_id, video_id, fps), records = _first(path, _header)
     gaze_t = []
     rotations = _Column(path, 9, "cam rotation", "cam_pose.r")
     points_cam = _Column(path, 3, "gaze direction", "dir_cam")
@@ -322,11 +334,7 @@ def read_recording(path) -> Recording:
     event_rows = []
     objects: dict[str, ObjectTarget] = {}
     last_t = {}
-    for line_no, row in _records(path):
-        if header is None:
-            fps = _header(row, path, line_no)
-            header = row
-            continue
+    for line_no, row in records:
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
         if kind in ("gaze", "frame", "event"):
@@ -369,14 +377,13 @@ def read_recording(path) -> Recording:
             else:
                 raise MalformedFile(path, line_no, "object record needs box or point")
         elif kind == "event":
-            _require(row.get("kind") in ("pick", "put"), path, line_no,
+            _require(row.get("kind") in EVENT_KINDS, path, line_no,
                      "event kind must be pick or put")
             _require("object_id" in row, path, line_no, "event needs object_id")
             event_rows.append((row["kind"], float(t), row["object_id"], line_no))
         else:  # an unknown kind, or a timed object row: trajectories are not read
             what = "timed object record" if kind == "object" else f"unknown record kind {kind!r}"
             log.warning("%s:%d: skipping %s", path, line_no, what)
-    _require(header is not None, path, 1, "empty file")
     _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
     _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
 
@@ -394,8 +401,8 @@ def read_recording(path) -> Recording:
                  f"event references unknown object {oid!r}")
         events.append(InteractionEvent(kind, t_e, objects[oid]))
     return Recording(
-        id=header["id"],
-        video_id=header["video_id"],
+        id=rec_id,
+        video_id=video_id,
         gaze=track,
         motion=motion,
         objects=objects,
@@ -439,17 +446,17 @@ def write_sequence(seq: PnRSequence, path) -> None:
 def _sequence_header(row, path, line_no) -> SequenceHeader:
     """The header row of a sequence file, checked for everything that does
     not depend on its frames."""
-    fps = _header(row, path, line_no, SequenceHeader._fields[3:])
+    seq_id, video_id, fps = _header(row, path, line_no, SequenceHeader._fields[3:])
     t_p = _float(row["t_p"], path, line_no, "t_p")
     t_e = _float(row["t_e"], path, line_no, "t_e")
     t_start = _float(row["t_start"], path, line_no, "t_start")
     goal = _vector(row["goal"], 3, path, line_no, "goal")
     velocity = _vector(row["initial_velocity"], 3 * N_JOINTS, path, line_no,
                        "initial velocity", "initial_velocity")
-    _require(row["kind"] in ("pick", "put"), path, line_no, "kind must be pick or put")
+    _require(row["kind"] in EVENT_KINDS, path, line_no, "kind must be pick or put")
     prime_mode = row["prime_mode"]
-    _require(prime_mode in (DIRECT_HIT, NEAR_MISS), path, line_no,
-             f"prime_mode must be {DIRECT_HIT} or {NEAR_MISS}")
+    _require(prime_mode in PRIME_MODES, path, line_no,
+             "prime_mode must be direct_hit or near_miss")
     prime_frame_index = row["prime_frame_index"]
     _require(type(prime_frame_index) is int, path, line_no,
              "prime_frame_index must be an integer")
@@ -458,7 +465,7 @@ def _sequence_header(row, path, line_no) -> SequenceHeader:
     _require(type(flags) is list, path, line_no, "flags must be a list")
     _require(all(isinstance(f, str) for f in flags), path, line_no,
              "flags must be a list of strings")
-    return SequenceHeader(row["id"], row["video_id"], fps, row["kind"], t_p, t_e, t_start,
+    return SequenceHeader(seq_id, video_id, fps, row["kind"], t_p, t_e, t_start,
                           prime_mode, goal, prime_frame_index, velocity, tuple(flags))
 
 
@@ -466,23 +473,18 @@ def read_sequence_header(path) -> SequenceHeader:
     """The header of a sequence file, read from its first line alone and
     checked as read_sequence checks it. Its frames are not read, so a
     malformed frame row goes unnoticed here."""
-    path = Path(path)
-    with closing(_records(path)) as records:
-        for line_no, row in records:
-            return _sequence_header(row, path, line_no)
-    raise MalformedFile(path, 1, "empty file")
+    header, records = _first(Path(path), _sequence_header)
+    records.close()
+    return header
 
 
 def read_sequence(path) -> PnRSequence:
     path = Path(path)
-    header = None
+    header, records = _first(path, _sequence_header)
     joints = _Column(path, 3 * N_JOINTS, "joints")
     gaze = _Column(path, 3, "gaze")
     last_t = {}
-    for line_no, row in _records(path):
-        if header is None:
-            header = _sequence_header(row, path, line_no)
-            continue
+    for line_no, row in records:
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
         if kind == "frame":
@@ -493,7 +495,6 @@ def read_sequence(path) -> PnRSequence:
                 gaze.add(row["gaze"], line_no)
         else:
             log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
-    _require(header is not None, path, 1, "empty file")
     joints, gaze = joints.array(), gaze.array()
     _require(len(joints) >= 2, path, 1, "sequence has fewer than 2 frames")
     _require(abs((len(joints) - 1) - (header.t_e - header.t_start) * header.fps) <= 1.0,
@@ -547,10 +548,6 @@ def sweep_csv(thetas_deg, sigmas, grid) -> str:
         for j, theta in enumerate(thetas_deg):
             lines.append(f"{theta},{sigma},{grid[k, j]!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(thetas_deg, sigmas, grid, path) -> None:
-    Path(path).write_text(sweep_csv(thetas_deg, sigmas, grid), encoding="utf-8")
 
 
 def write_labels(labels, path) -> None:

@@ -123,18 +123,28 @@ class EvalPair:
 
 def _check(theta_deg: float = 0.0, sigma: float = 0.0) -> None:
     """Refuse a NaN theta and a NaN or negative sigma, by comparisons
-    that NaN fails."""
+    that NaN fails. An array is checked through its minimum, which is NaN
+    when the array holds one."""
     if not theta_deg >= -math.inf:
         raise ValueError("theta must not be NaN")
     if not sigma >= 0.0:
         raise ValueError("sigma must be >= 0")
 
 
+def _half_width(pair: EvalPair, sigma):
+    """Frames on each side of the prime frame in the window of sigma (a
+    float or an array): sigma * fps rounded half to even. A half-width past
+    the sequence gives the same window, so it is capped there and stays
+    finite, also where the product passes the float range."""
+    with np.errstate(over="ignore"):
+        return np.rint(np.minimum(sigma * pair.predicted.fps, pair.predicted.n_frames)
+                       ).astype(np.intp)
+
+
 def _window(pair: EvalPair, sigma: float) -> slice:
     """Frames within sigma seconds of the prime frame; windows of larger
-    sigmas contain those of smaller ones. A half-width past the sequence
-    gives the same window, so it is capped there and stays finite."""
-    half = int(round(min(sigma * pair.predicted.fps, pair.predicted.n_frames)))
+    sigmas contain those of smaller ones."""
+    half = int(_half_width(pair, sigma))
     lo = max(0, pair.prime_frame_index - half)
     hi = min(pair.predicted.n_frames - 1, pair.prime_frame_index + half)
     return slice(lo, hi + 1)
@@ -162,12 +172,10 @@ def _window_minima(pair: EvalPair, sigmas: np.ndarray) -> np.ndarray:
     of any shape): one prime_window_errors call over the widest window,
     folded about the prime frame and run through a running minimum (see
     the module docstring), read at each sigma's half-width, the integer
-    _window rounds to. Minima do not round, so each value is bit-equal to
+    _half_width gives. Minima do not round, so each value is bit-equal to
     the minimum over that sigma's own window."""
     errors = prime_window_errors(pair, float(sigmas.max()))
-    fps, n = pair.predicted.fps, pair.predicted.n_frames
-    with np.errstate(over="ignore"):  # a product past the float range is capped at n
-        halves = np.rint(np.minimum(sigmas * fps, n)).astype(np.intp)
+    halves = _half_width(pair, sigmas)
     widest = int(halves.max())
     at = min(pair.prime_frame_index, widest)  # the prime frame's place in errors
     before, after = errors[at::-1], errors[at:]
@@ -310,10 +318,7 @@ def prime_success_sweep(pairs, thetas_deg, sigmas) -> np.ndarray:
     thetas."""
     thetas = np.asarray(list(thetas_deg), dtype=np.float64)
     sigmas = np.asarray(list(sigmas), dtype=np.float64)
-    if not np.all(thetas >= -np.inf):
-        raise ValueError("thetas must not be NaN")
-    if not np.all(sigmas >= 0.0):
-        raise ValueError("sigmas must be >= 0")
+    _check(thetas.min(initial=0.0), sigmas.min(initial=0.0))
     # with no sigma there is nothing to compute, but every pair is still read
     mins = np.array([_window_minima(pair, sigmas) if len(sigmas) else sigmas
                      for pair in pairs])

@@ -105,11 +105,10 @@ def resampled_index(i: int, src: int, n: int) -> int:
     return round(i * (n - 1) / (src - 1))
 
 
-def _across_vectors(joints: np.ndarray) -> np.ndarray:
-    """Left-to-right body axis per frame from hips and shoulders, (N, 3)."""
-    return (joints[:, L_HIP] - joints[:, R_HIP]) + (
-        joints[:, L_SHOULDER] - joints[:, R_SHOULDER]
-    )
+def wrap_angle(a):
+    """Angles (a float or an array) wrapped into [-pi, pi]: a difference
+    of headings as the signed turn the short way round."""
+    return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def heading_angles(joints: np.ndarray) -> np.ndarray:
@@ -118,7 +117,9 @@ def heading_angles(joints: np.ndarray) -> np.ndarray:
     Zero means facing +z; the angle grows toward +x (rotation about +y).
     Raises DegeneratePose when hips and shoulders give no horizontal axis.
     """
-    across = _across_vectors(joints)
+    # the left-to-right body axis from hips and shoulders, (N, 3)
+    across = (joints[:, L_HIP] - joints[:, R_HIP]) + (
+        joints[:, L_SHOULDER] - joints[:, R_SHOULDER])
     fx, fz = -across[:, 2], across[:, 0]
     norm = np.hypot(fx, fz)
     if np.any(norm < _DEGENERATE_TOL):

@@ -19,15 +19,10 @@ import numpy as np
 
 from .curation import InitialState, Recording
 from .errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
-from .gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget
+from .gaze import (DIRECT_HIT, EVENT_KINDS, NEAR_MISS, PRIME_MODES, GazeTrack, InteractionEvent,
+                   ObjectTarget)
 from .geometry import Aabb, as_vec3, finite_number, norm3
-from .motion import (
-    MAX_FRAMES,
-    MotionSequence,
-    heading_angles,
-    yaw_apply,
-    yaw_matrices,
-)
+from .motion import MAX_FRAMES, MotionSequence, heading_angles, wrap_angle, yaw_apply, yaw_matrices
 from .skeleton import (
     HEAD,
     L_ANKLE,
@@ -100,9 +95,9 @@ class ScenarioSpec:
         if not np.all(np.isfinite(span) & (span >= 0.0)):  # as rng.uniform requires
             raise ValueError(f"room must be at least {2 * ROOM_MARGIN} m and finitely "
                              "wide on every axis")
-        if self.planted_event_kind not in ("pick", "put"):
+        if self.planted_event_kind not in EVENT_KINDS:
             raise ValueError("planted_event_kind must be pick or put")
-        if self.prime_mode not in (DIRECT_HIT, NEAR_MISS):
+        if self.prime_mode not in PRIME_MODES:
             raise ValueError("prime_mode must be direct_hit or near_miss")
 
 
@@ -130,11 +125,6 @@ def _clip01(u):
 def _smoothstep(u):
     u = _clip01(u)
     return u * u * (3.0 - 2.0 * u)
-
-
-def _shortest_turn(a, b):
-    """Signed angle from heading a to heading b along the short way."""
-    return (b - a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _pose_track(times, root_xz, headings, look_targets,
@@ -239,22 +229,23 @@ def _gait_tracks(times, root_xz, headings, walk_start, walk_end):
     return tracks[0], tracks[1]
 
 
+def _ease(times, start, end):
+    """0 before ``start``, 1 from ``end`` on, and a smoothstep between the
+    two marks; a step at ``end`` when the span between them is empty."""
+    if end <= start:
+        return np.where(times >= end, 1.0, 0.0)
+    return _smoothstep((times - start) / (end - start))
+
+
 def _root_profile(times, start_xz, stand_xz, walk_start, arrive):
     """Ease-in/ease-out straight-line root path between the two marks."""
-    if arrive <= walk_start:
-        u = np.where(times >= arrive, 1.0, 0.0)
-    else:
-        u = _smoothstep((times - walk_start) / (arrive - walk_start))
+    u = _ease(times, walk_start, arrive)
     return start_xz[None, :] + u[:, None] * (stand_xz - start_xz)[None, :]
 
 
 def _heading_profile(times, psi0, psi1, turn_start, turn_end):
-    dpsi = _shortest_turn(psi0, psi1)
-    if turn_end <= turn_start:
-        u = np.where(times >= turn_end, 1.0, 0.0)
-    else:
-        u = _smoothstep((times - turn_start) / (turn_end - turn_start))
-    return psi0 + u * dpsi
+    """Eased turn from heading psi0 to psi1 the short way round."""
+    return psi0 + _ease(times, turn_start, turn_end) * wrap_angle(psi1 - psi0)
 
 
 def _random_box(rng, room):

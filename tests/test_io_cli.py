@@ -828,6 +828,8 @@ def curated_dir(tmp_path_factory):
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:90:0"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "0:10:-1"], "--thetas"),
     (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "10:0:1"], "--thetas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "16,x"], "--thetas"),
+    (["sweep", "--pred", "{seqs}", "--gt", "{seqs}", "--thetas", "16,190"], "--thetas"),
     (["evaluate", "--pred", "{seqs}", "--gt", "{seqs}", "--n", "100000000000000000000"],
      "--n"),
     (["split", "--in", "{seqs}", "--seed", "-1"], "--seed"),
@@ -836,6 +838,7 @@ def curated_dir(tmp_path_factory):
         "split_ratio_1.5", "curate_tau_-1", "curate_w_-1", "curate_min_movement_nan",
         "curate_prepend_nan", "evaluate_sigma_-1", "evaluate_theta_nan", "evaluate_theta_181",
         "sweep_sigmas_-1", "sweep_thetas_step_0", "sweep_thetas_step_-1", "sweep_thetas_empty",
+        "sweep_thetas_list_x", "sweep_thetas_list_190",
         "evaluate_n_huge", "split_seed_-1", "synth_seed_-1"])
 def test_out_of_range_option_exit_1(curated_dir, tmp_path, capsys, argv, option):
     argv = [a.format(seqs=curated_dir, out=tmp_path / "preds", spec=_spec(tmp_path))
@@ -864,6 +867,13 @@ def test_thetas_range_size_checked_before_arange(curated_dir, monkeypatch, capsy
     thetas = _thetas("0:180:0.01")
     assert len(thetas) == MAX_THETAS == 18_001
     assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(180.0)
+    # span / step is exactly 18001 here, which passes the first check, but
+    # the range gives 18,002 angles, which the count of the angles refuses
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--pred", curated_dir, "--gt", curated_dir,
+              "--thetas", "0:180:0.009999444475306927"])
+    assert exc.value.code == 1
+    assert "more than 18001 angles" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("thetas, count, last", [
@@ -1303,3 +1313,96 @@ def test_duplicate_recording_id_exit_2(curated_dir, tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: duplicate recording id {rec_id!r} in {recs}\n")
         assert not out.exists()
         assert list(case.iterdir()) == [recs]
+
+
+def _files_under(path):
+    return sorted(p for p in path.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("bad_id", ["../evil", "..", ".", "a/b", "a\0b"],
+                         ids=["parent", "dotdot", "dot", "slash", "nul"])
+def test_recording_id_that_is_no_file_name_exit_2(curated_dir, tmp_path, capsys, bad_id):
+    # a recording whose id was "../evil" used to be curated with exit 0 and
+    # write evil-e000.seq.jsonl beside --out
+    recs = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", recs)
+    bad = recs / "zzz-bad.rec.jsonl"
+    shutil.copy(sorted(recs.glob("*.rec.jsonl"))[0], bad)
+    _with_header(bad, id=bad_id)
+    before = _files_under(tmp_path)
+    out = tmp_path / "work" / "seq"
+    assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
+    reason = "id must be a file name: no /, NUL, . or .."
+    assert capsys.readouterr().err == f"error: {bad}:1: {reason}\n"
+    # the bad recording is skipped, the others are curated, and nothing
+    # is written outside --out
+    assert len(list(out.glob("*.seq.jsonl"))) == 2
+    assert [p for p in _files_under(tmp_path) if out not in p.parents] == before
+
+
+def test_sequence_id_that_is_no_file_name_exit_2(curated_dir, tmp_path, capsys):
+    # a ground truth whose id was "../x" used to give a prediction written
+    # beside --out
+    seqs = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seqs)
+    bad = sorted(seqs.glob("*.seq.jsonl"))[0]
+    _with_header(bad, id="../x")
+    before = _files_under(tmp_path)
+    out = tmp_path / "work" / "pred"
+    assert main(["baseline", "static", "--train", str(seqs), "--gt", str(seqs),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: id must be a file name: no /, NUL, . or ..\n")
+    assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("suffix, read", [
+    (io.RECORDING_SUFFIX, io.read_recording), (io.SEQUENCE_SUFFIX, io.read_sequence),
+], ids=["recording", "sequence"])
+def test_blank_lines_between_rows_are_skipped(curated_dir, tmp_path, suffix, read):
+    src = Path(curated_dir)
+    src = src.parent / "recordings" if suffix == io.RECORDING_SUFFIX else src
+    src = sorted(src.glob(f"*{suffix}"))[0]
+    write = io.write_recording if suffix == io.RECORDING_SUFFIX else io.write_sequence
+    lines = src.read_text(encoding="utf-8").split("\n")
+    spaced = []
+    for i, line in enumerate(lines[:-1]):  # the text ends with a newline
+        spaced += [line, "", " \t "] if i in (0, 2, len(lines) - 3) else [line]
+    blank = tmp_path / f"blank{suffix}"
+    blank.write_text("\n".join(spaced) + "\n", encoding="utf-8")
+    # the same values: each writes back to the same bytes
+    write(read(src), tmp_path / f"want{suffix}")
+    write(read(blank), tmp_path / f"got{suffix}")
+    assert (tmp_path / f"got{suffix}").read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+    # a bad row after the blank lines is reported at its physical line
+    k = len(spaced) - 1
+    spaced[k] = "{"
+    blank.write_text("\n".join(spaced) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        read(blank)
+    assert err.value.line_no == k + 1 == len(lines) + 5
+    assert err.value.reason.startswith("invalid JSON")
+
+
+def test_split_empty_sequence_file_exit_2(curated_dir, tmp_path, capsys):
+    seqs = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seqs)
+    empty = seqs / "zzz-empty.seq.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert main(["split", "--in", str(seqs), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {empty}:1: empty file\n"
+
+
+def test_thetas_list_keeps_its_order(curated_dir, tmp_path):
+    # a comma list writes its rows in the order given, with the cells of the
+    # same angles in a range run
+    cells = {}
+    for thetas in ("0:90:2", "16,0,90"):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--pred", curated_dir, "--gt", curated_dir, "--thetas", thetas,
+                     "--sigmas", "0,0.2", "--out", str(out)]) == 0
+        cells[thetas] = out.read_text(encoding="utf-8").splitlines()[1:]
+    by_key = {tuple(line.split(",")[:2]): line for line in cells["0:90:2"]}
+    assert [tuple(line.split(",")[:2]) for line in cells["16,0,90"]] == [
+        (theta, sigma) for sigma in ("0.0", "0.2") for theta in ("16.0", "0.0", "90.0")]
+    assert cells["16,0,90"] == [by_key[tuple(line.split(",")[:2])] for line in cells["16,0,90"]]

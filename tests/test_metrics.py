@@ -381,6 +381,15 @@ class TestEvalPairConstruction:
         assert pair.prime_frame_index == int(round(30 * 149 / 60))
         assert np.allclose(pair.prime_gaze, [0, 0, 1])
 
+    def test_from_sequences_puts_prediction_on_gt_fps(self):
+        # a prediction of n frames at another fps is not resampled: it keeps
+        # its joints to the bit and takes the resampled ground truth's fps
+        seq = curated(gt_motion(n=61), 30, t_p=1.0, t_e=2.0)
+        pred = glide_motion(n=150, fps=17.0)
+        pair = EvalPair.from_sequences(pred, seq, n=150)
+        assert pair.predicted.fps == pair.ground_truth.fps == FPS * 149 / 60 != pred.fps
+        assert pair.predicted.joints.tobytes() == pred.joints.tobytes()
+
 
 def test_metrics_config_validation():
     for fields in ({"sigma": -0.1}, {"sigma": math.nan}, {"theta_deg": math.nan}):

@@ -47,7 +47,6 @@ ALLOWED = {
     "cli._Parser.error": "usage errors",
     "errors.DegenerateGaze.__init__": "a zero gaze direction",
     "errors.MalformedFile.__init__": "malformed input",
-    "io_jsonl._Column._vector": "a row of the wrong shape or type",
 }
 
 SCRIPT = r"""
