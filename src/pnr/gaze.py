@@ -5,12 +5,13 @@ gaze ray lands on (or near-misses) the event's target.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGaze, EmptyWindow
-from .geometry import Aabb, Ray, as_vec3, prime_batch
+from .geometry import Aabb, Ray, as_vec3, blocks_near_box, prime_batch, ray_blocks
 
 DEFAULT_WINDOW = 10.0  # s
 DEFAULT_TAU = 0.05  # m
@@ -21,6 +22,7 @@ PRIME_MODES = (DIRECT_HIT, NEAR_MISS)
 EVENT_KINDS = ("pick", "put")
 
 _DEGENERATE_TOL = 1e-9
+_BLOCK = 32  # samples per block of the priming scan's cull
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,9 @@ class GazeTrack:
         cached = getattr(self, "_rays", None)
         if cached is not None:
             return cached
-        dirs = np.einsum("nij,nj->ni", self.rotations, self.points_cam)
+        # R @ p, its products summed in numpy 2's einsum order, which no release promises
+        q = self.rotations * self.points_cam[:, None, :]
+        dirs = (q[:, :, 0] + q[:, :, 2]) + q[:, :, 1]
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms < _DEGENERATE_TOL):
             bad = int(np.argmin(norms))
@@ -97,6 +101,24 @@ class GazeTrack:
         rays = (self.translations, dirs / norms[:, None])
         object.__setattr__(self, "_rays", rays)
         return rays
+
+    def blocks_near(self, box: Aabb, tau: float) -> list[int]:
+        """Indices, in increasing order, of the blocks of _BLOCK samples
+        (block k holds samples _BLOCK k to _BLOCK (k + 1) - 1) that may hold
+        a ray priming ``box`` within ``tau``: geometry.blocks_near_box. The
+        block bounds and each (box, tau)'s answer are cached, so a target's
+        later events cost a look-up. Raises ValueError unless tau >= 0."""
+        kept = getattr(self, "_kept", None)
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, "_blocks", ray_blocks(*self.world_rays(), _BLOCK))
+            object.__setattr__(self, "_kept", kept)
+        key = (box.min.tobytes(), box.max.tobytes(), tau)
+        blocks = kept.get(key)
+        if blocks is None:
+            mask = blocks_near_box(self._blocks, box.min, box.max, tau)
+            blocks = kept[key] = np.flatnonzero(mask).tolist()
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -158,21 +180,32 @@ def find_prime_time(
     """Earliest sample in [t_e - w, t_e] whose gaze ray primes the target:
     a direct hit of its box, or else a near miss within tau.
 
-    The window's rays go through geometry.prime_batch: a ray whose line
-    passes farther from the box center than the half-diagonal plus tau
-    (plus that kernel's rounding margin) is never slab- or near-miss-tested,
-    since it can prime in neither way. Prime times are quantized to sample
-    timestamps. Returns None when no sample in the window primes; raises
-    EmptyWindow when the window holds no samples at all (stream/event
-    misalignment).
+    The window's rays from the first to the last block that
+    GazeTrack.blocks_near keeps for the box go through geometry.prime_batch;
+    every ray of a skipped block passes too far from the box to prime it.
+    prime_batch then culls each ray whose line passes farther from the box
+    center than the half-diagonal plus tau (plus that kernel's rounding
+    margin), and slab- and near-miss-tests the rest. Both culls are exact,
+    so the result is that of the two kernels run on every ray of the
+    window. Prime times are quantized to sample timestamps. Returns None
+    when no sample in the window primes; raises EmptyWindow when the window
+    holds no samples at all (stream/event misalignment), and then
+    ValueError unless tau >= 0.
     """
     lo, hi = event.t_e - w, event.t_e
     i0 = int(np.searchsorted(track.times, lo, side="left"))
     i1 = int(np.searchsorted(track.times, hi, side="right"))
     if i0 >= i1:
         raise EmptyWindow(f"no gaze samples in [{lo:.3f}, {hi:.3f}]")
-    origins, dirs = track.world_rays()
     box = event.target.as_box()
+    kept = track.blocks_near(box, tau)
+    j0, j1 = bisect_left(kept, i0 // _BLOCK), bisect_right(kept, (i1 - 1) // _BLOCK)
+    if j0 == j1:
+        return None
+    # one slice: the skipped blocks between kept ones cost prime_batch's
+    # cull, which is cheaper than gathering the kept rays
+    i0, i1 = max(i0, kept[j0] * _BLOCK), min(i1, (kept[j1 - 1] + 1) * _BLOCK)
+    origins, dirs = track.world_rays()
     hit, near = prime_batch(origins[i0:i1], dirs[i0:i1], box.min, box.max, tau)
     where = np.nonzero(hit | near)[0]
     if where.size == 0:

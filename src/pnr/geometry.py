@@ -177,8 +177,9 @@ def angular_error(u, v) -> float:
 # ---------------------------------------------------------------------------
 # Batch kernels: the one implementation of each test, vectorized over rays.
 # The scalar forms above wrap them. The priming scan (gaze.find_prime_time)
-# calls prime_batch, which culls the rays that cannot reach the box and runs
-# the slab and near-miss kernels on the rest.
+# first skips whole blocks of rays that blocks_near_box shows cannot reach
+# the box, then calls prime_batch on the rest, which culls the single rays
+# that cannot reach it and runs the slab and near-miss kernels on the others.
 
 
 def slab_intersect_batch(origins, dirs, bmin, bmax):
@@ -216,6 +217,12 @@ def slab_intersect_batch(origins, dirs, bmin, bmax):
     return hit, t_near, t_far
 
 
+def _check_tau(tau) -> None:
+    """The one check of a near-miss tolerance: NaN and negatives fail."""
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+
+
 def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     """Near-miss check of N rays against one box, or N boxes when bmin/bmax
     are (N, 3), for rays that pass close to a box without entering it.
@@ -229,8 +236,7 @@ def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     Returns (primed (N,) bool, delta (N,), t_closest (N,)). Raises
     ValueError unless tau >= 0.
     """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_tau(tau)
     if len(origins) == 0:  # prime_batch's call when the cull leaves nothing
         return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0)
     origins = np.asarray(origins, dtype=np.float64)
@@ -260,7 +266,8 @@ def _closest_approach(origins, dirs, center):
     the center to the ray's closest point, its length dist). The near-miss
     rule and the cull in prime_batch share these operations, so both see
     the same dist for a ray."""
-    t_closest = np.einsum("ij,ij->i", center - origins, dirs)
+    c = center - origins  # the sum in numpy 2's einsum order, which no release promises
+    t_closest = (c[:, 0] * dirs[:, 0] + c[:, 2] * dirs[:, 2]) + c[:, 1] * dirs[:, 1]
     p_closest = origins + t_closest[:, None] * dirs
     offset = p_closest - center
     return t_closest, offset, component_norm(offset[:, 0], offset[:, 1], offset[:, 2])
@@ -345,3 +352,97 @@ def prime_batch(origins, dirs, bmin, bmax, tau: float):
     near = np.zeros(len(origins), dtype=bool)
     near[keep] = near_miss_batch(*rows(keep), tau)[0]
     return hit, near
+
+
+def ray_blocks(origins, dirs, size: int):
+    """Bounds of the rays in blocks of ``size`` consecutive rows (the last
+    block may be shorter), for blocks_near_box: (center (3, B), radius (B,),
+    axis (3, B), cos (B,), sin (B,)), B the number of blocks.
+
+    Every origin of block k lies within radius[k] (1 + 4u) of center[:, k],
+    u = 2^-53: the center is the midpoint of the origins' bounding box and
+    the radius the norm of its larger per-axis reach, each difference
+    rounded by at most u. The axis is the block's direction sum divided by
+    its length, so |axis| is within 3u of 1; a sum shorter than 1e-3 (the
+    directions nearly cancel) gives a zero axis instead, hence cos = 0.
+    Every direction d then has d . axis / (|d| |axis|) >= cos whenever
+    cos > 0: the computed products and sums are within 3u |d| |axis| of the
+    exact dot product, |d| (unit to rounding) and |axis| within 4u of 1,
+    and cos is the least computed dot product minus 1e-12, clamped at 0.
+    sin is sqrt(1 - cos^2) plus 1e-9: cos <= 1 - 1e-12 + 9u, so the
+    computed square root is within 2e-10 of the exact one.
+    """
+    n = len(origins)
+    starts = np.arange(0, n, size)
+    o, d = origins.T.copy(), dirs.T.copy()  # x, y, z rows: a block is a run of columns
+    lo, hi = np.minimum.reduceat(o, starts, axis=1), np.maximum.reduceat(o, starts, axis=1)
+    center = 0.5 * (lo + hi)
+    reach = np.maximum(hi - center, center - lo)
+    radius = np.sqrt((reach * reach).sum(axis=0))
+    total = np.add.reduceat(d, starts, axis=1)
+    length = np.sqrt((total * total).sum(axis=0))
+    axis = total / np.where(length < 1e-3, np.inf, length)
+    along = (d * axis.repeat(size, axis=1)[:, :n]).sum(axis=0)
+    cos = np.maximum(np.minimum.reduceat(along, starts) - 1e-12, 0.0)
+    return center, radius, axis, cos, np.sqrt(1.0 - cos * cos) + 1e-9
+
+
+def blocks_near_box(blocks, bmin, bmax, tau: float):
+    """Which blocks of ray_blocks may hold a ray that prime_batch keeps for
+    the box bmin/bmax (one box) and tau: a (B,) bool mask. A block that is
+    not kept holds no ray that hits or near-misses the box. Raises
+    ValueError unless tau >= 0, even when no block is kept.
+
+    With c the box center as prime_batch computes it, r the half-diagonal,
+    and per block V = c - center, Y = V . axis and X = sqrt(|V|^2 - Y^2),
+    a block is skipped when
+
+        low = X cos - |Y| sin - radius
+            > (r + tau)(1 + 1e-6) + 1e-6 + (2 PARALLEL_EPS + 1e-7)(|V| + radius + r).
+
+    The proof holds under prime_batch's conditions (finite inputs without
+    overflow, unit directions to rounding, box centers within 1e5 m);
+    underflow adds errors under 1e-300, far below every margin here.
+
+    - No cone. A block with cos = 0, a zero axis included, has low <= 0
+      and is kept, whatever the rounding: each term has its sign.
+    - Lines. Otherwise let a = axis / |axis| and alpha the angle with
+      cosine cos, so every direction of the block lies within alpha of a
+      (ray_blocks), and beta the angle between V and a. The angle between
+      V and a direction d lies in [beta - alpha, beta + alpha]. sin is concave on
+      [0, pi], so sin of that angle is at least min(sin(beta - alpha),
+      sin(beta + alpha)) = sin(beta) cos(alpha) - |cos(beta)| sin(alpha)
+      when the interval lies in [0, pi]; otherwise that value is negative
+      and the claim holds trivially. The line through the sphere's center
+      along d thus passes at least |V x a| cos - |V . a| sin(alpha) from c,
+      and a ray's line, moved by at most the sphere's radius rho, at least
+      D = |V x a| cos - |V . a| sin(alpha) - rho. Its |t_closest| =
+      |(c - o) . d| is at most |V| + rho. A larger sin only lowers D.
+    - Rounding of low. V is computed within u |V| per component; Y is
+      within 8u |V| of V . a, |axis| included. |V|^2 - Y^2 loses at most
+      24u |V|^2 to rounding and cancellation, so X exceeds |V x a| by at
+      most 5.3e-8 |V| plus u relative. cos and sin are >= 0, rho is at most
+      the radius (1 + 4u), and the last three operations add under
+      10u (|V| + rho). So D >= low - 6e-8 (|V| + radius), with |V| taken
+      from the computed norm (4u).
+    - Against prime_batch's bound. For a ray of a skipped block, D then
+      exceeds (r + tau)(1 + 0.99e-6) + 0.99e-6 + (2 PARALLEL_EPS + 3.9e-8)
+      (|V| + rho + r), rounding of the threshold included. prime_batch's
+      computed dist is within 1e-14 |t_closest| + 2e-15 D + 2e-10 of D
+      (its docstring), its half-diagonal and this one's are within 3u of
+      the exact one, and its computed bound is at most (r + tau)(1 + 1e-9)
+      + 1e-9 + 2 PARALLEL_EPS (|t_closest| + r), |t_closest| <= |V| + rho,
+      times (1 + 12u). So dist > bound, and prime_batch culls the ray: it
+      neither hits nor near-misses. That kernel decides each ray by its
+      own row alone, so skipping the block changes no other ray's result.
+    """
+    _check_tau(tau)
+    center, radius, axis, cos, sin = blocks
+    v = (0.5 * (bmin + bmax))[:, None] - center
+    along = (v * axis).sum(axis=0)
+    far2 = (v * v).sum(axis=0)
+    across = np.sqrt(np.maximum(far2 - along * along, 0.0))
+    low = across * cos - np.abs(along) * sin - radius
+    r = norm3(0.5 * (bmax - bmin))
+    margin = (2.0 * PARALLEL_EPS + 1e-7) * (np.sqrt(far2) + radius + r)
+    return ~(low > (r + tau) * (1.0 + 1e-6) + 1e-6 + margin)

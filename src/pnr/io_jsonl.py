@@ -48,6 +48,7 @@ import json
 import logging
 import re
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,6 +68,12 @@ SCHEMA_VERSION = 1
 
 RECORDING_SUFFIX = ".rec.jsonl"
 SEQUENCE_SUFFIX = ".seq.jsonl"
+# Output files are named after ids: a sequence's file as id + SEQUENCE_SUFFIX,
+# a recording's sequences as id + "-e" + event index + SEQUENCE_SUFFIX, where
+# the index has at most 19 digits (no list holds 2^63 events). A file name
+# holds at most _NAME_MAX bytes on Linux's common file systems.
+_NAME_MAX = 255
+_RECORDING_NAME_EXTRA = len("-e") + 19 + len(SEQUENCE_SUFFIX)
 
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
                          default=np.ndarray.tolist).encode
@@ -153,11 +160,12 @@ def _first(path, check):
     raise MalformedFile(path, 1, "empty file")
 
 
-def _header(row, path, line_no, keys=()) -> tuple:
+def _header(row, path, line_no, keys=(), extra=len(SEQUENCE_SUFFIX)) -> tuple:
     """Check line 1 of a recording or sequence: the header, with id,
     video_id, fps and ``keys``, string ids and a positive fps; gives
     (id, video_id, fps). The id names the files written from it, so it must
-    be a file name: no "/" or NUL, and not "." or ".."."""
+    be a file name: no "/" or NUL, not "." or "..", and short enough that
+    the longest name made from it, ``extra`` more bytes, fits _NAME_MAX."""
     _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
              "first line must be the header")
     for key in ("id", "video_id", "fps", *keys):
@@ -168,6 +176,9 @@ def _header(row, path, line_no, keys=()) -> tuple:
         _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
     _require(row["id"] not in (".", "..") and "/" not in row["id"] and "\0" not in row["id"],
              path, line_no, "id must be a file name: no /, NUL, . or ..")
+    limit = _NAME_MAX - extra
+    _require(len(row["id"].encode("utf-8", "surrogatepass")) <= limit, path, line_no,
+             f"id too long for a file name: more than {limit} bytes in UTF-8")
     return row["id"], row["video_id"], fps
 
 
@@ -325,7 +336,7 @@ def write_recording(rec: Recording, path) -> None:
 
 def read_recording(path) -> Recording:
     path = Path(path)
-    (rec_id, video_id, fps), records = _first(path, _header)
+    (rec_id, video_id, fps), records = _first(path, partial(_header, extra=_RECORDING_NAME_EXTRA))
     gaze_t = []
     rotations = _Column(path, 9, "cam rotation", "cam_pose.r")
     points_cam = _Column(path, 3, "gaze direction", "dir_cam")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pnr import synth
 from pnr.curation import Recording, curate
 from pnr.errors import DegenerateGaze, EmptyWindow
 from pnr.gaze import (
+    DEFAULT_TAU,
     DIRECT_HIT,
     NEAR_MISS,
     GazeSample,
@@ -259,3 +261,19 @@ def test_track_from_samples_roundtrip():
     track = GazeTrack.from_samples(samples)
     assert track.times[1] == 0.5
     assert np.allclose(track.points_cam[1], [0, 1, 1])
+
+
+def test_block_cull_skips_most_blocks_on_a_dense_recording():
+    # curate_dense's shape: 60 s at 60 fps with 6 objects. Few 32-sample
+    # blocks can hold a ray that primes a given object, so find_prime_time
+    # runs prime_batch on few of them; at most 10% of (block, object)
+    # pairs are kept
+    spec = synth.ScenarioSpec(duration=60.0, fps=60.0, n_objects=6)
+    kept = total = 0
+    for rec, _ in synth.generate_corpus(spec, 8, seed=1000, mixed_modes=True):
+        n_blocks = -(-len(rec.gaze) // 32)
+        for target in rec.objects.values():
+            kept += len(rec.gaze.blocks_near(target.as_box(), DEFAULT_TAU))
+            total += n_blocks
+    assert total == 8 * 6 * 113
+    assert kept <= 0.10 * total

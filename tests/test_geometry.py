@@ -7,17 +7,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pnr.errors import EmptyWindow
+from pnr.gaze import (
+    DIRECT_HIT,
+    NEAR_MISS,
+    GazeTrack,
+    InteractionEvent,
+    ObjectTarget,
+    find_prime_time,
+)
 from pnr.geometry import (
     PARALLEL_EPS,
     Aabb,
     IntersectResult,
     Ray,
     angular_error,
+    blocks_near_box,
     component_norm,
     near_miss,
     near_miss_batch,
     norm3,
     prime_batch,
+    ray_blocks,
     slab_intersect,
     slab_intersect_batch,
     unit,
@@ -503,3 +514,174 @@ def test_prime_batch_checks_tau_when_nothing_survives():
     for tau in (-1.0, math.nan):
         with pytest.raises(ValueError, match="tau"):
             prime_batch(origins, dirs, bmin, bmax, tau)
+
+
+# ---------------------------------------------------------------------------
+# The block cull of the priming scan: ray_blocks, blocks_near_box and their
+# use in find_prime_time, checked against the kernels run on every ray.
+
+
+def _dense_track(rng, n, targets):
+    """A 60 Hz track of n samples: a walking camera whose gaze moves
+    through segments of 3 to 80 samples. A segment fixates a point in a
+    target's box grown by 0, 1 or 4 cm, or a point elsewhere, sweeps
+    between two directions (a saccade), or
+    alternates a direction with its opposite, so that a block's directions
+    cancel. Gaussian noise of 0 to 5 mrad is added, and camera rotations
+    are random, so world_rays rotates every gaze point."""
+    times = np.arange(n) / 60.0
+    origins = np.cumsum(rng.normal(0.0, 0.01, (n, 3)), axis=0) + [0.0, 1.6, 0.0]
+    aims = np.empty((n, 3))
+    i = 0
+    while i < n:
+        k = min(n - i, int(rng.integers(3, 81)))
+        kind = rng.integers(0, 7)
+        if kind <= 3:  # in the grown box, or in its middle 30% per axis
+            box = targets[rng.integers(0, len(targets))].as_box()
+            corner = box.half_extents + rng.choice([0.0, 0.01, 0.04])
+            aims[i:i + k] = box.center + rng.uniform(-1, 1, 3) * corner * (kind % 2 or 0.3)
+        elif kind == 4:
+            aims[i:i + k] = origins[i:i + k] + rng.normal(size=3)
+        elif kind == 5:
+            a, b = rng.normal(size=(2, 3))
+            aims[i:i + k] = origins[i:i + k] + a + np.linspace(0, 1, k)[:, None] * (b - a)
+        else:
+            d = rng.normal(size=3)
+            aims[i:i + k] = origins[i:i + k] + d * np.where(np.arange(k) % 2, -1.0, 1.0)[:, None]
+        i += k
+    world = aims - origins
+    world /= np.linalg.norm(world, axis=1, keepdims=True)
+    world += rng.uniform(0.0, 0.005) * rng.normal(size=(n, 3))
+    rotations = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    points = np.einsum("nji,nj->ni", rotations, world) * rng.uniform(0.5, 2.0, (n, 1))
+    return GazeTrack(times, points, rotations, origins)
+
+
+def _window_reference(track, event, w, tau):
+    """find_prime_time by the two kernels on every ray of the window."""
+    i0 = np.searchsorted(track.times, event.t_e - w, side="left")
+    i1 = np.searchsorted(track.times, event.t_e, side="right")
+    if i0 >= i1:
+        return EmptyWindow
+    origins, dirs = track.world_rays()
+    box = event.target.as_box()
+    hit, near = _unculled(origins[i0:i1], dirs[i0:i1], box.min, box.max, tau)
+    where = np.flatnonzero(hit | near)
+    if where.size == 0:
+        return None
+    return track.times[i0 + where[0]], DIRECT_HIT if hit[where[0]] else NEAR_MISS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_cull_matches_unculled_kernels_on_dense_tracks(seed):
+    # many events per target on one track, so the kept blocks come from the
+    # cache; tracks shorter than a block, exactly one block, one past it and
+    # longer, whose last block is partly filled; windows that start and end
+    # inside blocks; solid, flat and point targets
+    rng = np.random.default_rng(seed)
+    targets = [
+        ObjectTarget("solid", box=Aabb.from_center([1.0, 1.0, 2.0], [0.1, 0.2, 0.1])),
+        ObjectTarget("flat", box=Aabb.from_center([-1.5, 0.8, 1.0], [0.3, 0.0, 0.2])),
+        ObjectTarget("point", point=[0.5, 1.2, -2.0]),
+        ObjectTarget("far", box=Aabb.from_center([30.0, 0.0, 30.0], [0.5, 0.5, 0.5])),
+    ]
+    outcomes = {"skipped": 0}
+    for n in (7, 32, 33, 95, 1000):
+        track = _dense_track(rng, n, targets)
+        for tau in (0.0, 0.05):
+            for _ in range(60):
+                event = InteractionEvent("pick", float(rng.uniform(-0.2, n / 60.0 + 0.2)),
+                                         targets[rng.integers(0, len(targets))])
+                w = float(rng.choice([rng.uniform(0.0, 0.6), rng.uniform(0.0, 20.0)]))
+                want = _window_reference(track, event, w, tau)
+                if want is EmptyWindow:
+                    with pytest.raises(EmptyWindow):
+                        find_prime_time(track, event, w, tau)
+                    continue
+                got = find_prime_time(track, event, w, tau)
+                got = got if got is None else (got.t_p, got.prime_mode)
+                assert got == want
+                outcome = "none" if want is None else want[1]
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        n_blocks = -(-n // 32)
+        for target in targets:
+            outcomes["skipped"] += n_blocks - len(track.blocks_near(target.as_box(), 0.05))
+    # every outcome occurs, and the cull skipped blocks
+    assert min(outcomes.values()) > 10, outcomes
+
+
+def test_cancelling_block_is_kept_without_warning():
+    # derived: the directions of the first block alternate between +z and
+    # -z, so they sum to zero and the cone axis is undefined. Its origins
+    # are all at 0, and its lines pass 10 m from the box at y = 10. The
+    # block is kept, with no RuntimeWarning, while the second block (all
+    # +x, also 10 m from the box) is skipped
+    dirs = np.zeros((64, 3))
+    dirs[:32, 2] = np.where(np.arange(32) % 2, -1.0, 1.0)
+    dirs[32:, 0] = 1.0
+    blocks = ray_blocks(np.zeros((64, 3)), dirs, 32)
+    assert blocks[3][0] == 0.0 and blocks[3][1] > 0.99  # no cone, and a tight one
+    keep = blocks_near_box(blocks, np.array([-0.5, 9.5, -0.5]), np.array([0.5, 10.5, 0.5]), 0.05)
+    assert keep.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("layout", ["tight", "sorted", "wide"])
+def test_block_cull_keeps_every_block_with_a_prime(layout, tau):
+    # rays built around prime_batch's bound, against one box, in blocks of
+    # 32. Tight: a grazing ray, kept as it is or moved away from the box
+    # center by a share f of its distance, and 31 copies moved by f to 2f
+    # with directions turned by about 0, 1e-12, 1e-9 or 1e-6 rad. Sorted: rays in
+    # order of direction (close cones, scattered origins). Wide: random
+    # order. A block that holds a hit or near miss of the kernels run on
+    # every ray is never skipped
+    rng = np.random.default_rng(len(layout) + int(100 * tau))
+    n = 131_072
+    if layout == "tight":
+        origins, dirs, bmin, bmax = _grazing_rays(rng, n // 32, tau, one_box=True)
+        center = 0.5 * (bmin[0] + bmax[0])
+        along = np.sum((center - origins) * dirs, axis=1, keepdims=True)
+        away = origins + along * dirs - center  # from the center to the closest point
+        f = rng.choice([0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0], (n // 32, 1, 1))
+        f = f * (1.0 + rng.random((n // 32, 32, 1)))
+        f[:, 0] *= rng.random((n // 32, 1)) < 0.5  # the grazing ray itself
+        origins = (origins[:, None] + f * away[:, None]).reshape(n, 3)
+        turn = rng.choice([0.0, 1e-12, 1e-9, 1e-6], (n // 32, 1, 1))
+        dirs = dirs[:, None] + turn * rng.normal(size=(n // 32, 32, 3))
+        dirs = (dirs / np.linalg.norm(dirs, axis=2, keepdims=True)).reshape(n, 3)
+    else:
+        origins, dirs, bmin, bmax = _grazing_rays(rng, n, tau, one_box=True)
+        if layout == "sorted":
+            order = np.lexsort((dirs[:, 2], np.round(dirs[:, 1], 2), np.round(dirs[:, 0], 2)))
+            origins, dirs = origins[order], dirs[order]
+    bmin, bmax = bmin[0], bmax[0]
+    hit, near = _unculled(origins, dirs, bmin, bmax, tau)
+    primes = (hit | near).reshape(-1, 32).any(axis=1)
+    keep = blocks_near_box(ray_blocks(origins, dirs, 32), bmin, bmax, tau)
+    assert primes.sum() > 100
+    assert not np.any(primes & ~keep)
+    if layout == "tight":  # blocks moved well past the bound are skipped
+        assert (~keep).sum() > 100
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan])
+def test_bad_tau_raises_when_every_block_is_culled(tau):
+    # derived: every ray runs along +x from the origin, so its line passes
+    # 10 m from a box at y = 10 and no block is kept. EmptyWindow still
+    # comes first, and a bad tau still raises, also after a good tau's
+    # answer is cached
+    n = 100
+    track = GazeTrack(np.arange(n) / 60.0, np.tile([1.0, 0.0, 0.0], (n, 1)),
+                      np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
+    box = Aabb(np.array([-0.5, 9.5, -0.5]), np.array([0.5, 10.5, 0.5]))
+    event = InteractionEvent("put", 1.0, ObjectTarget("box", box=box))
+    with pytest.raises(ValueError, match="tau"):
+        blocks_near_box(ray_blocks(*track.world_rays(), 32), box.min, box.max, tau)
+    with pytest.raises(ValueError, match="tau"):
+        find_prime_time(track, event, tau=tau)
+    assert find_prime_time(track, event, tau=0.05) is None
+    assert track.blocks_near(box, 0.05) == []
+    with pytest.raises(ValueError, match="tau"):
+        find_prime_time(track, event, tau=tau)
+    with pytest.raises(EmptyWindow):
+        find_prime_time(track, InteractionEvent("put", 10.0, event.target), w=1.0, tau=tau)

@@ -1356,6 +1356,43 @@ def test_sequence_id_that_is_no_file_name_exit_2(curated_dir, tmp_path, capsys):
     assert _files_under(tmp_path) == before
 
 
+@pytest.mark.parametrize("bad_id", ["x" * 300, "é" * 112 + "x"], ids=["300", "225"])
+def test_recording_id_too_long_for_a_file_name_exit_2(curated_dir, tmp_path, capsys, bad_id):
+    # a recording whose id was 300 x's used to stop curate with "[Errno 36]
+    # File name too long", no path:line, and nothing curated or published.
+    # Its sequences are named id-eNNN.seq.jsonl, and an event index has at
+    # most 19 digits: 255 - 2 - 19 - 10 = 224 bytes are left for the id,
+    # counted in UTF-8 ("é" is 2 bytes)
+    recs = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", recs)
+    first = sorted(recs.glob("*.rec.jsonl"))[0]
+    at_limit, bad = recs / "zzz-limit.rec.jsonl", recs / "zzz-long.rec.jsonl"
+    for path, rec_id in ((at_limit, "é" * 112), (bad, bad_id)):
+        shutil.copy(first, path)
+        _with_header(path, id=rec_id, video_id=rec_id)
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
+    reason = "id too long for a file name: more than 224 bytes in UTF-8"
+    assert capsys.readouterr().err == f"error: {bad}:1: {reason}\n"
+    # the other recordings are curated, the one at the limit included
+    assert len(list(out.glob("*.seq.jsonl"))) == 3
+    seq = io.read_sequence(out / f"{'é' * 112}-e000.seq.jsonl")
+    assert seq.id == "é" * 112 + "-e000"
+
+
+def test_sequence_id_too_long_for_a_file_name_exit_2(curated_dir, tmp_path, capsys):
+    # a sequence file is named id.seq.jsonl: 245 bytes are left for the id
+    seqs = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seqs)
+    at_limit, bad = sorted(seqs.glob("*.seq.jsonl"))
+    _with_header(at_limit, id="x" * 245)
+    assert io.read_sequence(at_limit).id == "x" * 245
+    _with_header(bad, id="x" * 246)
+    assert main(["stats", "--in", str(seqs)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: id too long for a file name: more than 245 bytes in UTF-8\n")
+
+
 @pytest.mark.parametrize("suffix, read", [
     (io.RECORDING_SUFFIX, io.read_recording), (io.SEQUENCE_SUFFIX, io.read_sequence),
 ], ids=["recording", "sequence"])
