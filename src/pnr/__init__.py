@@ -30,23 +30,13 @@ from .errors import (
 )
 from .features import FEATURE_DIM, from_features, to_features
 from .gaze import (
-    GazeSample,
     GazeTrack,
     InteractionEvent,
     ObjectTarget,
     PrimedEvent,
     find_prime_time,
-    gaze_ray,
 )
-from .geometry import (
-    Aabb,
-    IntersectResult,
-    NearMissResult,
-    Ray,
-    angular_error,
-    near_miss,
-    slab_intersect,
-)
+from .geometry import Aabb
 from .metrics import (
     EvalPair,
     MetricsConfig,
@@ -65,7 +55,6 @@ from .motion import (
     body_movement,
     canonicalize,
     hand_movement,
-    head_forward,
     resample,
 )
 from .skeleton import JOINT_NAMES, N_JOINTS

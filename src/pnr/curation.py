@@ -80,10 +80,6 @@ class PnRSequence:
     flags: tuple = ()
 
     @property
-    def goal_pose(self) -> np.ndarray:
-        return self.motion.joints[-1]
-
-    @property
     def t_p(self) -> float:
         return self.event.t_p
 

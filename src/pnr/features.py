@@ -71,16 +71,6 @@ _VEL = slice(2 * N_JOINTS - 1, 3 * N_JOINTS - 1)
 _BLOCK = 3 * N_JOINTS - 1
 
 
-def rot6d_to_matrix(d6: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt the two stored rows back into a rotation matrix."""
-    a1, a2 = d6[..., :3], d6[..., 3:]
-    b1 = a1 / np.linalg.norm(a1, axis=-1, keepdims=True)
-    a2p = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    b2 = a2p / np.linalg.norm(a2p, axis=-1, keepdims=True)
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-2)
-
-
 def _arc_entries(u, v):
     """Entries of the first two rows of the shortest-arc rotations taking
     unit vectors u onto unit vectors v, given as x, y, z planes whose

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGaze, EmptyWindow
-from .geometry import Aabb, Ray, as_vec3, blocks_near_box, prime_batch, ray_blocks
+from .geometry import Aabb, as_vec3, blocks_near_box, prime_batch, ray_blocks
 
 DEFAULT_WINDOW = 10.0  # s
 DEFAULT_TAU = 0.05  # m
@@ -23,22 +23,6 @@ EVENT_KINDS = ("pick", "put")
 
 _DEGENERATE_TOL = 1e-9
 _BLOCK = 32  # samples per block of the priming scan's cull
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One GazeTrack row: the camera pose (``rotation`` (3, 3) and
-    ``translation`` (3,)) maps the camera-frame gaze point into the world.
-    It is checked as a row read from a file is, by GazeTrack: shapes and
-    finite values, with no orthonormality test."""
-
-    t: float
-    gaze_point_cam: np.ndarray
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        GazeTrack.from_samples([self])
 
 
 @dataclass(frozen=True)
@@ -70,16 +54,6 @@ class GazeTrack:
 
     def __len__(self):
         return len(self.times)
-
-    @staticmethod
-    def from_samples(samples) -> "GazeTrack":
-        samples = list(samples)
-        return GazeTrack(
-            np.array([s.t for s in samples]),
-            np.array([s.gaze_point_cam for s in samples]),
-            np.array([s.rotation for s in samples]),
-            np.array([s.translation for s in samples]),
-        )
 
     def world_rays(self) -> tuple[np.ndarray, np.ndarray]:
         """Ray origins and unit directions for every sample, ((N,3), (N,3)).
@@ -162,13 +136,6 @@ class PrimedEvent:
     event: InteractionEvent
     t_p: float
     prime_mode: str = field(default=DIRECT_HIT)
-
-
-def gaze_ray(sample: GazeSample) -> Ray:
-    """World gaze ray of one sample (GazeTrack.world_rays for one row): from
-    the camera position through the world-transformed gaze point."""
-    origins, dirs = GazeTrack.from_samples([sample]).world_rays()
-    return Ray(origins[0], dirs[0])
 
 
 def find_prime_time(

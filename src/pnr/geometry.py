@@ -1,8 +1,9 @@
-"""Exact 3-D primitives: rays, axis-aligned boxes and the intersection
-tests used to decide whether a gaze ray primes a target.
+"""Exact 3-D primitives: axis-aligned boxes and the intersection tests,
+vectorized over rays, used to decide whether a gaze ray primes a target.
 
 Conventions: lengths in meters, angles in radians, vectors are float64
-numpy arrays of shape (3,). All types are immutable values and all
+numpy arrays of shape (3,), and N rays are an (N, 3) array of origins and
+one of unit directions. All types are immutable values and all
 operations are pure functions, so everything here is safe to call
 concurrently.
 """
@@ -55,11 +56,6 @@ def norm3(v) -> float:
     return math.sqrt(s)
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a (3,) float64 vector, rejecting non-finite components."""
-    return as_vec3([x, y, z])
-
-
 def as_vec3(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
@@ -67,36 +63,6 @@ def as_vec3(v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"non-finite vector {v}")
     return v
-
-
-def unit(v) -> np.ndarray:
-    """Normalize to unit length; rejects near-zero vectors."""
-    v = as_vec3(v)
-    n = norm3(v)
-    if n < _UNIT_TOL:
-        raise ValueError("cannot normalize a near-zero vector")
-    return v / n
-
-
-def as_unit(v) -> np.ndarray:
-    """Validate that ``v`` is already unit length within 1e-9."""
-    v = as_vec3(v)
-    if abs(norm3(v) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"vector is not unit length: {v}")
-    return v
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", as_vec3(self.origin))
-        object.__setattr__(self, "dir", as_unit(self.dir))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.dir
 
 
 @dataclass(frozen=True)
@@ -127,56 +93,9 @@ class Aabb:
         return 0.5 * (self.max - self.min)
 
 
-@dataclass(frozen=True)
-class IntersectResult:
-    """Slab-test outcome of one ray (see slab_intersect_batch).
-
-    On a hit the ray's line is inside the box for t in [t_near, t_far],
-    with t_near < 0 when the origin is inside. On a miss the two are only
-    diagnostic: the largest per-axis entry and smallest per-axis exit
-    parameter, so t_near >= t_far when the slab intervals do not overlap
-    and t_far < 0 when the box lies behind the origin. An axis the ray
-    runs parallel to bounds neither, even when its slab is what excludes
-    the ray.
-    """
-
-    hit: bool
-    t_near: float
-    t_far: float
-
-
-@dataclass(frozen=True)
-class NearMissResult:
-    primed: bool
-    delta: float
-    t_closest: float
-    p_closest: np.ndarray
-
-
-def slab_intersect(ray: Ray, box: Aabb) -> IntersectResult:
-    """slab_intersect_batch for one ray."""
-    hit, t_near, t_far = slab_intersect_batch(ray.origin[None], ray.dir[None], box.min, box.max)
-    return IntersectResult(bool(hit[0]), float(t_near[0]), float(t_far[0]))
-
-
-def near_miss(ray: Ray, box: Aabb, tau: float = 0.05) -> NearMissResult:
-    """near_miss_batch for one ray; p_closest is the ray point at t_closest."""
-    primed, delta, t = near_miss_batch(ray.origin[None], ray.dir[None], box.min, box.max, tau)
-    return NearMissResult(bool(primed[0]), float(delta[0]), float(t[0]), ray.at(float(t[0])))
-
-
-def angular_error(u, v) -> float:
-    """Angle between two unit vectors, in [0, pi], as atan2(|u x v|, u . v):
-    unlike arccos of the dot product it keeps full relative precision for
-    nearly parallel and nearly antiparallel vectors."""
-    (u0, u1, u2), (v0, v1, v2) = as_unit(u).tolist(), as_unit(v).tolist()
-    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    return float(np.arctan2(norm3(cross), ((0.0 + u0 * v0) + u1 * v1) + u2 * v2))
-
-
 # ---------------------------------------------------------------------------
-# Batch kernels: the one implementation of each test, vectorized over rays.
-# The scalar forms above wrap them. The priming scan (gaze.find_prime_time)
+# Batch kernels: the one implementation of each test, vectorized over rays;
+# one ray is a one-row batch. The priming scan (gaze.find_prime_time)
 # first skips whole blocks of rays that blocks_near_box shows cannot reach
 # the box, then calls prime_batch on the rest, which culls the single rays
 # that cannot reach it and runs the slab and near-miss kernels on the others.
@@ -192,8 +111,14 @@ def slab_intersect_batch(origins, dirs, bmin, bmax):
     and t_far >= 0, so the overlap is non-empty and not entirely behind the
     origin; zero-extent boxes never satisfy the strict inequality.
 
-    origins, dirs: (N, 3). Returns (hit (N,) bool, t_near (N,), t_far (N,)),
-    see IntersectResult for their meaning on a miss.
+    origins, dirs: (N, 3). Returns (hit (N,) bool, t_near (N,), t_far (N,)).
+    On a hit the ray's line is inside the box for t in [t_near, t_far],
+    with t_near < 0 when the origin is inside. On a miss the two are only
+    diagnostic: the largest per-axis entry and smallest per-axis exit
+    parameter, so t_near >= t_far when the slab intervals do not overlap
+    and t_far < 0 when the box lies behind the origin. An axis the ray
+    runs parallel to bounds neither, even when its slab is what excludes
+    the ray.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)

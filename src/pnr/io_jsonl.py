@@ -26,18 +26,16 @@ shared JSON encoder, which writes a numpy array as its ``tolist()``.
 Both spell floats as json.dumps does, so the bytes are those of one
 ``json.dumps`` per row.
 
-Readers parse gaze and frame rows with orjson and every other line with
-json.loads (``_loads``). A row orjson refuses (NaN, Infinity, a number
-past the float range, a lone surrogate escape, malformed JSON) is parsed
-by json.loads, so it reads as it always did or fails with json's
-message. Every parsed line equals json.loads of it but for two cases.
-An integer literal beyond 64 bits in a gaze or frame row, other than its
-time, reads as its nearest double. The readers use such a value, a
-joint, say, only through its float64 conversion, which makes the same
-double of json's int. And orjson reads a gaze or frame row nested to any
-depth, where json.loads gives up past about 1,000 levels ("JSON nested
-too deeply"): such a value fails the check of its key, a list of numbers
-or a time, or is skipped with a key the readers do not read.
+Readers parse gaze and frame rows with orjson when they are shorter than
+``_ORJSON_LINE``, too short to nest past the depth json.loads reads, and
+every other line with json.loads (``_loads``). A row orjson refuses (NaN, Infinity, a number past the
+float range, a lone surrogate escape, malformed JSON) is parsed by
+json.loads, so it reads as it always did or fails with json's message.
+Every parsed line equals json.loads of it but for one case: an integer
+literal beyond 64 bits in a gaze or frame row, other than its time, reads
+as its nearest double. The readers use such a value, a joint, say, only
+through its float64 conversion, which makes the same double of json's
+int.
 ``read_sequence_header`` reads only line 1 of a sequence and checks it
 as ``read_sequence`` does.
 """
@@ -78,6 +76,9 @@ _RECORDING_NAME_EXTRA = len("-e") + 19 + len(SEQUENCE_SUFFIX)
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
                          default=np.ndarray.tolist).encode
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff under surrogateescape
+# A lone surrogate, which json.loads reads from the escape "\\ud800" and
+# UTF-8 cannot encode: a string holding one cannot be written to a file
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # The types json.loads gives a number: true and false load as bool, a
 # subclass of int. A header number or a row time of another type is no
 # number; one of these types that fails finite_number is non-finite.
@@ -94,6 +95,12 @@ _BLOCK_ROWS = 1024
 # orjson reads an integer literal beyond 64 bits as a float; a row time
 # of this magnitude or more may be one, and is read again by json.loads
 _INT64 = 2.0 ** 63
+# orjson reads a line nested to any depth, json.loads about 1,000 levels
+# less the frames on the call stack. A gaze or frame row shorter than this
+# nests fewer than 900 levels, which json.loads reads too, so only such a
+# row goes to orjson. The writers' longest row, a sequence frame row of 70
+# numbers of at most 24 characters each, has 1,787 characters.
+_ORJSON_LINE = 1800
 
 
 def _require(cond, path, line_no, reason):
@@ -103,11 +110,12 @@ def _require(cond, path, line_no, reason):
 
 def _loads(line):
     """json.loads of one line, through orjson where the line is a gaze or
-    frame row that orjson reads as json.loads does. A line that orjson
-    refuses, a row whose "k" is another kind (a repeated key), and a row
-    whose time may be an integer literal beyond 64 bits go through
-    json.loads, so their values and errors stay json's."""
-    if line.startswith((_GAZE_HEAD, _FRAME_HEAD)):
+    frame row that orjson reads as json.loads does. A line of _ORJSON_LINE
+    characters or more, a line that orjson refuses, a row whose "k" is
+    another kind (a repeated key), and a row whose time may be an integer
+    literal beyond 64 bits go through json.loads, so their values and
+    errors stay json's."""
+    if len(line) < _ORJSON_LINE and line.startswith((_GAZE_HEAD, _FRAME_HEAD)):
         try:
             row = orjson.loads(line)
         except orjson.JSONDecodeError:
@@ -165,7 +173,9 @@ def _header(row, path, line_no, keys=(), extra=len(SEQUENCE_SUFFIX)) -> tuple:
     video_id, fps and ``keys``, string ids and a positive fps; gives
     (id, video_id, fps). The id names the files written from it, so it must
     be a file name: no "/" or NUL, not "." or "..", and short enough that
-    the longest name made from it, ``extra`` more bytes, fits _NAME_MAX."""
+    the longest name made from it, ``extra`` more bytes, fits _NAME_MAX.
+    Both ids are written to the files made from them, so neither may hold
+    a lone surrogate."""
     _require(isinstance(row, dict) and "schema_version" in row, path, line_no,
              "first line must be the header")
     for key in ("id", "video_id", "fps", *keys):
@@ -174,10 +184,11 @@ def _header(row, path, line_no, keys=(), extra=len(SEQUENCE_SUFFIX)) -> tuple:
     _require(fps > 0, path, line_no, "fps must be positive")
     for key in ("id", "video_id"):
         _require(isinstance(row[key], str), path, line_no, f"{key} must be a string")
+        _require(not _SURROGATE.search(row[key]), path, line_no, f"{key} holds a lone surrogate")
     _require(row["id"] not in (".", "..") and "/" not in row["id"] and "\0" not in row["id"],
              path, line_no, "id must be a file name: no /, NUL, . or ..")
     limit = _NAME_MAX - extra
-    _require(len(row["id"].encode("utf-8", "surrogatepass")) <= limit, path, line_no,
+    _require(len(row["id"].encode("utf-8")) <= limit, path, line_no,
              f"id too long for a file name: more than {limit} bytes in UTF-8")
     return row["id"], row["video_id"], fps
 
@@ -476,6 +487,7 @@ def _sequence_header(row, path, line_no) -> SequenceHeader:
     _require(type(flags) is list, path, line_no, "flags must be a list")
     _require(all(isinstance(f, str) for f in flags), path, line_no,
              "flags must be a list of strings")
+    _require(not any(map(_SURROGATE.search, flags)), path, line_no, "flags hold a lone surrogate")
     return SequenceHeader(seq_id, video_id, fps, row["kind"], t_p, t_e, t_start,
                           prime_mode, goal, prime_frame_index, velocity, tuple(flags))
 

@@ -211,11 +211,6 @@ def head_forward_batch(joints: np.ndarray) -> np.ndarray:
     return np.stack((fx / n, fy / n, fz / n), axis=1)
 
 
-def head_forward(pose: np.ndarray) -> np.ndarray:
-    """head_forward_batch of one (22, 3) pose."""
-    return head_forward_batch(np.asarray(pose, dtype=np.float64)[None])[0]
-
-
 def body_movement(motion: MotionSequence) -> float:
     """Maximum pelvis displacement from the first frame, meters."""
     d = motion.joints[:, PELVIS] - motion.joints[0, PELVIS]

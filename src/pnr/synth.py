@@ -361,7 +361,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Recording, GroundTruthLabels]
         dirs = _perturb_gaze(rng, dirs, cam_pos, box, pre, spec.gaze_noise_std)
 
     rotations = yaw_matrices(headings)
-    points_cam = np.einsum("nji,nj->ni", rotations, dirs)  # R^T @ dir
+    q = rotations * dirs[:, :, None]  # R^T @ dir, its products summed left to right
+    points_cam = (q[:, 0] + q[:, 1]) + q[:, 2]
     track = GazeTrack(times, points_cam, rotations, cam_pos)
 
     rec_id = f"synth-{spec.seed:08d}"

@@ -14,11 +14,20 @@ import numpy as np
 import pnr
 from pnr.features import _FLIP_ROWS, _arc_entries
 from pnr.metrics import EvalPair
-from pnr.motion import MotionSequence, canonicalize, yaw_matrices
+from pnr.motion import MotionSequence, canonicalize, head_forward_batch, yaw_matrices
 from pnr.skeleton import N_JOINTS, REST_DIRS, REST_POSE
 
 REST = REST_POSE
 REST_LOCAL = REST - REST[0]
+
+
+def vec3(x, y, z):
+    return np.array([x, y, z], dtype=np.float64)
+
+
+def head_forward(pose):
+    """head_forward_batch of one (22, 3) pose."""
+    return head_forward_batch(np.asarray(pose, dtype=np.float64)[None])[0]
 
 
 class Rig:

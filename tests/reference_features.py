@@ -15,6 +15,10 @@ versions to return bit-equal arrays, and ``features._arc_entries`` and
 ``features._FLIP_ROWS`` to give the rows of ``shortest_arc`` that the
 encoding stores.
 
+``rot6d_to_matrix`` decodes the two stored rows of a rotation channel
+into its matrix; the tests use it as their oracle for those rows, and the
+library, which never decodes them, no longer has it.
+
 ``_rotate`` is a verbatim copy of the per-entry matrix product that the
 library used between the einsum form and ``motion.yaw_apply``;
 ``test_yaw_reference.py`` holds ``yaw_apply`` to its bits.
@@ -100,6 +104,17 @@ def shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def matrix_to_rot6d(mats: np.ndarray) -> np.ndarray:
     """First two rows of (..., 3, 3) rotation matrices, flattened."""
     return mats[..., :2, :].reshape(*mats.shape[:-2], 6)
+
+
+def rot6d_to_matrix(d6: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt the two stored rows back into a rotation matrix: the
+    decoder of the rotation channels, which nothing in the library reads."""
+    a1, a2 = d6[..., :3], d6[..., 3:]
+    b1 = a1 / np.linalg.norm(a1, axis=-1, keepdims=True)
+    a2p = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    b2 = a2p / np.linalg.norm(a2p, axis=-1, keepdims=True)
+    b3 = np.cross(b1, b2)
+    return np.stack([b1, b2, b3], axis=-2)
 
 
 def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -54,20 +54,19 @@ parse when it spelled a number, and crash on when it did not, and
 a line nested too deeply for ``json.loads`` ("JSON nested too deeply"),
 where its RecursionError used to escape.
 
-``pnr.io_jsonl`` also differs from these in two ways. Its readers parse
+``pnr.io_jsonl`` also differs from these in three ways. Its readers parse
 gaze and frame rows with orjson, and any row that orjson refuses or may
 read otherwise with ``json.loads``, where these parse every line with
 ``json.loads``; the values read are the same. (An integer past 64 bits in
 a row's numeric list is parsed as its nearest double, which is the
-float64 these convert ``json.loads``'s int to. A gaze or frame row nested
-past the depth ``json.loads`` reads is read by orjson and fails, if at
-all, at the key that holds the nested value, where these report "JSON
-nested too deeply".) And it checks a sequence
+float64 these convert ``json.loads``'s int to.) And it checks a sequence
 header's values when it reads line 1, where these check them after the
 frames: a file with one error is reported alike, but a file with an
 error in both its header and a frame row is reported at the header there
 and at the frame here, and ``pnr split``, which reads headers alone,
-reports header errors only.
+reports header errors only. And it refuses at line 1 a header whose id,
+video_id or flags hold a lone surrogate (the JSON escape ``"\\ud800"``),
+which these read and no UTF-8 file can be written with.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from pnr.curation import (
 )
 from pnr.features import CONTACT_HEIGHT, CONTACT_SPEED, FEATURE_DIM, from_features, to_features
 from pnr.gaze import DEFAULT_TAU, DEFAULT_WINDOW, find_prime_time
-from pnr.geometry import slab_intersect_batch, vec3
+from pnr.geometry import slab_intersect_batch
 from pnr.io_jsonl import write_json, write_sequence
 from pnr.metrics import (
     DEFAULT_N_FRAMES,
@@ -41,7 +41,7 @@ from pnr.metrics import (
     prime_success_sweep,
     reach_success,
 )
-from pnr.motion import MotionSequence, head_forward, resample, yaw_matrices
+from pnr.motion import MotionSequence, resample, yaw_matrices
 from pnr.synth import (
     NEAR_MISS,
     ScenarioSpec,
@@ -51,7 +51,7 @@ from pnr.synth import (
     static_baseline,
 )
 
-from builders import Rig, random_smooth_motion
+from builders import Rig, head_forward, random_smooth_motion, vec3
 from oracles import N_SAMPLES, focused_hit_batch, oracle_grid_steps
 
 

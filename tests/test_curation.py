@@ -14,12 +14,12 @@ from pnr.curation import (
 )
 from pnr.errors import EmptyCorpus
 from pnr.gaze import DIRECT_HIT, NEAR_MISS, GazeTrack, InteractionEvent, ObjectTarget, PrimedEvent
-from pnr.geometry import Aabb, vec3
+from pnr.geometry import Aabb
 from pnr.motion import MotionSequence, canonicalize, yaw_apply
 from pnr.skeleton import PELVIS
 from pnr.synth import ScenarioSpec, generate_scenario
 
-from builders import REST, Rig, glide_motion, standing_motion
+from builders import REST, Rig, glide_motion, standing_motion, vec3
 
 FPS = 30.0
 TARGET = ObjectTarget("tgt", box=Aabb.from_center(vec3(0, 1.0, 6.0), vec3(0.1, 0.1, 0.1)))
@@ -103,8 +103,12 @@ class TestCurate:
         assert len(res.sequences) + len(res.drops) == len(events)
 
     def test_goal_pose_is_last_frame(self):
-        seq = curate(make_recording()).sequences[0]
-        assert np.array_equal(seq.goal_pose, seq.motion.joints[-1])
+        # the goal pose a sequence conditions on, its last frame, is the
+        # recording's pose at t_e moved into the sequence's frame
+        rec = make_recording(t_on=5.0, t_e=8.0)
+        seq = curate(rec).sequences[0]
+        slice_3_to_8 = MotionSequence(FPS, rec.motion.joints[90:241])
+        assert np.array_equal(seq.motion.joints[-1], canonicalize(slice_3_to_8)[0].joints[-1])
 
     def test_canonical_output(self):
         seq = curate(make_recording()).sequences[0]

@@ -12,7 +12,6 @@ from pnr.features import (
     VELOCITIES,
     _FLIP_ROWS,
     from_features,
-    rot6d_to_matrix,
     to_features,
 )
 from pnr.motion import canonicalize
@@ -26,6 +25,7 @@ from builders import (
     stored_rows,
     turning_motion,
 )
+from reference_features import rot6d_to_matrix
 
 
 def test_feature_dimension():

@@ -15,7 +15,6 @@ from pnr.features import (
     ROTATIONS,
     VELOCITIES,
     from_features,
-    rot6d_to_matrix,
     to_features,
 )
 from pnr.motion import MotionSequence, head_forward_batch, heading_angles, yaw_apply
@@ -119,7 +118,7 @@ def test_random_motions_match_reference(seed):
     rest = REST_DIRS
     rot6d = feats[frames, ROTATIONS].reshape(len(frames), 21, 6)
     for joint, rows in ((L_ELBOW, slice(None)), (L_KNEE, slice(0, 3))):
-        turned = rot6d_to_matrix(rot6d[rows, joint - 1]) @ rest[joint - 1]
+        turned = ref.rot6d_to_matrix(rot6d[rows, joint - 1]) @ rest[joint - 1]
         assert np.allclose(turned, -rest[joint - 1])
 
 

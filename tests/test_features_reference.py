@@ -8,7 +8,7 @@ import pytest
 import reference_features as ref
 from builders import random_smooth_motion, stored_rows, turning_motion
 from pnr.curation import curate_corpus
-from pnr.features import _FLIP_ROWS, ROTATIONS, from_features, rot6d_to_matrix, to_features
+from pnr.features import _FLIP_ROWS, ROTATIONS, from_features, to_features
 from pnr.motion import MotionSequence, resample
 from pnr.skeleton import L_HIP, L_WRIST, N_JOINTS, PARENTS, REST_DIRS
 from pnr.synth import ScenarioSpec, generate_corpus, procedural_pnr
@@ -69,7 +69,7 @@ def test_antiparallel_bone():
     # frame, so its rotation is the 180-degree branch
     rest = REST_DIRS[L_KNEE - 1]
     rot6d = to_features(motion)[:, ROTATIONS].reshape(-1, 21, 6)[:, L_KNEE - 1]
-    assert np.allclose(rot6d_to_matrix(rot6d) @ rest, -rest)
+    assert np.allclose(ref.rot6d_to_matrix(rot6d) @ rest, -rest)
     assert_encoding_matches(motion)
 
 

@@ -10,60 +10,63 @@ from pnr.gaze import (
     DEFAULT_TAU,
     DIRECT_HIT,
     NEAR_MISS,
-    GazeSample,
     GazeTrack,
     InteractionEvent,
     ObjectTarget,
     find_prime_time,
-    gaze_ray,
 )
-from pnr.geometry import Aabb, vec3
+from pnr.geometry import Aabb
 
-from builders import Rig, glide_motion
+from builders import Rig, glide_motion, vec3
 from oracles import focused_hit_batch, near_miss_oracle
 
 
-def identity_sample(t, point):
-    return GazeSample(t, vec3(*point), np.eye(3), np.zeros(3))
+def gaze_ray(point, rotation=np.eye(3), translation=(0, 0, 0)):
+    """World ray (origin, direction) of one sample: world_rays of a one-row
+    GazeTrack."""
+    track = GazeTrack(np.zeros(1), np.array([point], dtype=np.float64),
+                      np.array([rotation], dtype=np.float64),
+                      np.array([translation], dtype=np.float64))
+    origins, dirs = track.world_rays()
+    return origins[0], dirs[0]
 
 
 class TestGazeRay:
     def test_identity_pose(self):
-        r = gaze_ray(identity_sample(0.0, (0, 0, 1)))
-        assert np.allclose(r.origin, 0.0)
-        assert np.allclose(r.dir, [0, 0, 1])
+        origin, direction = gaze_ray((0, 0, 1))
+        assert np.allclose(origin, 0.0)
+        assert np.allclose(direction, [0, 0, 1])
 
     def test_translation_cancels(self):
-        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 2), np.eye(3), vec3(1, 1, 1)))
-        assert np.allclose(r.origin, [1, 1, 1])
-        assert np.allclose(r.dir, [0, 0, 1])
+        origin, direction = gaze_ray((0, 0, 2), translation=(1, 1, 1))
+        assert np.allclose(origin, [1, 1, 1])
+        assert np.allclose(direction, [0, 0, 1])
 
     def test_rotated_frame(self):
         rotation = Rig.about(vec3(0, 1, 0), math.pi / 2).rotation
-        r = gaze_ray(GazeSample(0.0, vec3(0, 0, 1), rotation, np.zeros(3)))
-        assert np.allclose(r.dir, [1, 0, 0], atol=1e-12)
+        _, direction = gaze_ray((0, 0, 1), rotation)
+        assert np.allclose(direction, [1, 0, 0], atol=1e-12)
 
     def test_degenerate_sample_raises(self):
         with pytest.raises(DegenerateGaze):
-            gaze_ray(identity_sample(0.0, (0, 0, 0)))
+            gaze_ray((0, 0, 0))
 
     def test_scale_invariance_of_direction(self):
-        a = gaze_ray(identity_sample(0.0, (0, 0, 0.5)))
-        b = gaze_ray(identity_sample(0.0, (0, 0, 7.0)))
-        assert np.allclose(a.dir, b.dir)
+        assert np.allclose(gaze_ray((0, 0, 0.5))[1], gaze_ray((0, 0, 7.0))[1])
 
     def test_sample_checked_as_a_file_row(self):
         # shapes and finite values, as for a recording's gaze row; a
         # camera rotation that is not orthonormal is read as given
         skew = np.diag([2.0, 1.0, 1.0])
-        r = gaze_ray(GazeSample(0.0, vec3(1, 0, 1), skew, np.zeros(3)))
-        assert np.allclose(r.dir, np.array([2.0, 0.0, 1.0]) / math.sqrt(5.0))
-        good = dict(t=0.0, gaze_point_cam=[0, 0, 1], rotation=np.eye(3), translation=[0, 0, 0])
-        for bad in ({"rotation": np.eye(2)}, {"translation": [0, 0]},
-                    {"gaze_point_cam": [0, 0, 1, 0]}, {"rotation": np.full((3, 3), np.nan)},
-                    {"translation": [0, math.inf, 0]}, {"t": math.nan}):
+        _, direction = gaze_ray((1, 0, 1), skew)
+        assert np.allclose(direction, np.array([2.0, 0.0, 1.0]) / math.sqrt(5.0))
+        good = dict(times=[0.0], points_cam=[[0, 0, 1]], rotations=[np.eye(3)],
+                    translations=[[0, 0, 0]])
+        for bad in ({"rotations": [np.eye(2)]}, {"translations": [[0, 0]]},
+                    {"points_cam": [[0, 0, 1, 0]]}, {"rotations": [np.full((3, 3), np.nan)]},
+                    {"translations": [[0, math.inf, 0]]}, {"times": [math.nan]}):
             with pytest.raises(ValueError):
-                GazeSample(**(good | bad))
+                GazeTrack(**(good | bad))
 
 
 class TestTargetPrimed:
@@ -254,13 +257,6 @@ class TestPrimeEvents:
         events = [InteractionEvent("pick", te, self.GOOD) for te in (6.0, 8.0, 10.0)]
         res = curate(self.recording(track, events), w=4.0)
         assert [s.t_p for s in res.sequences] == [2.0, 4.0, 6.0]
-
-
-def test_track_from_samples_roundtrip():
-    samples = [identity_sample(0.0, (0, 0, 1)), identity_sample(0.5, (0, 1, 1))]
-    track = GazeTrack.from_samples(samples)
-    assert track.times[1] == 0.5
-    assert np.allclose(track.points_cam[1], [0, 1, 1])
 
 
 def test_block_cull_skips_most_blocks_on_a_dense_recording():

@@ -19,22 +19,16 @@ from pnr.gaze import (
 from pnr.geometry import (
     PARALLEL_EPS,
     Aabb,
-    IntersectResult,
-    Ray,
-    angular_error,
     blocks_near_box,
     component_norm,
-    near_miss,
     near_miss_batch,
     norm3,
     prime_batch,
     ray_blocks,
-    slab_intersect,
     slab_intersect_batch,
-    unit,
-    vec3,
 )
 
+from builders import vec3
 from oracles import (
     dense_hit_single,
     focused_hit_batch,
@@ -47,7 +41,22 @@ BOX = Aabb(vec3(2, -1, -1), vec3(4, 1, 1))
 
 
 def ray(o, d):
-    return Ray(vec3(*o), unit(vec3(*d)))
+    """One ray as one-row (origins, dirs) arrays, its direction normalized."""
+    d = np.array([d], dtype=np.float64)
+    return np.array([o], dtype=np.float64), d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def slab(r, box):
+    """slab_intersect_batch of one ray: (hit, t_near, t_far)."""
+    hit, t_near, t_far = slab_intersect_batch(*r, box.min, box.max)
+    return bool(hit[0]), float(t_near[0]), float(t_far[0])
+
+
+def near(r, box, tau=0.05):
+    """near_miss_batch of one ray: (primed, delta, t_closest, the ray's
+    point at t_closest)."""
+    primed, delta, t = near_miss_batch(*r, box.min, box.max, tau)
+    return bool(primed[0]), float(delta[0]), float(t[0]), r[0][0] + t[0] * r[1][0]
 
 
 class TestNorm3:
@@ -81,44 +90,44 @@ class TestNorm3:
 
 class TestSlabIntersect:
     def test_axis_aligned_hit(self):
-        r = slab_intersect(ray((0, 0, 0), (1, 0, 0)), BOX)
-        assert r.hit
-        assert r.t_near == pytest.approx(2.0)
-        assert r.t_far == pytest.approx(4.0)
+        hit, t_near, t_far = slab(ray((0, 0, 0), (1, 0, 0)), BOX)
+        assert hit
+        assert t_near == pytest.approx(2.0)
+        assert t_far == pytest.approx(4.0)
 
     def test_parallel_slab_origin_outside(self):
-        r = slab_intersect(ray((0, 2, 0), (1, 0, 0)), BOX)
-        assert not r.hit
+        hit, _, _ = slab(ray((0, 2, 0), (1, 0, 0)), BOX)
+        assert not hit
 
     def test_box_behind_origin(self):
-        r = slab_intersect(ray((10, 0, 0), (1, 0, 0)), BOX)
-        assert not r.hit
-        assert r.t_far == pytest.approx(-6.0)
+        hit, _, t_far = slab(ray((10, 0, 0), (1, 0, 0)), BOX)
+        assert not hit
+        assert t_far == pytest.approx(-6.0)
 
     def test_origin_inside_box(self):
-        r = slab_intersect(ray((3, 0, 0), (0, 1, 0)), BOX)
-        assert r.hit
-        assert r.t_near < 0 < r.t_far
+        hit, t_near, t_far = slab(ray((3, 0, 0), (0, 1, 0)), BOX)
+        assert hit
+        assert t_near < 0 < t_far
 
     def test_zero_extent_box_never_hits(self):
         point_box = Aabb(vec3(1, 0, 0), vec3(1, 0, 0))
-        r = slab_intersect(ray((0, 0, 0), (1, 0, 0)), point_box)
-        assert not r.hit
+        hit, _, _ = slab(ray((0, 0, 0), (1, 0, 0)), point_box)
+        assert not hit
 
     def test_parallel_on_face_is_deterministic(self):
         # origin on a slab face with zero direction component: containment
         # branch, never a 0/0
-        r = slab_intersect(ray((0, 1, 0), (1, 0, 0)), BOX)
-        assert isinstance(r, IntersectResult)
-        assert r.hit  # grazing along the face counts: y=1 is inside [-1, 1]
+        hit, t_near, t_far = slab(ray((0, 1, 0), (1, 0, 0)), BOX)
+        assert (t_near, t_far) == (2.0, 4.0)
+        assert hit  # grazing along the face counts: y=1 is inside [-1, 1]
 
 
 class TestClosestPoint:
     # the near-miss rule projects the box center onto the ray; a point
     # target is a zero-extent box centered on the point
     def closest(self, r, target):
-        res = near_miss(r, Aabb(target, target))
-        return res.t_closest, res.p_closest
+        _, _, t, p = near(r, Aabb(target, target))
+        return t, p
 
     def test_orthogonal_projection(self):
         t, p = self.closest(ray((0, 0, 0), (1, 0, 0)), vec3(5, 3, 0))
@@ -142,72 +151,49 @@ class TestNearMiss:
     # dense sampling of the surface.
     def test_primed_within_tau(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.01, 0.01, 0.01))
-        r = near_miss(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.05)
-        assert r.primed
-        assert np.allclose(r.p_closest, [5, 0.04, 0])
-        assert r.delta == pytest.approx(0.03)
+        primed, delta, _, p = near(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.05)
+        assert primed
+        assert np.allclose(p, [5, 0.04, 0])
+        assert delta == pytest.approx(0.03)
 
     def test_not_primed_beyond_tau(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.01, 0.01, 0.01))
-        r = near_miss(ray((0, 0.10, 0), (1, 0, 0)), box, tau=0.05)
-        assert not r.primed
-        assert r.delta == pytest.approx(0.09)
+        primed, delta, _, _ = near(ray((0, 0.10, 0), (1, 0, 0)), box, tau=0.05)
+        assert not primed
+        assert delta == pytest.approx(0.09)
 
     def test_target_behind_is_never_primed(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.01, 0.01, 0.01))
-        r = near_miss(ray((10, 0.04, 0), (1, 0, 0)), box, tau=0.05)
-        assert r.t_closest == pytest.approx(-5.0)
-        assert not r.primed
+        primed, _, t, _ = near(ray((10, 0.04, 0), (1, 0, 0)), box, tau=0.05)
+        assert t == pytest.approx(-5.0)
+        assert not primed
 
     def test_ray_through_center(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.1, 0.1, 0.1))
-        r = near_miss(ray((0, 0, 0), (1, 0, 0)), box, tau=0.0)
-        assert r.primed
-        assert r.delta == 0.0
+        primed, delta, _, _ = near(ray((0, 0, 0), (1, 0, 0)), box, tau=0.0)
+        assert primed
+        assert delta == 0.0
 
     def test_delta_matches_surface_sampling(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.01, 0.01, 0.01))
-        r = near_miss(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.05)
+        _, delta, _, p = near(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.05)
         surface = sample_box_surface(box, n=50_000)
-        d_min = np.linalg.norm(surface - r.p_closest, axis=1).min()
+        d_min = np.linalg.norm(surface - p, axis=1).min()
         # delta measures surface distance along the center ray; for this
         # face-on geometry it equals the true minimum surface distance
-        assert r.delta == pytest.approx(d_min, abs=1e-3)
+        assert delta == pytest.approx(d_min, abs=1e-3)
 
     def test_point_target_reduces_to_point_distance(self):
         pt = vec3(5, 0, 0)
         box = Aabb(pt, pt)
-        r = near_miss(ray((0, 0.03, 0), (1, 0, 0)), box, tau=0.05)
-        assert r.primed
-        assert r.delta == pytest.approx(0.03)
+        primed, delta, _, _ = near(ray((0, 0.03, 0), (1, 0, 0)), box, tau=0.05)
+        assert primed
+        assert delta == pytest.approx(0.03)
 
     def test_tau_zero_requires_exact(self):
         box = Aabb.from_center(vec3(5, 0, 0), vec3(0.01, 0.01, 0.01))
-        assert not near_miss(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.0).primed
-        assert near_miss(ray((0, 0, 0), (1, 0, 0)), box, tau=0.0).primed
-
-
-class TestAngularError:
-    def test_identical(self):
-        assert angular_error(vec3(0, 0, 1), vec3(0, 0, 1)) == 0.0
-
-    def test_orthogonal(self):
-        assert angular_error(vec3(1, 0, 0), vec3(0, 1, 0)) == pytest.approx(math.pi / 2)
-
-    def test_antiparallel(self):
-        assert angular_error(vec3(1, 0, 0), vec3(-1, 0, 0)) == pytest.approx(math.pi)
-
-    def test_clamp_handles_rounding(self):
-        v = unit(vec3(0.3, -0.2, 0.93))
-        assert angular_error(v, v) == 0.0
-
-    def test_small_angle_keeps_precision(self):
-        # derived: v tilts u by 1e-9 along x, perpendicular to u, so the
-        # angle is 1e-9 / |(1e-9, -1, -1)| = 7.0710678118654755e-10 rad;
-        # arccos of the dot product gives 2.1e-8
-        u = unit(vec3(0, -1, -1))
-        v = unit(vec3(1e-9, -1, -1))
-        assert angular_error(u, v) == pytest.approx(1e-9 / math.sqrt(2.0), rel=1e-6)
+        assert not near(ray((0, 0.04, 0), (1, 0, 0)), box, tau=0.0)[0]
+        assert near(ray((0, 0, 0), (1, 0, 0)), box, tau=0.0)[0]
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -215,16 +201,16 @@ finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 directions = st.tuples(
     st.floats(-1, 1).filter(lambda x: abs(x) > 1e-3), st.floats(-1, 1), st.floats(-1, 1)
-).map(lambda d: unit(vec3(*d)))
+)
 
 
 @st.composite
 def rays_and_boxes(draw):
-    o = vec3(draw(finite), draw(finite), draw(finite))
-    d = draw(directions)
+    """One ray, as ray() gives it, and a box."""
+    r = ray((draw(finite), draw(finite), draw(finite)), draw(directions))
     c = vec3(draw(finite), draw(finite), draw(finite))
     h = vec3(*(draw(st.floats(0.01, 2.0)) for _ in range(3)))
-    return Ray(o, d), Aabb.from_center(c, h)
+    return r, Aabb.from_center(c, h)
 
 
 # Multiples of 2**-10 within +-12: the sum of two is exact in binary64.
@@ -234,11 +220,10 @@ dyadic = st.integers(-12 * 1024, 12 * 1024).map(lambda k: k / 1024)
 @st.composite
 def dyadic_rays_and_boxes(draw):
     """rays_and_boxes with the origin and box corners on the dyadic grid."""
-    o = vec3(*(draw(dyadic) for _ in range(3)))
-    d = draw(directions)
+    r = ray([draw(dyadic) for _ in range(3)], draw(directions))
     c = vec3(*(draw(dyadic) for _ in range(3)))
     h = vec3(*(draw(st.integers(10, 2048)) / 1024 for _ in range(3)))
-    return Ray(o, d), Aabb(c - h, c + h)
+    return r, Aabb(c - h, c + h)
 
 
 def translates_exactly(point, delta) -> bool:
@@ -249,60 +234,70 @@ def translates_exactly(point, delta) -> bool:
 @given(dyadic_rays_and_boxes(), st.tuples(dyadic, dyadic, dyadic))
 @example(
     # -2.54e-162 + 1 rounds to 1.0: the translation moves the origin of a
-    # ray that misses the box onto the box face, where slab_intersect
+    # ray that misses the box onto the box face, where slab_intersect_batch
     # rightly reports a hit (t_far = -0.0). A float translation is not
     # exact, so the property holds only for translations that are.
-    rb=(Ray(vec3(-2.54e-162, 0, 0), vec3(-1, 0, 0)), Aabb(vec3(0, -1, -1), vec3(2, 1, 1))),
+    rb=(ray((-2.54e-162, 0, 0), (-1, 0, 0)), Aabb(vec3(0, -1, -1), vec3(2, 1, 1))),
     delta=(1.0, 0.0, 0.0),
 )
 @settings(max_examples=200, deadline=None)
 def test_translation_invariance(rb, delta):
-    r, box = rb
-    d = vec3(*delta)
-    moved = slab_intersect(Ray(r.origin + d, r.dir), Aabb(box.min + d, box.max + d))
-    if not all(translates_exactly(p, d) for p in (r.origin, box.min, box.max)):
+    (o, d), box = rb
+    shift = vec3(*delta)
+    moved = slab((o + shift, d), Aabb(box.min + shift, box.max + shift))
+    if not all(translates_exactly(p, shift) for p in (o[0], box.min, box.max)):
         return
-    assert moved.hit == slab_intersect(r, box).hit
+    assert moved[0] == slab((o, d), box)[0]
 
 
 @given(rays_and_boxes(), st.permutations([0, 1, 2]))
 @settings(max_examples=200, deadline=None)
 def test_axis_permutation_invariance(rb, perm):
-    r, box = rb
+    (o, d), box = rb
     perm = list(perm)
-    r2 = Ray(r.origin[perm], r.dir[perm])
     b2 = Aabb(box.min[perm], box.max[perm])
-    a, b = slab_intersect(r, box), slab_intersect(r2, b2)
-    assert a.hit == b.hit
-    if a.hit:
-        assert a.t_near == pytest.approx(b.t_near)
-        assert a.t_far == pytest.approx(b.t_far)
+    a, b = slab((o, d), box), slab((o[:, perm], d[:, perm]), b2)
+    assert a[0] == b[0]
+    if a[0]:
+        assert a[1] == pytest.approx(b[1])
+        assert a[2] == pytest.approx(b[2])
 
 
 @given(rays_and_boxes(), st.tuples(*(st.floats(0, 1.0) for _ in range(3))))
 @settings(max_examples=200, deadline=None)
 def test_enlarging_box_preserves_hit(rb, grow):
     r, box = rb
-    if not slab_intersect(r, box).hit:
+    if not slab(r, box)[0]:
         return
     g = vec3(*grow)
     bigger = Aabb(box.min - g, box.max + g)
-    assert slab_intersect(r, bigger).hit
+    assert slab(r, bigger)[0]
 
 
 @given(rays_and_boxes())
 @settings(max_examples=100, deadline=None)
 def test_scalar_hit_agrees_with_dense_sampling(rb):
+    # one ray, a one-row batch, against containment sampling
     r, box = rb
-    res = slab_intersect(r, box)
-    if abs(res.t_near - res.t_far) < 1e-6:
+    hit, t_near, t_far = slab(r, box)
+    if abs(t_near - t_far) < 1e-6:
         return  # grazing band: sample-grid resolution is not decisive
-    if res.hit and (res.t_far < 0.0 or res.t_near > 100.0):
+    if hit and (t_far < 0.0 or t_near > 100.0):
         return  # outside the oracle's fixed t range
     # rays that only clip the box very thinly can slip between samples
-    if res.hit and (min(res.t_far, 100.0) - max(res.t_near, 0.0)) < 0.02:
+    if hit and (min(t_far, 100.0) - max(t_near, 0.0)) < 0.02:
         return
-    assert res.hit == dense_hit_single(r.origin, r.dir, box.min, box.max)
+    assert hit == dense_hit_single(r[0][0], r[1][0], box.min, box.max)
+
+
+def assert_rows_alone_equal_batch(kernel, origins, dirs, *args):
+    """Each ray alone, as a one-row batch, gives the bits of its row of
+    kernel's batch result."""
+    batch = kernel(origins, dirs, *args)
+    for i in range(len(origins)):
+        alone = kernel(origins[i:i + 1], dirs[i:i + 1], *args)
+        for got, want in zip(alone, batch):
+            assert got.tobytes() == want[i:i + 1].tobytes()
 
 
 def test_batch_matches_scalar():
@@ -335,6 +330,10 @@ def test_batch_matches_scalar():
     decisive = np.abs(o_delta - 0.05) > 1e-12
     assert np.array_equal(primed[decisive], o_primed[decisive])
 
+    # each row alone equals the batch
+    for kernel, args in ((slab_intersect_batch, ()), (near_miss_batch, (0.05,))):
+        assert_rows_alone_equal_batch(kernel, origins, dirs, box.min, box.max, *args)
+
 
 def test_batch_parallel_axis_matches_scalar():
     # derived: the rays run along x at heights y = 2, 0.5 and 1 through
@@ -344,21 +343,7 @@ def test_batch_parallel_axis_matches_scalar():
     dirs = np.array([[1.0, 0.0, 0.0]] * 3)
     hit, _, _ = slab_intersect_batch(origins, dirs, box.min, box.max)
     assert list(hit) == [False, True, True]
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_angular_error_symmetric_triangle(data):
-    def rand_unit():
-        v = [data.draw(st.floats(-1, 1)) for _ in range(3)]
-        n = math.sqrt(sum(x * x for x in v))
-        if n < 1e-3:
-            return vec3(0, 0, 1)
-        return vec3(*(x / n for x in v))
-
-    u, v, w = rand_unit(), rand_unit(), rand_unit()
-    assert angular_error(u, v) == pytest.approx(angular_error(v, u))
-    assert angular_error(u, w) <= angular_error(u, v) + angular_error(v, w) + 1e-9
+    assert_rows_alone_equal_batch(slab_intersect_batch, origins, dirs, box.min, box.max)
 
 
 def test_subnormal_direction_components_raise_no_warning():

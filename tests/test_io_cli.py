@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import reference_io as ref
-from builders import run_pnr
+from builders import run_pnr, vec3
 from pnr import io_jsonl as io
 from pnr.cli import MAX_THETAS, _frame_count, _thetas, main
 from pnr.curation import curate
 from pnr.errors import MalformedFile
 from pnr.metrics import EvalPair
 from pnr.motion import MAX_FRAMES, MotionSequence, resample
+from pnr.skeleton import N_JOINTS
 from pnr.synth import ScenarioSpec, generate_corpus, generate_scenario, static_baseline
 
 
@@ -449,7 +450,7 @@ class TestCliPipeline:
         # entry naming the unprimed one
         from pnr.curation import Recording
         from pnr.gaze import InteractionEvent, ObjectTarget
-        from pnr.geometry import Aabb, vec3
+        from pnr.geometry import Aabb
 
         rec, _ = generate_scenario(ScenarioSpec(seed=40))
         ghost = ObjectTarget(
@@ -998,12 +999,13 @@ def test_unwritable_or_unusable_input_exit_2(curated_dir, tmp_path, capsys,
 
 def _with_header(path, drop=(), **fields):
     """Rewrite a file's header line with ``fields`` set and the keys in
-    ``drop`` deleted; json.dumps writes NaN and infinities as JSON can't."""
+    ``drop`` deleted; json.dumps writes NaN and infinities as JSON can't,
+    and a lone surrogate as its escape, which a UTF-8 file can hold."""
     lines = path.read_text(encoding="utf-8").split("\n")
     header = dict(json.loads(lines[0]), **fields)
     for key in drop:
         del header[key]
-    lines[0] = json.dumps(header, ensure_ascii=False, separators=(",", ":"))
+    lines[0] = json.dumps(header, separators=(",", ":"))
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -1101,20 +1103,59 @@ def test_integer_too_long_to_parse_exit_2(curated_dir, tmp_path, capsys, suffix,
     assert capsys.readouterr().err == f"error: {bad}:{k + 1}: integer with too many digits\n"
 
 
-@pytest.mark.parametrize("suffix, kind, reason", [
-    (io.RECORDING_SUFFIX, "event", "JSON nested too deeply"),
-    (io.RECORDING_SUFFIX, "gaze", "record missing time"),
-    (io.SEQUENCE_SUFFIX, "frame", "record missing time"),
+@pytest.mark.parametrize("suffix, kind", [
+    (io.RECORDING_SUFFIX, "event"), (io.RECORDING_SUFFIX, "gaze"), (io.SEQUENCE_SUFFIX, "frame"),
 ], ids=["rec_event", "rec_gaze", "seq_frame"])
-def test_nested_too_deeply_exit_2(curated_dir, tmp_path, capsys, suffix, kind, reason):
+def test_nested_too_deeply_exit_2(curated_dir, tmp_path, capsys, suffix, kind):
     # json.loads raises RecursionError past about 1,000 levels, which used
-    # to escape curate as a traceback; orjson reads gaze and frame rows to
-    # any depth, and such a time fails as any other list would
+    # to escape curate as a traceback; a gaze or frame row that long is
+    # never left to orjson, which reads any depth
     bad, k = _timed_file(curated_dir, tmp_path, suffix, kind, 0,
                          "[" * 100_000 + "]" * 100_000)
     argv = ["curate", "--out", str(tmp_path / "out")] if kind != "frame" else ["stats"]
     assert main(argv + ["--in", str(tmp_path / "in")]) == 2
-    assert capsys.readouterr().err == f"error: {bad}:{k + 1}: {reason}\n"
+    assert capsys.readouterr().err == f"error: {bad}:{k + 1}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("order", ["k_first", "t_first"])
+@pytest.mark.parametrize("suffix, kind", [
+    (io.RECORDING_SUFFIX, "gaze"), (io.RECORDING_SUFFIX, "frame"), (io.SEQUENCE_SUFFIX, "frame"),
+], ids=["rec_gaze", "rec_frame", "seq_frame"])
+def test_unread_key_nested_too_deeply_exit_2_in_either_key_order(curated_dir, tmp_path, capsys,
+                                                                 suffix, kind, order):
+    # a row that starts {"k":"frame","t": and holds an unread key nested
+    # 100,000 levels deep used to read, parsed by orjson, while the same
+    # row with "t" before "k" exited 2
+    def edit(row):
+        if order == "t_first":
+            row = {"t": row.pop("t"), **row}
+        row["deep"] = "DEEP"
+        line = json.dumps(row, separators=(",", ":"))
+        assert line.startswith(f'{{"k":"{kind}","t":') == (order == "k_first")
+        return line.replace('"DEEP"', "[" * 100_000 + "]" * 100_000)
+
+    bad, k = _row_file(curated_dir, tmp_path, suffix, kind, 0, edit)
+    argv = ["stats"] if suffix == io.SEQUENCE_SUFFIX else ["curate", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--in", str(tmp_path / "in")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{k + 1}: JSON nested too deeply\n"
+
+
+def test_rows_left_to_orjson_nest_no_deeper_than_json_reads():
+    # _loads has orjson parse only gaze and frame rows shorter than
+    # _ORJSON_LINE. The writers' longest row is shorter: a sequence frame
+    # row whose 70 numbers, its time included, take 24 characters each
+    longest = -2.2250738585072014e-308
+    assert len(repr(longest)) == 24
+    motion = MotionSequence(30.0, np.full((2, N_JOINTS, 3), longest))
+    row = next(io._frame_lines(motion, np.full((2, 3), longest))).rstrip("\n")
+    assert len(row) - len(repr(0.0)) + 24 == 1787 < io._ORJSON_LINE
+    # and a row one character shorter than that, nested as deep as its
+    # length allows, reads as json.loads reads it, in either key order
+    for head in ('{"k":"frame","t":0,"xy":', '{"t":0,"k":"frame","xy":'):
+        depth = (io._ORJSON_LINE - 1 - len(head) - 1) // 2
+        line = head + "[" * depth + "]" * depth + "}"
+        assert len(line) == io._ORJSON_LINE - 1
+        assert io._loads(line) == json.loads(line)
 
 
 @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
@@ -1391,6 +1432,43 @@ def test_sequence_id_too_long_for_a_file_name_exit_2(curated_dir, tmp_path, caps
     assert main(["stats", "--in", str(seqs)]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}:1: id too long for a file name: more than 245 bytes in UTF-8\n")
+
+
+@pytest.mark.parametrize("key", ["id", "video_id"])
+def test_recording_id_holding_a_lone_surrogate_exit_2(curated_dir, tmp_path, capsys, key):
+    # a recording whose header id was "a\ud800b" used to stop curate with
+    # a UnicodeEncodeError traceback when it wrote that id to a sequence
+    # file, and nothing was published; so did such a video_id
+    recs = tmp_path / "recs"
+    shutil.copytree(Path(curated_dir).parent / "recordings", recs)
+    bad = recs / "zzz-surrogate.rec.jsonl"
+    shutil.copy(sorted(recs.glob("*.rec.jsonl"))[0], bad)
+    _with_header(bad, **{key: "a\ud800b"})
+    out = tmp_path / "out"
+    assert main(["curate", "--in", str(recs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: {key} holds a lone surrogate\n"
+    # the two good recordings' sequences are published
+    assert len(list(out.glob("*.seq.jsonl"))) == 2
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("id", "a\ud800b", "id holds a lone surrogate"),
+    ("video_id", "\udfff", "video_id holds a lone surrogate"),
+    ("flags", ["clamped_start", "a\ud800"], "flags hold a lone surrogate"),
+], ids=["id", "video_id", "flags"])
+def test_sequence_header_holding_a_lone_surrogate_exit_2(curated_dir, tmp_path, capsys, key,
+                                                         value, reason):
+    # baseline writes the ids and flags of its ground truths to its
+    # predictions, and a lone surrogate used to stop it with a traceback
+    seqs = tmp_path / "seqs"
+    shutil.copytree(curated_dir, seqs)
+    bad = sorted(seqs.glob("*.seq.jsonl"))[0]
+    _with_header(bad, **{key: value})
+    before = _files_under(tmp_path)
+    assert main(["baseline", "static", "--train", str(seqs), "--gt", str(seqs),
+                 "--out", str(tmp_path / "pred")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: {reason}\n"
+    assert _files_under(tmp_path) == before
 
 
 @pytest.mark.parametrize("suffix, read", [

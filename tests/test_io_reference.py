@@ -182,7 +182,7 @@ def assert_sequences_equal(a, b):
     assert (a.motion.gaze is None) == (b.motion.gaze is None)
     if a.motion.gaze is not None:
         assert same(a.motion.gaze, b.motion.gaze)
-    assert same(a.goal_location, b.goal_location) and same(a.goal_pose, b.goal_pose)
+    assert same(a.goal_location, b.goal_location)
     assert same(a.initial_state.pose, b.initial_state.pose)
     assert same(a.initial_state.velocity, b.initial_state.velocity)
 
@@ -381,10 +381,8 @@ def _mutate(data, lines):
         lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
     elif kind == "non_object":
         lines[i] = data.draw(st.sampled_from(NON_OBJECTS), label="value")
-    elif kind == "nest_deeply":
-        # a key nested too deeply to parse; orjson, which reads the gaze and
-        # frame rows, reads any depth, so such a row is nested as a whole
-        lines[i] = DEEP if _template(lines[i]) else f'{lines[i][:-1]},"deep":{DEEP}}}'
+    elif kind == "nest_deeply":  # a key nested too deeply to parse
+        lines[i] = f'{lines[i][:-1]},"deep":{DEEP}}}'
     elif kind == "swap_lines":
         j = i + 1 if i + 1 < len(lines) else i - 1
         lines[i], lines[j] = lines[j], lines[i]

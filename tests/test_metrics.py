@@ -8,7 +8,7 @@ import pytest
 from pnr.curation import InitialState, PnRSequence
 from pnr.errors import EmptyCorpus, MissingGaze
 from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-from pnr.geometry import Aabb, vec3
+from pnr.geometry import Aabb
 from pnr.metrics import (
     EvalPair,
     MetricsConfig,
@@ -27,7 +27,7 @@ from pnr.metrics import (
 from pnr.motion import MotionSequence, yaw_matrices
 from pnr.skeleton import L_FOOT, L_WRIST, R_WRIST
 
-from builders import REST, Rig, glide_motion, posed_frames, standing_motion
+from builders import REST, Rig, glide_motion, posed_frames, standing_motion, vec3
 
 FPS = 30.0
 N = 60

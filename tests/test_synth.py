@@ -5,7 +5,6 @@ from pnr.curation import InitialState, curate
 from pnr.errors import EmptyCorpus, InfeasibleSpec, UnreachableGoal
 from pnr.gaze import find_prime_time
 from pnr.metrics import EvalPair, foot_skating, prime_success, reach_success
-from pnr.motion import head_forward
 from pnr.skeleton import L_WRIST, PELVIS, R_WRIST
 from pnr.synth import (
     NEAR_MISS,
@@ -16,7 +15,7 @@ from pnr.synth import (
     static_baseline,
 )
 
-from builders import REST, standing_motion
+from builders import REST, head_forward, standing_motion, vec3
 
 
 class TestGenerateScenario:
@@ -128,7 +127,7 @@ class TestStaticBaseline:
 def _seq_from_motion(motion):
     from pnr.curation import PnRSequence
     from pnr.gaze import InteractionEvent, ObjectTarget, PrimedEvent
-    from pnr.geometry import Aabb, vec3
+    from pnr.geometry import Aabb
 
     tgt = ObjectTarget("t", box=Aabb.from_center(vec3(0, 1, 2), vec3(0.1, 0.1, 0.1)))
     gaze = np.tile([0.0, 0.0, 1.0], (motion.n_frames, 1))

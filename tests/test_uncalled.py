@@ -23,26 +23,8 @@ import pnr
 SRC = Path(pnr.__file__).resolve().parent
 
 ALLOWED = {
-    # the scalar API that demos/01 and demos/04 call
-    "gaze.GazeSample.__post_init__": "demos/01",
-    "gaze.GazeTrack.from_samples": "demos/01, through gaze_ray",
-    "gaze.gaze_ray": "demos/01",
-    "geometry.vec3": "demos/01",
-    "geometry.unit": "demos/01",
-    "geometry.as_unit": "demos/01, through Ray and angular_error",
-    "geometry.Ray.__post_init__": "demos/01",
-    "geometry.Ray.at": "demos/01, through near_miss",
-    "geometry.slab_intersect": "demos/01",
-    "geometry.near_miss": "demos/01",
-    "geometry.angular_error": "demos/01",
-    # the eager corpus loop that demos/02, demos/03 and perfbench's
-    # curate_dense time; the CLI curates one recording at a time
-    "curation.curate_corpus": "demos/02 and demos/03",
-    # public API that only tests call
-    "motion.head_forward": "exported one-pose wrapper of head_forward_batch",
-    "curation.PnRSequence.goal_pose": "the goal pose a sequence conditions on",
-    # the decoder of the rotation channels, which nothing in the pipeline reads
-    "features.rot6d_to_matrix": "the tests' oracle for the stored rows",
+    # the eager corpus loop; the CLI curates one recording at a time
+    "curation.curate_corpus": "perfbench's curate_dense and model_eval, demos/02 and demos/03",
     # error paths
     "cli._Parser.error": "usage errors",
     "errors.DegenerateGaze.__init__": "a zero gaze direction",
