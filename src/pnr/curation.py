@@ -35,6 +35,7 @@ DEFAULT_MIN_MOVEMENT = 0.20  # m; stiller interactions are dropped
 REASON_UNPRIMED = "unprimed"
 REASON_TOO_SHORT = "too_short"
 REASON_MINIMAL_MOVEMENT = "minimal_movement"
+REASON_AFTER_LAST_FRAME = "after_last_frame"
 
 FLAG_CLAMPED_START = "clamped_start"
 FLAG_NO_PRECEDING_FRAME = "no_preceding_frame"
@@ -128,16 +129,22 @@ def curate(
 ) -> CurationResult:
     """Curate every primeable event of a recording into a sequence.
 
-    Per-event skips are recorded as drops with one of three reasons:
-    unprimed (no gaze sample in the window lands on the target; an empty
-    window counts, with a warning), too_short (slice under two frames),
-    minimal_movement (neither body nor hands move at least min_movement).
+    Per-event skips are recorded as drops with one of four reasons:
+    after_last_frame (the event lies more than half a frame past the last
+    frame; checked before the priming scan), unprimed (no gaze sample in
+    the window lands on the target; an empty window counts, with a
+    warning), too_short (slice under two frames), minimal_movement
+    (neither body nor hands move at least min_movement). Times before
+    frame 0 slice as frame 0.
     """
     motion = recording.motion
     fps = motion.fps
     n = motion.n_frames
     sequences, drops = [], []
     for k, event in enumerate(recording.events):
+        if event.t_e > (n - 1 + 0.5) / fps:
+            drops.append(Drop(k, event.kind, event.t_e, REASON_AFTER_LAST_FRAME))
+            continue
         try:
             primed = find_prime_time(recording.gaze, event, w, tau)
         except EmptyWindow as exc:
@@ -153,7 +160,7 @@ def curate(
             start_t = 0.0
             flags.append(FLAG_CLAMPED_START)
         i0 = int(round(start_t * fps))
-        i1 = min(int(round(event.t_e * fps)), n - 1)
+        i1 = min(int(round(max(event.t_e, 0.0) * fps)), n - 1)
         if i1 - i0 + 1 < 2:
             drops.append(Drop(k, event.kind, event.t_e, REASON_TOO_SHORT))
             continue
@@ -171,7 +178,7 @@ def curate(
         else:
             velocity = np.zeros((22, 3))
             flags.append(FLAG_NO_PRECEDING_FRAME)
-        prime_idx = int(np.clip(round(primed.t_p * fps) - i0, 0, i1 - i0))
+        prime_idx = int(np.clip(round(max(primed.t_p, 0.0) * fps) - i0, 0, i1 - i0))
 
         sliced, angle, shift = canonicalize(sliced)
         sequences.append(

@@ -14,7 +14,9 @@ object with the required keys, its lists have the right length and its
 times are finite and in order (``_row_time``). Numeric fields (joints,
 gaze directions, camera poses) are gathered per column, and each column
 is converted to float64 and checked for finite values once; a bad value
-is still reported by its line.
+is still reported by its line. Frame times are held to the clock that
+MotionSequence gives the frames, i / fps from 0, after the loop
+(``_on_clock``).
 
 Writers build the gaze and frame rows of recordings and sequences from
 fixed templates around the text of their numeric fields (``_rows``),
@@ -101,6 +103,9 @@ _INT64 = 2.0 ** 63
 # row goes to orjson. The writers' longest row, a sequence frame row of 70
 # numbers of at most 24 characters each, has 1,787 characters.
 _ORJSON_LINE = 1800
+# Frame row i of a recording or sequence lies within this many frame
+# periods of i / fps, the time MotionSequence gives it
+_CLOCK_TOL = 0.25
 
 
 def _require(cond, path, line_no, reason):
@@ -278,6 +283,16 @@ class _Column:
         return arr
 
 
+def _on_clock(times, fps, line_nos, path) -> None:
+    """Require frame row i's time within _CLOCK_TOL / fps of i / fps, in
+    one comparison; the first row off the clock is reported at its line."""
+    times = np.array(times, dtype=np.float64)
+    off = np.abs(times - np.arange(len(times)) / fps) > _CLOCK_TOL / fps
+    if off.any():
+        raise MalformedFile(path, line_nos[int(np.argmax(off))],
+                            f"frame time must be its index / fps, within {_CLOCK_TOL} / fps")
+
+
 def _rows(values, width):
     """The rows of a float64 array, ``width`` values each, as the text of
     their comma-joined JSON numbers, one row at a time, spelled as
@@ -353,6 +368,7 @@ def read_recording(path) -> Recording:
     points_cam = _Column(path, 3, "gaze direction", "dir_cam")
     translations = _Column(path, 3, "cam translation", "cam_pose.t")
     joints = _Column(path, 3 * N_JOINTS, "joints")
+    frame_t = []
     event_rows = []
     objects: dict[str, ObjectTarget] = {}
     last_t = {}
@@ -374,9 +390,11 @@ def read_recording(path) -> Recording:
         elif kind == "frame":
             _require("joints" in row, path, line_no, "frame record needs joints")
             joints.add(row["joints"], line_no)
+            frame_t.append(t)
         elif kind == "object" and "t" not in row:
             oid = row.get("id")
             _require(isinstance(oid, str), path, line_no, "object record needs id")
+            _require(oid not in objects, path, line_no, f"duplicate object id {oid!r}")
             if "box" in row:
                 box = row["box"]
                 _require(isinstance(box, dict) and "min" in box and "max" in box,
@@ -406,6 +424,7 @@ def read_recording(path) -> Recording:
         else:  # an unknown kind, or a timed object row: trajectories are not read
             what = "timed object record" if kind == "object" else f"unknown record kind {kind!r}"
             log.warning("%s:%d: skipping %s", path, line_no, what)
+    _on_clock(frame_t, fps, joints.line_nos, path)
     _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
     _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
 
@@ -506,18 +525,21 @@ def read_sequence(path) -> PnRSequence:
     header, records = _first(path, _sequence_header)
     joints = _Column(path, 3 * N_JOINTS, "joints")
     gaze = _Column(path, 3, "gaze")
+    frame_t = []
     last_t = {}
     for line_no, row in records:
         _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
         kind = row.get("k")
         if kind == "frame":
-            _row_time(row, kind, last_t, path, line_no)
+            t = _row_time(row, kind, last_t, path, line_no)
             _require("joints" in row, path, line_no, "frame record needs joints")
             joints.add(row["joints"], line_no)
+            frame_t.append(t)
             if "gaze" in row:
                 gaze.add(row["gaze"], line_no)
         else:
             log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+    _on_clock(frame_t, header.fps, joints.line_nos, path)
     joints, gaze = joints.array(), gaze.array()
     _require(len(joints) >= 2, path, 1, "sequence has fewer than 2 frames")
     _require(abs((len(joints) - 1) - (header.t_e - header.t_start) * header.fps) <= 1.0,

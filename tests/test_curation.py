@@ -80,6 +80,16 @@ class TestCurate:
         assert not res.sequences
         assert [d.reason for d in res.drops] == ["too_short"]
 
+    def test_event_past_the_last_frame_dropped(self):
+        # the last frame is at 10 s: an event within half a frame of it is
+        # cut there, one later is dropped before the priming scan
+        edge = 300.5 / FPS
+        (seq,) = curate(make_recording(t_e=edge)).sequences
+        assert seq.motion.n_frames == 211  # frames 90 to 300
+        res = curate(make_recording(t_e=float(np.nextafter(edge, np.inf))))
+        assert not res.sequences
+        assert [d.reason for d in res.drops] == ["after_last_frame"]
+
     def test_clamped_start_flag(self):
         rec = make_recording(t_on=1.0, t_e=4.0)
         res = curate(rec)
