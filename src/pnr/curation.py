@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -165,13 +165,13 @@ def curate(
             drops.append(Drop(k, event.kind, event.t_e, REASON_TOO_SHORT))
             continue
 
-        frame_times = np.arange(i0, i1 + 1) / fps
-        gaze_dirs = _nearest_gaze_dirs(recording.gaze, frame_times)
-        sliced = MotionSequence(fps, motion.joints[i0 : i1 + 1], gaze=gaze_dirs)
-
+        sliced = MotionSequence(fps, motion.joints[i0 : i1 + 1])
         if max(body_movement(sliced), hand_movement(sliced)) < min_movement:
             drops.append(Drop(k, event.kind, event.t_e, REASON_MINIMAL_MOVEMENT))
             continue
+        # gaze is gathered only for the events that pass the movement test
+        frame_times = np.arange(i0, i1 + 1) / fps
+        sliced = replace(sliced, gaze=_nearest_gaze_dirs(recording.gaze, frame_times))
 
         if i0 >= 1:
             velocity = motion.joints[i0] - motion.joints[i0 - 1]

@@ -59,8 +59,8 @@ class GazeTrack:
         """Ray origins and unit directions for every sample, ((N,3), (N,3)).
 
         Cached after the first call; treat the arrays as read-only. Raises
-        DegenerateGaze if any sample's gaze point collapses onto the
-        camera origin.
+        DegenerateGaze, naming the first such sample, if any sample's gaze
+        point collapses onto the camera origin.
         """
         cached = getattr(self, "_rays", None)
         if cached is not None:
@@ -69,8 +69,9 @@ class GazeTrack:
         q = self.rotations * self.points_cam[:, None, :]
         dirs = (q[:, :, 0] + q[:, :, 2]) + q[:, :, 1]
         norms = np.linalg.norm(dirs, axis=1)
-        if np.any(norms < _DEGENERATE_TOL):
-            bad = int(np.argmin(norms))
+        short = norms < _DEGENERATE_TOL
+        if short.any():
+            bad = int(np.argmax(short))  # the first such sample
             raise DegenerateGaze(f"gaze sample {bad} at t={self.times[bad]:.6f}", bad)
         rays = (self.translations, dirs / norms[:, None])
         object.__setattr__(self, "_rays", rays)
@@ -147,17 +148,21 @@ def find_prime_time(
     """Earliest sample in [t_e - w, t_e] whose gaze ray primes the target:
     a direct hit of its box, or else a near miss within tau.
 
-    The window's rays from the first to the last block that
-    GazeTrack.blocks_near keeps for the box go through geometry.prime_batch;
-    every ray of a skipped block passes too far from the box to prime it.
-    prime_batch then culls each ray whose line passes farther from the box
-    center than the half-diagonal plus tau (plus that kernel's rounding
-    margin), and slab- and near-miss-tests the rest. Both culls are exact,
-    so the result is that of the two kernels run on every ray of the
-    window. Prime times are quantized to sample timestamps. Returns None
-    when no sample in the window primes; raises EmptyWindow when the window
-    holds no samples at all (stream/event misalignment), and then
-    ValueError unless tau >= 0.
+    Only the window's rays in the blocks that GazeTrack.blocks_near keeps
+    for the box can prime it; every ray of a skipped block passes too far
+    from the box. The kept blocks are tested in time order, in runs of 1,
+    2, 4, ... blocks, each run as one slice of rays from its first kept
+    block to its last through geometry.prime_batch, and the scan stops at
+    the first run that holds a priming ray. prime_batch decides each ray by
+    its own row alone (it culls a ray whose line passes farther from the
+    box center than the half-diagonal plus tau, plus its rounding margin,
+    and slab- and near-miss-tests the rest), and both culls are exact, so
+    the earliest priming ray of that run is the earliest of the window:
+    the result is that of the two kernels run on every ray of the window.
+    Prime times are quantized to sample timestamps. Returns None when no
+    sample in the window primes; raises EmptyWindow when the window holds
+    no samples at all (stream/event misalignment), and then ValueError
+    unless tau >= 0.
     """
     lo, hi = event.t_e - w, event.t_e
     i0 = int(np.searchsorted(track.times, lo, side="left"))
@@ -169,14 +174,18 @@ def find_prime_time(
     j0, j1 = bisect_left(kept, i0 // _BLOCK), bisect_right(kept, (i1 - 1) // _BLOCK)
     if j0 == j1:
         return None
-    # one slice: the skipped blocks between kept ones cost prime_batch's
-    # cull, which is cheaper than gathering the kept rays
-    i0, i1 = max(i0, kept[j0] * _BLOCK), min(i1, (kept[j1 - 1] + 1) * _BLOCK)
     origins, dirs = track.world_rays()
-    hit, near = prime_batch(origins[i0:i1], dirs[i0:i1], box.min, box.max, tau)
-    where = np.nonzero(hit | near)[0]
-    if where.size == 0:
-        return None
-    first = int(where[0])
-    mode = DIRECT_HIT if hit[first] else NEAR_MISS
-    return PrimedEvent(event, float(track.times[i0 + first]), mode)
+    run = 1
+    while j0 < j1:
+        j = min(j0 + run, j1)
+        # one slice per run: the skipped blocks between kept ones cost
+        # prime_batch's cull, which is cheaper than gathering the kept rays
+        s0, s1 = max(i0, kept[j0] * _BLOCK), min(i1, (kept[j - 1] + 1) * _BLOCK)
+        hit, near = prime_batch(origins[s0:s1], dirs[s0:s1], box.min, box.max, tau)
+        where = np.flatnonzero(hit | near)
+        if where.size:
+            first = int(where[0])
+            mode = DIRECT_HIT if hit[first] else NEAR_MISS
+            return PrimedEvent(event, float(track.times[s0 + first]), mode)
+        j0, run = j, 2 * run
+    return None

@@ -10,13 +10,15 @@ MalformedFile with the offending path and line number.
 
 Recordings and sequences are validated in one pass per file. A reader
 parses each line and checks there only what is cheap: the row is an
-object with the required keys, its lists have the right length and its
-times are finite and in order (``_row_time``). Numeric fields (joints,
-gaze directions, camera poses) are gathered per column, and each column
-is converted to float64 and checked for finite values once; a bad value
-is still reported by its line. Frame times are held to the clock that
-MotionSequence gives the frames, i / fps from 0, after the loop
-(``_on_clock``).
+object with the required keys and its times are finite and in order
+(``_row_time``). Numeric fields (joints, gaze directions, camera poses)
+are gathered per column, and each column is converted to float64 and
+checked once; a bad value is still reported by its line. Frame times are
+held to the clock that MotionSequence gives the frames, i / fps from 0,
+after the loop (``_on_clock``). Of the rows these checks after the loop
+find at fault, the earliest is reported, and when the loop stops at a
+bad row they run on the rows before it first (``_checked``), so of two
+bad rows the earlier is reported whichever check finds it.
 
 Writers build the gaze and frame rows of recordings and sequences from
 fixed templates around the text of their numeric fields (``_rows``),
@@ -242,10 +244,10 @@ def _floats(values, n, path, line_no, what, name=None) -> np.ndarray:
 
 class _Column:
     """One numeric field of a file with n values per row: joints, a gaze
-    direction, a camera rotation. ``add`` gives a row only a cheap shape
-    check; ``array`` converts all rows to float64 and checks them for
-    finite values at once, and still reports a bad row by its line. A row
-    takes true and false as 1 and 0, in the bulk conversion and in the
+    direction, a camera rotation. ``add`` only gathers a row; ``array``
+    converts all rows to float64 and checks their shape and finite values
+    at once, and still reports the first bad row by its line. A row takes
+    true and false as 1 and 0, in the bulk conversion and in the
     row-by-row check (``_floats``) alike."""
 
     def __init__(self, path, n, what, name=None):
@@ -256,8 +258,6 @@ class _Column:
         return len(self.rows)
 
     def add(self, values, line_no) -> None:
-        if type(values) is not list or len(values) != self.n:
-            values = _floats(values, self.n, self.path, line_no, self.what, self.name)
         self.rows.append(values)
         self.line_nos.append(line_no)
 
@@ -268,11 +268,12 @@ class _Column:
         shape = (len(self.rows), self.n)
         try:
             arr = np.array(self.rows)
-        except ValueError:  # lists nested in some rows
+        except ValueError:  # rows of different lengths or nesting
             arr = None
         if arr is None or arr.dtype.kind not in "biuf" or arr.shape != shape:
-            # a string, an item that is no number, an integer past 64 bits
-            # or nested lists; converting row by row names the first bad row
+            # a row of another length, a string, an item that is no number,
+            # an integer past 64 bits or nested lists; converting row by
+            # row names the first bad row
             arr = np.array([_floats(v, self.n, self.path, at, self.what, self.name)
                             for v, at in zip(self.rows, self.line_nos)])
         arr = arr.astype(np.float64, copy=False).reshape(shape)
@@ -291,6 +292,29 @@ def _on_clock(times, fps, line_nos, path) -> None:
     if off.any():
         raise MalformedFile(path, line_nos[int(np.argmax(off))],
                             f"frame time must be its index / fps, within {_CLOCK_TOL} / fps")
+
+
+def _checked(path, fps, frame_t, frames, columns, error=None) -> list:
+    """The arrays of ``columns`` after the checks that wait for the rows:
+    the frame clock (``frames`` is the column of the frame rows, whose
+    times are ``frame_t``) and each column's values. Raises the
+    MalformedFile at the earliest line among those checks and ``error``,
+    raised by the reading loop at the row where it stopped (the clock's,
+    then the first column's, on a tie)."""
+    errors = [] if error is None else [error]
+    try:
+        _on_clock(frame_t, fps, frames.line_nos, path)
+    except MalformedFile as exc:
+        errors.append(exc)
+    arrays = []
+    for column in columns:
+        try:
+            arrays.append(column.array())
+        except MalformedFile as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.line_no)
+    return arrays
 
 
 def _rows(values, width):
@@ -372,70 +396,76 @@ def read_recording(path) -> Recording:
     event_rows = []
     objects: dict[str, ObjectTarget] = {}
     last_t = {}
-    for line_no, row in records:
-        _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
-        kind = row.get("k")
-        if kind in ("gaze", "frame", "event"):
-            t = _row_time(row, kind, last_t, path, line_no)
-        if kind == "gaze":
-            _require("dir_cam" in row and "cam_pose" in row, path, line_no,
-                     "gaze record needs dir_cam and cam_pose")
-            pose = row["cam_pose"]
-            _require(isinstance(pose, dict) and "r" in pose and "t" in pose, path, line_no,
-                     "cam_pose needs r and t")
-            rotations.add(pose["r"], line_no)
-            points_cam.add(row["dir_cam"], line_no)
-            translations.add(pose["t"], line_no)
-            gaze_t.append(t)
-        elif kind == "frame":
-            _require("joints" in row, path, line_no, "frame record needs joints")
-            joints.add(row["joints"], line_no)
-            frame_t.append(t)
-        elif kind == "object" and "t" not in row:
-            oid = row.get("id")
-            _require(isinstance(oid, str), path, line_no, "object record needs id")
-            _require(oid not in objects, path, line_no, f"duplicate object id {oid!r}")
-            if "box" in row:
-                box = row["box"]
-                _require(isinstance(box, dict) and "min" in box and "max" in box,
-                         path, line_no, "box needs min and max")
-                # corners are compared before their shapes are checked, so
-                # a scalar corner that exceeds the other is reported as such
-                mn = _vector(box["min"], None, path, line_no, "box min")
-                mx = _vector(box["max"], None, path, line_no, "box max")
-                try:
-                    ordered = np.all(mn <= mx)
-                except ValueError:  # corners of different lengths
-                    ordered = True
-                _require(ordered, path, line_no, "box min exceeds max")
-                _require(mn.shape == mx.shape == (3,), path, line_no,
-                         "box corners must have 3 entries")
-                objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
-            elif "point" in row:
-                objects[oid] = ObjectTarget(
-                    oid, point=_vector(row["point"], 3, path, line_no, "point"))
-            else:
-                raise MalformedFile(path, line_no, "object record needs box or point")
-        elif kind == "event":
-            _require(row.get("kind") in EVENT_KINDS, path, line_no,
-                     "event kind must be pick or put")
-            _require("object_id" in row, path, line_no, "event needs object_id")
-            event_rows.append((row["kind"], float(t), row["object_id"], line_no))
-        else:  # an unknown kind, or a timed object row: trajectories are not read
-            what = "timed object record" if kind == "object" else f"unknown record kind {kind!r}"
-            log.warning("%s:%d: skipping %s", path, line_no, what)
-    _on_clock(frame_t, fps, joints.line_nos, path)
+    stopped = None
+    try:
+        for line_no, row in records:
+            _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
+            kind = row.get("k")
+            if kind in ("gaze", "frame", "event"):
+                t = _row_time(row, kind, last_t, path, line_no)
+            if kind == "gaze":
+                _require("dir_cam" in row and "cam_pose" in row, path, line_no,
+                         "gaze record needs dir_cam and cam_pose")
+                pose = row["cam_pose"]
+                _require(isinstance(pose, dict) and "r" in pose and "t" in pose, path, line_no,
+                         "cam_pose needs r and t")
+                rotations.add(pose["r"], line_no)
+                points_cam.add(row["dir_cam"], line_no)
+                translations.add(pose["t"], line_no)
+                gaze_t.append(t)
+            elif kind == "frame":
+                _require("joints" in row, path, line_no, "frame record needs joints")
+                joints.add(row["joints"], line_no)
+                frame_t.append(t)
+            elif kind == "object" and "t" not in row:
+                oid = row.get("id")
+                _require(isinstance(oid, str), path, line_no, "object record needs id")
+                _require(oid not in objects, path, line_no, f"duplicate object id {oid!r}")
+                if "box" in row:
+                    box = row["box"]
+                    _require(isinstance(box, dict) and "min" in box and "max" in box,
+                             path, line_no, "box needs min and max")
+                    # corners are compared before their shapes are checked, so
+                    # a scalar corner that exceeds the other is reported as such
+                    mn = _vector(box["min"], None, path, line_no, "box min")
+                    mx = _vector(box["max"], None, path, line_no, "box max")
+                    try:
+                        ordered = np.all(mn <= mx)
+                    except ValueError:  # corners of different lengths
+                        ordered = True
+                    _require(ordered, path, line_no, "box min exceeds max")
+                    _require(mn.shape == mx.shape == (3,), path, line_no,
+                             "box corners must have 3 entries")
+                    objects[oid] = ObjectTarget(oid, box=Aabb(mn, mx))
+                elif "point" in row:
+                    objects[oid] = ObjectTarget(
+                        oid, point=_vector(row["point"], 3, path, line_no, "point"))
+                else:
+                    raise MalformedFile(path, line_no, "object record needs box or point")
+            elif kind == "event":
+                _require(row.get("kind") in EVENT_KINDS, path, line_no,
+                         "event kind must be pick or put")
+                _require("object_id" in row, path, line_no, "event needs object_id")
+                event_rows.append((row["kind"], float(t), row["object_id"], line_no))
+            else:  # an unknown kind, or a timed object row: trajectories are not read
+                what = ("timed object record" if kind == "object"
+                        else f"unknown record kind {kind!r}")
+                log.warning("%s:%d: skipping %s", path, line_no, what)
+    except MalformedFile as exc:
+        stopped = exc
+    dir_cam, rotation, translation, joint_rows = _checked(
+        path, fps, frame_t, joints, (points_cam, rotations, translations, joints), stopped)
     _require(len(gaze_t) >= 1, path, 1, "recording has no gaze samples")
     _require(len(joints) >= 2, path, 1, "recording has fewer than 2 frames")
 
-    track = GazeTrack(np.array(gaze_t, dtype=np.float64), points_cam.array(),
-                      rotations.array().reshape(-1, 3, 3), translations.array())
+    track = GazeTrack(np.array(gaze_t, dtype=np.float64), dir_cam,
+                      rotation.reshape(-1, 3, 3), translation)
     try:
         track.world_rays()  # cached on the track for curation
     except DegenerateGaze as exc:
         raise MalformedFile(path, points_cam.line_nos[exc.index],
                             "gaze direction is zero in the world frame") from None
-    motion = MotionSequence(fps, joints.array().reshape(-1, N_JOINTS, 3))
+    motion = MotionSequence(fps, joint_rows.reshape(-1, N_JOINTS, 3))
     events = []
     for kind, t_e, oid, line_no in event_rows:
         _require(isinstance(oid, str) and oid in objects, path, line_no,
@@ -527,20 +557,23 @@ def read_sequence(path) -> PnRSequence:
     gaze = _Column(path, 3, "gaze")
     frame_t = []
     last_t = {}
-    for line_no, row in records:
-        _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
-        kind = row.get("k")
-        if kind == "frame":
-            t = _row_time(row, kind, last_t, path, line_no)
-            _require("joints" in row, path, line_no, "frame record needs joints")
-            joints.add(row["joints"], line_no)
-            frame_t.append(t)
-            if "gaze" in row:
-                gaze.add(row["gaze"], line_no)
-        else:
-            log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
-    _on_clock(frame_t, header.fps, joints.line_nos, path)
-    joints, gaze = joints.array(), gaze.array()
+    stopped = None
+    try:
+        for line_no, row in records:
+            _require(isinstance(row, dict), path, line_no, "record must be a JSON object")
+            kind = row.get("k")
+            if kind == "frame":
+                t = _row_time(row, kind, last_t, path, line_no)
+                _require("joints" in row, path, line_no, "frame record needs joints")
+                joints.add(row["joints"], line_no)
+                frame_t.append(t)
+                if "gaze" in row:
+                    gaze.add(row["gaze"], line_no)
+            else:
+                log.warning("%s:%d: skipping unknown record kind %r", path, line_no, kind)
+    except MalformedFile as exc:
+        stopped = exc
+    joints, gaze = _checked(path, header.fps, frame_t, joints, (joints, gaze), stopped)
     _require(len(joints) >= 2, path, 1, "sequence has fewer than 2 frames")
     _require(abs((len(joints) - 1) - (header.t_e - header.t_start) * header.fps) <= 1.0,
              path, 1, "frame count does not match the header time span")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnr import curation
 from pnr.curation import (
     InitialState,
     PnRSequence,
@@ -67,6 +68,22 @@ class TestCurate:
         res = curate(make_recording(moving=False))
         assert not res.sequences
         assert [d.reason for d in res.drops] == ["minimal_movement"]
+
+    def test_gaze_built_only_for_kept_sequences(self, monkeypatch):
+        # the movement test runs before the per-frame gaze is gathered, so
+        # a minimal_movement drop gathers none
+        calls = []
+
+        def spy(track, frame_times):
+            calls.append(len(frame_times))
+            return nearest(track, frame_times)
+
+        nearest = curation._nearest_gaze_dirs
+        monkeypatch.setattr(curation, "_nearest_gaze_dirs", spy)
+        still = curate(make_recording(moving=False))
+        assert [d.reason for d in still.drops] == ["minimal_movement"] and calls == []
+        (seq,) = curate(make_recording()).sequences
+        assert calls == [seq.motion.n_frames]
 
     def test_unprimed_drop(self):
         rec = make_recording(t_on=20.0)  # gaze lands after the window

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pnr import synth
+from pnr import gaze, synth
 from pnr.curation import Recording, curate
 from pnr.errors import DegenerateGaze, EmptyWindow
 from pnr.gaze import (
@@ -15,7 +15,7 @@ from pnr.gaze import (
     ObjectTarget,
     find_prime_time,
 )
-from pnr.geometry import Aabb
+from pnr.geometry import Aabb, prime_batch
 
 from builders import Rig, glide_motion, vec3
 from oracles import focused_hit_batch, near_miss_oracle
@@ -50,6 +50,15 @@ class TestGazeRay:
     def test_degenerate_sample_raises(self):
         with pytest.raises(DegenerateGaze):
             gaze_ray((0, 0, 0))
+
+    def test_first_degenerate_sample_named(self):
+        # both samples are shorter than 1e-9: the first is named, not the
+        # shorter
+        track = GazeTrack(np.arange(3.0), np.array([[0, 0, 1], [1e-10, 0, 0], [0, 0, 0]]),
+                          np.tile(np.eye(3), (3, 1, 1)), np.zeros((3, 3)))
+        with pytest.raises(DegenerateGaze) as err:
+            track.world_rays()
+        assert err.value.index == 1
 
     def test_scale_invariance_of_direction(self):
         assert np.allclose(gaze_ray((0, 0, 0.5))[1], gaze_ray((0, 0, 7.0))[1])
@@ -273,3 +282,87 @@ def test_block_cull_skips_most_blocks_on_a_dense_recording():
             total += n_blocks
     assert total == 8 * 6 * 113
     assert kept <= 0.10 * total
+
+
+def random_track(rng, box, tau):
+    """A gaze track of a few hundred samples at 60 Hz from a wandering
+    head: stretches that look steadily away from ``box`` (blocks the cull
+    skips) alternate with stretches of random directions (blocks it keeps,
+    which rarely prime), and a few samples aim at the box center (a hit)
+    or half of tau beside its +x face (a near miss)."""
+    n = int(rng.integers(200, 700))
+    origins = np.array([0.0, 1.6, 0.0]) + np.cumsum(rng.normal(0.0, 0.005, (n, 3)), axis=0)
+    dirs = np.empty((n, 3))
+    i = 0
+    while i < n:
+        length = int(rng.integers(10, 90))
+        if rng.random() < 0.5:
+            dirs[i:i + length] = [0.0, 0.0, -1.0] + rng.normal(0.0, 0.02, 3)
+        else:
+            dirs[i:i + length] = rng.normal(size=(len(dirs[i:i + length]), 3))
+        i += length
+    beside = box.center + [0.5 * (box.max - box.min)[0] + 0.5 * tau, 0.0, 0.0]
+    for k in rng.integers(0, n, int(rng.integers(0, 4))):
+        dirs[k] = (box.center if rng.random() < 0.5 else beside) - origins[k]
+    return GazeTrack(np.arange(n) / 60.0, dirs, np.tile(np.eye(3), (n, 1, 1)), origins)
+
+
+def test_prime_time_matches_prime_batch_over_the_whole_window():
+    # oracle: prime_batch on every ray of the window, no block skipped and
+    # no early stop; the scan must give the same sample and mode
+    rng = np.random.default_rng(29)
+    tau = DEFAULT_TAU
+    box = Aabb.from_center(vec3(0.0, 1.0, 4.0), vec3(0.3, 0.3, 0.3))
+    target = ObjectTarget("t", box=box)
+    seen = set()
+    for _ in range(300):
+        track = random_track(rng, box, tau)
+        n = len(track)
+        t_e = float(track.times[int(rng.integers(n // 2, n))]) + float(rng.uniform(0, 1 / 60))
+        w = float(rng.uniform(0.5, t_e + 0.1))
+        primed = find_prime_time(track, InteractionEvent("pick", t_e, target), w=w, tau=tau)
+
+        i0 = int(np.searchsorted(track.times, t_e - w, side="left"))
+        i1 = int(np.searchsorted(track.times, t_e, side="right"))
+        origins, dirs = track.world_rays()
+        hit, near = prime_batch(origins[i0:i1], dirs[i0:i1], box.min, box.max, tau)
+        where = np.flatnonzero(hit | near)
+        if where.size == 0:
+            assert primed is None
+            seen.add("no prime")
+            continue
+        first = i0 + int(where[0])
+        assert primed.t_p == track.times[first]
+        assert primed.prime_mode == (DIRECT_HIT if hit[where[0]] else NEAR_MISS)
+
+        kept = [b for b in track.blocks_near(box, tau) if i0 // 32 <= b <= (i1 - 1) // 32]
+        rank = kept.index(first // 32)  # the prime's block among the window's kept ones
+        if rank == 0:
+            seen.add("first kept block")
+        if rank >= 3:  # past the runs of 1 and 2 blocks
+            seen.add("later run")
+        hits = i0 + np.flatnonzero(hit)
+        if not hit[where[0]] and hits.size and hits[0] // 32 > first // 32:
+            seen.add("near miss before a hit")
+        if i0 % 32 and i1 % 32:
+            seen.add("edges off the blocks")
+    assert {"no prime", "first kept block", "later run", "near miss before a hit",
+            "edges off the blocks"} <= seen
+
+
+def test_scan_stops_at_the_first_kept_block_that_primes(monkeypatch):
+    # every sample looks at the target: the window's first kept block
+    # primes, so prime_batch runs once, on that block's rays alone
+    calls = []
+
+    def spy(origins, dirs, *args):
+        calls.append(len(origins))
+        return prime_batch(origins, dirs, *args)
+
+    monkeypatch.setattr(gaze, "prime_batch", spy)
+    times = np.arange(0.0, 20.0, 1 / 60)
+    track = straight_track(times)
+    target = ObjectTarget("t", box=Aabb.from_center(vec3(0, 0, 5), vec3(0.2, 0.2, 0.2)))
+    primed = find_prime_time(track, InteractionEvent("pick", 15.0, target), w=10.0)
+    assert primed.t_p == times[np.searchsorted(times, 5.0)]
+    assert len(calls) == 1 and calls[0] <= 32

@@ -296,6 +296,75 @@ class TestMalformedRows:
             io.read_recording(bad)
         assert (err.value.line_no, err.value.reason) == (k + 1, "record missing time")
 
+    def test_first_degenerate_gaze_sample_reported(self, rec_lines, tmp_path):
+        # two samples shorter than 1e-9 in the world frame: the first is
+        # reported, not the shorter
+        k = next(i for i, line in enumerate(rec_lines) if '"k":"gaze"' in line) + 3
+        lines = list(rec_lines)
+        for i, dir_cam in ((k, [1e-10, 0.0, 0.0]), (k + 1, [0.0, 0.0, 0.0])):
+            lines[i] = json.dumps(dict(json.loads(lines[i]), dir_cam=dir_cam))
+        p = tmp_path / "d.rec.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            io.read_recording(p)
+        assert (err.value.line_no, err.value.reason) == \
+            (k + 1, "gaze direction is zero in the world frame")
+
+    STRING_JOINTS = ["1.5"] + [0.0] * 65
+
+    # Two bad rows, each given as (row kind, index among the rows of that
+    # kind, key, value), the earlier first; a value whose check waits for
+    # the last row (a string in a list, NaN) and one found while reading (a
+    # list of another length, an object, a missing time) in either order.
+    # "rec-frames-first" moves the frame rows before the gaze rows.
+    @pytest.mark.parametrize("layout, bad, reason", [
+        ("rec", [("frame", 3, "joints", STRING_JOINTS), ("frame", 4, "joints", {})],
+         "joints must be a list of numbers"),
+        ("rec", [("frame", 3, "joints", {}), ("frame", 4, "joints", STRING_JOINTS)],
+         "joints must be a list of numbers"),
+        ("rec", [("gaze", 3, "dir_cam", ["1.5", 0.0, 0.0]), ("gaze", 4, "cam_pose.r", [1.0] * 8)],
+         "dir_cam must be a list of numbers"),
+        ("rec", [("gaze", 3, "cam_pose.t", [0.0, math.nan, 0.0]), ("gaze", 9, "dir_cam", [])],
+         "non-finite cam translation"),
+        ("rec", [("gaze", -1, "cam_pose.r", ["1"] * 9), ("frame", 0, "joints", [0.0] * 65)],
+         "cam_pose.r must be a list of numbers"),
+        ("rec-frames-first", [("frame", 2, "joints", [math.inf] * 66),
+                              ("gaze", 0, "dir_cam", {"x": 1})],
+         "non-finite joints"),
+        ("rec", [("frame", 3, "joints", STRING_JOINTS), ("event", 0, "kind", "hop")],
+         "joints must be a list of numbers"),
+        ("seq", [("frame", 3, "gaze", ["1.5", 0.0, 0.0]), ("frame", 4, "joints", [0.0] * 65)],
+         "gaze must be a list of numbers"),
+        ("seq", [("frame", 3, "joints", STRING_JOINTS), ("frame", 4, "gaze", [0.0, 0.0])],
+         "joints must be a list of numbers"),
+        ("seq", [("frame", 3, "gaze", [math.nan] * 3), ("frame", 5, "t", None)],
+         "non-finite gaze"),
+    ])
+    def test_earlier_of_two_bad_rows_reported(self, rec_lines, seq_lines, tmp_path,
+                                              layout, bad, reason):
+        lines = list(seq_lines if layout == "seq" else rec_lines)
+        if layout == "rec-frames-first":
+            frames = [line for line in lines if '"k":"frame"' in line]
+            lines = lines[:1] + frames + [line for line in lines[1:] if line not in frames]
+        at = []
+        for kind, index, key, value in bad:
+            k = [i for i, line in enumerate(lines) if f'"k":"{kind}"' in line][index]
+            row = json.loads(lines[k])
+            *outer, last = key.split(".")
+            inner = row
+            for name in outer:
+                inner = inner[name]
+            inner[last] = value
+            lines[k] = json.dumps(row)
+            at.append(k + 1)
+        assert at[0] < at[1]
+        read = io.read_sequence if layout == "seq" else io.read_recording
+        p = tmp_path / ("two.seq.jsonl" if layout == "seq" else "two.rec.jsonl")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedFile) as err:
+            read(p)
+        assert (err.value.line_no, err.value.reason) == (at[0], reason)
+
 
 def write_corpus(tmp_path, n=3, seed=5):
     rec_dir = tmp_path / "recordings"
