@@ -26,6 +26,7 @@ from .gaze import (
     find_prime_time,
 )
 from .motion import MotionSequence, body_movement, canonicalize, hand_movement, yaw_apply
+from .skeleton import N_JOINTS
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +62,8 @@ class InitialState:
     def __post_init__(self):
         p = np.asarray(self.pose, dtype=np.float64)
         v = np.asarray(self.velocity, dtype=np.float64)
-        if p.shape != (22, 3) or v.shape != (22, 3):
-            raise ValueError("initial state arrays must be (22, 3)")
+        if p.shape != (N_JOINTS, 3) or v.shape != (N_JOINTS, 3):
+            raise ValueError(f"initial state arrays must be ({N_JOINTS}, 3)")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
             raise ValueError("non-finite initial state")
         object.__setattr__(self, "pose", p)
@@ -176,7 +177,7 @@ def curate(
         if i0 >= 1:
             velocity = motion.joints[i0] - motion.joints[i0 - 1]
         else:
-            velocity = np.zeros((22, 3))
+            velocity = np.zeros((N_JOINTS, 3))
             flags.append(FLAG_NO_PRECEDING_FRAME)
         prime_idx = int(np.clip(round(max(primed.t_p, 0.0) * fps) - i0, 0, i1 - i0))
 

@@ -149,16 +149,15 @@ def find_prime_time(
     a direct hit of its box, or else a near miss within tau.
 
     Only the window's rays in the blocks that GazeTrack.blocks_near keeps
-    for the box can prime it; every ray of a skipped block passes too far
-    from the box. The kept blocks are tested in time order, in runs of 1,
-    2, 4, ... blocks, each run as one slice of rays from its first kept
-    block to its last through geometry.prime_batch, and the scan stops at
-    the first run that holds a priming ray. prime_batch decides each ray by
-    its own row alone (it culls a ray whose line passes farther from the
-    box center than the half-diagonal plus tau, plus its rounding margin,
-    and slab- and near-miss-tests the rest), and both culls are exact, so
-    the earliest priming ray of that run is the earliest of the window:
-    the result is that of the two kernels run on every ray of the window.
+    for the box can prime it; no ray of a skipped block hits or near-misses
+    the box (geometry.blocks_near_box proves it). The kept blocks are
+    tested in time order, in runs of 1, 2, 4, ... blocks, each run as one
+    slice of rays from its first kept block to its last through
+    geometry.prime_batch, and the scan stops at the first run that holds a
+    priming ray. prime_batch decides each ray by its own row alone (the
+    slab test, then the near-miss test on the rays that miss), so the
+    earliest priming ray of that run is the earliest of the window: the
+    result is that of the two kernels run on every ray of the window.
     Prime times are quantized to sample timestamps. Returns None when no
     sample in the window primes; raises EmptyWindow when the window holds
     no samples at all (stream/event misalignment), and then ValueError
@@ -179,7 +178,7 @@ def find_prime_time(
     while j0 < j1:
         j = min(j0 + run, j1)
         # one slice per run: the skipped blocks between kept ones cost
-        # prime_batch's cull, which is cheaper than gathering the kept rays
+        # the two kernels, and none of their rays primes
         s0, s1 = max(i0, kept[j0] * _BLOCK), min(i1, (kept[j - 1] + 1) * _BLOCK)
         hit, near = prime_batch(origins[s0:s1], dirs[s0:s1], box.min, box.max, tau)
         where = np.flatnonzero(hit | near)

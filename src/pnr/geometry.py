@@ -96,9 +96,9 @@ class Aabb:
 # ---------------------------------------------------------------------------
 # Batch kernels: the one implementation of each test, vectorized over rays;
 # one ray is a one-row batch. The priming scan (gaze.find_prime_time)
-# first skips whole blocks of rays that blocks_near_box shows cannot reach
-# the box, then calls prime_batch on the rest, which culls the single rays
-# that cannot reach it and runs the slab and near-miss kernels on the others.
+# skips whole blocks of 32 rays that blocks_near_box shows cannot prime
+# the box, the one cull, and runs prime_batch (the slab and near-miss
+# kernels) on the rest.
 
 
 def slab_intersect_batch(origins, dirs, bmin, bmax):
@@ -162,14 +162,17 @@ def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     ValueError unless tau >= 0.
     """
     _check_tau(tau)
-    if len(origins) == 0:  # prime_batch's call when the cull leaves nothing
+    if len(origins) == 0:  # prime_batch's call when every ray hits
         return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0)
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     bmin = np.asarray(bmin, dtype=np.float64)
     bmax = np.asarray(bmax, dtype=np.float64)
     center = 0.5 * (bmin + bmax)
-    t_closest, offset, dist = _closest_approach(origins, dirs, center)
+    c = center - origins  # the sum in numpy 2's einsum order, which no release promises
+    t_closest = (c[:, 0] * dirs[:, 0] + c[:, 2] * dirs[:, 2]) + c[:, 1] * dirs[:, 1]
+    offset = origins + t_closest[:, None] * dirs - center  # from the center to p_closest
+    dist = component_norm(offset[:, 0], offset[:, 1], offset[:, 2])
     central = dist < _UNIT_TOL
     safe = np.where(central, 1.0, dist)
     d_center = offset / safe[:, None]
@@ -186,96 +189,17 @@ def near_miss_batch(origins, dirs, bmin, bmax, tau: float):
     return primed, delta, t_closest
 
 
-def _closest_approach(origins, dirs, center):
-    """Projection of the box center onto each ray: (t_closest, offset from
-    the center to the ray's closest point, its length dist). The near-miss
-    rule and the cull in prime_batch share these operations, so both see
-    the same dist for a ray."""
-    c = center - origins  # the sum in numpy 2's einsum order, which no release promises
-    t_closest = (c[:, 0] * dirs[:, 0] + c[:, 2] * dirs[:, 2]) + c[:, 1] * dirs[:, 1]
-    p_closest = origins + t_closest[:, None] * dirs
-    offset = p_closest - center
-    return t_closest, offset, component_norm(offset[:, 0], offset[:, 1], offset[:, 2])
-
-
 def prime_batch(origins, dirs, bmin, bmax, tau: float):
-    """Priming test of N rays against one box, or N boxes when bmin/bmax
-    are (N, 3): hit is slab_intersect_batch's hit, near is near_miss_batch's
-    primed for the rays that do not hit. Returns (hit (N,) bool, near (N,)
-    bool); raises ValueError unless tau >= 0.
-
-    Rays whose line passes farther from the box center than
-
-        bound = (r + tau)(1 + 1e-9) + 1e-9 + 2 PARALLEL_EPS (|t_closest| + r),
-
-    r the box half-diagonal, are culled: neither kernel sees them and they
-    are neither hit nor near. The slab test then runs on the survivors, and
-    near_miss_batch on the survivors that miss; it is called even when none
-    survive, so it stays the one check of tau.
-
-    The cull is exact (a culled ray could neither hit nor near-miss) for
-    finite inputs without overflow, boxes with bmin <= bmax, directions of
-    unit length to rounding (v / |v|, as GazeTrack.world_rays gives) and
-    box centers c within 1e5 m of the world origin. With u = 2^-53:
-
-    - Near miss, central case. dist is computed by the same operations as
-      in near_miss_batch, so it is that kernel's dist bit for bit. The
-      bound is at least 1e-9, the kernel's threshold for a ray through the
-      center (dist < 1e-9 gives delta = 0), so a culled ray is not central
-      and its delta is |dist - t_far|.
-    - Near miss, PARALLEL_EPS axis handling. t_far is the least h_i / |w_i|
-      over the axes of the unit offset direction w with |w_i| >=
-      PARALLEL_EPS, h the half-extents. If s is that least value, then
-      s |w_i| <= h_i on each such axis, and the skipped axes hold under
-      2 PARALLEL_EPS^2 of |w|^2 = 1, so s <= r (1 + 1e-23). Rounding the
-      center, the half-extents, w and the division adds at most
-      7u r + u |c|, so computed t_far <= r + 1e-15 r + 2e-11. A culled ray
-      thus has dist - t_far > tau (1 + 1e-10) + 1e-10, and delta, rounded,
-      stays above tau.
-    - Hit, rounding in the slab test. A computed entry or exit parameter
-      (b_i - o_i) / d_i is off by at most 3u relative, which moves the
-      point o + t d by at most 3u |b_i - o_i| on axis i; for a t inside
-      the computed overlap that is under 3u (|t| + 2r) over all axes.
-    - Hit, PARALLEL_EPS axis handling. An axis with |d_i| < PARALLEL_EPS
-      and the origin inside its slab is left unconstrained, so the point
-      at t may lie outside that slab by up to PARALLEL_EPS |t|. A unit d
-      can have two such axes, so the point is within r + sqrt(2)
-      PARALLEL_EPS |t| of the center, plus the rounding above. Its distance
-      bounds |t - t_closest|, so |t| <= (|t_closest| + r)(1 + 2e-12), and
-      the exact line passes within r + 1.5 PARALLEL_EPS (|t_closest| + r)
-      of the center. The factor 2 in the bound covers this sqrt(2): with a
-      single PARALLEL_EPS, a ray 1e7 m away with two parallel axes that
-      grazes a box edge would be culled and its hit lost.
-    - Hit, the computed dist. It differs from the exact distance from the
-      center to the line by under 16u (|t_closest| + |c| + dist),
-      cancellation in p_closest - center included: for centers within
-      1e5 m, under 1e-14 |t_closest| + 2e-15 dist + 2e-10.
-
-    A hit therefore has dist under r (1 + 1e-14) + 1.6 PARALLEL_EPS
-    (|t_closest| + r) + 2e-10, and a near miss has dist <= t_far + tau;
-    both stay below the bound, rounding of the bound itself included.
-    """
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    bmin = np.asarray(bmin, dtype=np.float64)
-    bmax = np.asarray(bmax, dtype=np.float64)
-    t_closest, _, dist = _closest_approach(origins, dirs, 0.5 * (bmin + bmax))
-    r = np.linalg.norm(0.5 * (bmax - bmin), axis=-1)
-    slack = (r + tau) * (1.0 + 1e-9) + _UNIT_TOL + 2.0 * PARALLEL_EPS * r
-    # not (dist > bound), so a NaN distance is kept for the kernels to judge
-    keep = np.nonzero(~(dist > slack + 2.0 * PARALLEL_EPS * np.abs(t_closest)))[0]
-
-    def rows(i):  # the kept rays, with their boxes when there is one per ray
-        if bmin.ndim == 2:
-            return origins[i], dirs[i], bmin[i], bmax[i]
-        return origins[i], dirs[i], bmin, bmax
-
-    hit = np.zeros(len(origins), dtype=bool)
-    if keep.size:
-        hit[keep] = slab_intersect_batch(*rows(keep))[0]
-        keep = keep[~hit[keep]]
-    near = np.zeros(len(origins), dtype=bool)
-    near[keep] = near_miss_batch(*rows(keep), tau)[0]
+    """Priming test of N rays against one box: hit is slab_intersect_batch's
+    hit, near is near_miss_batch's primed for the rays that do not hit,
+    each ray decided by its own row alone. Returns (hit (N,) bool, near
+    (N,) bool); raises ValueError unless tau >= 0, even when every ray
+    hits."""
+    origins, dirs = np.asarray(origins, dtype=np.float64), np.asarray(dirs, dtype=np.float64)
+    hit = slab_intersect_batch(origins, dirs, bmin, bmax)[0]
+    miss = np.flatnonzero(~hit)
+    near = np.zeros(len(hit), dtype=bool)
+    near[miss] = near_miss_batch(origins[miss], dirs[miss], bmin, bmax, tau)[0]
     return hit, near
 
 
@@ -313,21 +237,24 @@ def ray_blocks(origins, dirs, size: int):
 
 
 def blocks_near_box(blocks, bmin, bmax, tau: float):
-    """Which blocks of ray_blocks may hold a ray that prime_batch keeps for
-    the box bmin/bmax (one box) and tau: a (B,) bool mask. A block that is
-    not kept holds no ray that hits or near-misses the box. Raises
-    ValueError unless tau >= 0, even when no block is kept.
+    """Which blocks of ray_blocks may hold a ray that primes the box
+    bmin/bmax (one box) within tau: a (B,) bool mask. No ray of a block
+    that is not kept hits the box (slab_intersect_batch) or near-misses it
+    (near_miss_batch). Raises ValueError unless tau >= 0, even when no
+    block is kept.
 
-    With c the box center as prime_batch computes it, r the half-diagonal,
-    and per block V = c - center, Y = V . axis and X = sqrt(|V|^2 - Y^2),
-    a block is skipped when
+    With c the box center as near_miss_batch computes it, r the
+    half-diagonal, and per block V = c - center, Y = V . axis and
+    X = sqrt(|V|^2 - Y^2), a block is skipped when
 
         low = X cos - |Y| sin - radius
             > (r + tau)(1 + 1e-6) + 1e-6 + (2 PARALLEL_EPS + 1e-7)(|V| + radius + r).
 
-    The proof holds under prime_batch's conditions (finite inputs without
-    overflow, unit directions to rounding, box centers within 1e5 m);
-    underflow adds errors under 1e-300, far below every margin here.
+    The proof holds for finite inputs without overflow, boxes with bmin <=
+    bmax, directions of unit length to rounding (v / |v|, as
+    GazeTrack.world_rays gives) and box centers c within 1e5 m of the
+    world origin; underflow adds errors under 1e-300, far below every
+    margin here. u = 2^-53.
 
     - No cone. A block with cos = 0, a zero axis included, has low <= 0
       and is kept, whatever the rounding: each term has its sign.
@@ -350,16 +277,41 @@ def blocks_near_box(blocks, bmin, bmax, tau: float):
       the radius (1 + 4u), and the last three operations add under
       10u (|V| + rho). So D >= low - 6e-8 (|V| + radius), with |V| taken
       from the computed norm (4u).
-    - Against prime_batch's bound. For a ray of a skipped block, D then
-      exceeds (r + tau)(1 + 0.99e-6) + 0.99e-6 + (2 PARALLEL_EPS + 3.9e-8)
-      (|V| + rho + r), rounding of the threshold included. prime_batch's
-      computed dist is within 1e-14 |t_closest| + 2e-15 D + 2e-10 of D
-      (its docstring), its half-diagonal and this one's are within 3u of
-      the exact one, and its computed bound is at most (r + tau)(1 + 1e-9)
-      + 1e-9 + 2 PARALLEL_EPS (|t_closest| + r), |t_closest| <= |V| + rho,
-      times (1 + 12u). So dist > bound, and prime_batch culls the ray: it
-      neither hits nor near-misses. That kernel decides each ray by its
-      own row alone, so skipping the block changes no other ray's result.
+    - A skipped ray. The line of a ray of a skipped block thus passes
+      L >= D from c, with L > (r + tau)(1 + 0.99e-6) + 0.99e-6 + (2
+      PARALLEL_EPS + 3.9e-8)(|t_closest| + r), rounding of the threshold
+      and of the half-diagonal (3u) included.
+    - Hit, rounding in the slab test. A computed entry or exit parameter
+      (b_i - o_i) / d_i is off by at most 3u relative, which moves the
+      point o + t d by at most 3u |b_i - o_i| on axis i; for a t inside
+      the computed overlap that is under 3u (|t| + 2r) over all axes.
+    - Hit, PARALLEL_EPS axis handling. An axis with |d_i| < PARALLEL_EPS
+      and the origin inside its slab is left unconstrained, so the point
+      at t may lie outside that slab by up to PARALLEL_EPS |t|. A unit d
+      can have two such axes, so the point is within r + sqrt(2)
+      PARALLEL_EPS |t| of the exact box center, plus the rounding above.
+      Its distance bounds |t - t_closest|, so |t| <= (|t_closest| + r)(1 +
+      2e-12), and the line of a hit passes within r + 1.5 PARALLEL_EPS
+      (|t_closest| + r) + 2e-11 of c, which lies within u |c| of the
+      exact center. The 2 PARALLEL_EPS in the threshold covers this
+      sqrt(2), so no ray of a skipped block hits.
+    - Near miss, the computed dist. near_miss_batch's dist differs from L
+      by under 16u (|t_closest| + |c| + L), cancellation in p_closest - c
+      included: for centers within 1e5 m, under 1e-14 |t_closest| + 2e-15
+      L + 2e-10. So dist > (r + tau)(1 + 0.98e-6) + 0.98e-6, above that
+      kernel's 1e-9 for a ray through the center: delta is |dist - t_far|.
+    - Near miss, PARALLEL_EPS axis handling. t_far is the least h_i / |w_i|
+      over the axes of the unit offset direction w with |w_i| >=
+      PARALLEL_EPS, h the half-extents. If s is that least value, then
+      s |w_i| <= h_i on each such axis, and the skipped axes hold under
+      2 PARALLEL_EPS^2 of |w|^2 = 1, so s <= r (1 + 1e-23). Rounding the
+      center, the half-extents, w and the division adds at most
+      7u r + u |c|, so computed t_far <= r (1 + 1e-15) + 2e-11. Then
+      dist - t_far > tau (1 + 0.9e-6) + 0.9e-6, and delta, rounded, stays
+      above tau: no ray of a skipped block near-misses.
+
+    Both kernels decide each ray by its own row alone, so skipping a block
+    changes no other ray's result.
     """
     _check_tau(tau)
     center, radius, axis, cos, sin = blocks

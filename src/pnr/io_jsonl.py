@@ -235,7 +235,9 @@ def _floats(values, n, path, line_no, what, name=None) -> np.ndarray:
              f"{name} must be a list of numbers")
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer beyond the float range, as 1e400 is
+        raise MalformedFile(path, line_no, f"non-finite {what}") from None
+    except (TypeError, ValueError):
         raise MalformedFile(path, line_no, f"{name} must be a list of numbers") from None
     _require(np.all(np.isfinite(arr)), path, line_no, f"non-finite {what}")
     _require(n is None or arr.shape == (n,), path, line_no, f"{name} must have {n} entries")

@@ -448,11 +448,11 @@ for file, k, path, n, name, what, no_bools in [
     ("recording", "object", ("point",), 3, "point", "point", True),
 ]:
     line = "1" if k == "header" else "row"
-    not_numbers = with_item(["1.5", "x", [1.0], {}, 10 ** 400] + [True, False] * no_bools)
+    not_numbers = with_item(["1.5", "x", [1.0], {}] + [True, False] * no_bools)
     edit(file, line, f"{name} must be a list of numbers", list_edit(
         k, path, lambda rng, items, change=not_numbers: draw(rng, [{}, change(rng, items)])))
-    edit(file, line, f"non-finite {what}", list_edit(
-        k, path, with_item([math.nan, math.inf, -math.inf, raw("1e400"), None])))
+    edit(file, line, f"non-finite {what}", list_edit(k, path, with_item(
+        [math.nan, math.inf, -math.inf, raw("1e400"), 10 ** 400, -10 ** 400, None])))
     if path[0] != "box":
         edit(file, line, f"{name} must have {n} entries", list_edit(k, path, misshapen))
 
@@ -649,6 +649,30 @@ def test_violation_reported_at_its_line(kind, key, tmp_path):
             assert (err.value.line_no, err.value.reason) == (line, reason), (seed, read)
             assert str(err.value) == f"{path}:{line}: {reason}"
 
+
+
+@pytest.mark.parametrize("kind, k, path, what", [
+    ("recording", "frame", ("joints",), "joints"),
+    ("recording", "gaze", ("dir_cam",), "gaze direction"),
+    ("recording", "object", ("point",), "point"),
+    ("sequence", "header", ("goal",), "goal"),
+    ("sequence", "frame", ("gaze",), "gaze"),
+], ids=["recording-joints", "recording-dir_cam", "recording-point", "sequence-goal",
+        "sequence-gaze"])
+def test_integer_beyond_the_float_range_in_a_list_is_non_finite(kind, k, path, what, tmp_path):
+    # an integer of 400 digits in a list reads as 1e400 does, and as it
+    # does as a header number or a row time
+    for value in (10 ** 400, -10 ** 400):
+        f, _ = valid_file(kind, np.random.default_rng(3001))
+        for j in f.where("frame") if path == ("gaze",) else ():
+            f.put(j, {"gaze": [0.5, 0.25, 1.0], **f.row(j)})
+        i = f.where(k)[-1]
+        row = shaped(f.row(i), path)
+        get(row, path)[1] = value
+        f.put(i, row)
+        with pytest.raises(MalformedFile) as err:
+            READ[kind](f.write(tmp_path / f"big{SUFFIX[kind]}"))
+        assert (err.value.line_no, err.value.reason) == (i + 1, f"non-finite {what}")
 
 # --------------------------------------------------------------------------
 # valid files read back, and the writers write one json.dumps per row

@@ -349,10 +349,10 @@ def test_batch_parallel_axis_matches_scalar():
 def test_subnormal_direction_components_raise_no_warning():
     # derived: ray 0 runs along x with a subnormal y component, so 1/d_y
     # overflows in the slab test; ray 1 runs along x at y = 0.6 past the
-    # box [-0.5, 0.5]^3 (a miss, inside the cull bound), with its closest
-    # point offset from the center by (0, 0.6, 1e-310), so the near-miss
-    # walk divides by a subnormal component. Both lanes are parallel axes
-    # that the kernels discard.
+    # box [-0.5, 0.5]^3 (a miss), with its closest point offset from the
+    # center by (0, 0.6, 1e-310), so the near-miss walk divides by a
+    # subnormal component. Both lanes are parallel axes that the kernels
+    # discard.
     origins = np.array([[-5.0, 0.0, 0.0], [-5.0, 0.6, 1e-310]])
     dirs = np.array([[1.0, 1e-310, 0.0], [1.0, 0.0, 0.0]])
     bmin, bmax = np.full(3, -0.5), np.full(3, 0.5)
@@ -366,37 +366,38 @@ def test_subnormal_direction_components_raise_no_warning():
 
 
 def _unculled(origins, dirs, bmin, bmax, tau):
-    """prime_batch's answer without the cull: the two kernels on every ray."""
+    """The priming answer of the two kernels run on every ray, no block
+    skipped and the near-miss test on the hits too: the block cull's oracle."""
     hit, _, _ = slab_intersect_batch(origins, dirs, bmin, bmax)
     primed, _, _ = near_miss_batch(origins, dirs, bmin, bmax, tau)
     return hit, primed & ~hit
 
 
-def _grazing_rays(rng, n, tau, one_box=False):
-    """n rays, each with a box, whose lines pass the box center at about
-    the distances where the cull decides: the bounding sphere radius r
+def _grazing_rays(rng, n, tau):
+    """n rays and one box, the rays' lines passing the box center at about
+    the distances where the kernels' answers change: the half-diagonal r
     (through a box corner or anywhere on it), the near-miss limit t_far +
-    tau along the offset direction, the box surface, r + tau, the
-    distance-scaled margin and the central threshold 1e-9, each nudged by
-    a few 1e-12 or ulps relative. Boxes are solid, flat or points;
-    direction components fall just under and over PARALLEL_EPS; origins
-    sit inside the box or up to 1e7 m along the ray on either side.
+    tau along the offset direction, the box surface, r + tau, r plus the
+    slab test's drift of up to 2.2 PARALLEL_EPS per meter along the ray,
+    and the near-miss rule's central threshold 1e-9, each nudged by a few
+    1e-12 or ulps relative. The box is solid, flat or a point; direction
+    components fall just under and over PARALLEL_EPS; origins sit inside
+    the box or up to 1e7 m along the ray on either side. Gives (origins,
+    dirs, bmin (3,), bmax (3,)).
 
     One ray in ten instead starts on a box edge and runs along the box's
     thinnest axis, drifting off the edge through direction components
     around PARALLEL_EPS: the slab test lets such a ray pass up to
     sqrt(2) PARALLEL_EPS per meter outside the box."""
-    nb = 1 if one_box else n
-    centers = np.repeat(rng.uniform(-5, 5, (nb, 3)), n // nb, axis=0)
-    halves = np.repeat(rng.uniform(0, 1, (nb, 3)), n // nb, axis=0)
-    shape = rng.integers(0, 4, nb).repeat(n // nb)  # 0 point, 1 flat, 2-3 solid
-    halves[shape == 0] = 0.0
-    flat = np.nonzero(shape == 1)[0]
-    halves[flat, rng.integers(0, 3, flat.size)] = 0.0
+    centers = np.repeat(rng.uniform(-5, 5, (1, 3)), n, axis=0)
+    halves = np.repeat(rng.uniform(0, 1, (1, 3)), n, axis=0)
+    shape = rng.integers(0, 4)  # 0 point, 1 flat, 2-3 solid
+    if shape == 0:
+        halves[:] = 0.0
+    elif shape == 1:
+        halves[:, rng.integers(0, 3)] = 0.0
     edge = np.nonzero(rng.random(n) < 0.1)[0]
     axis = np.argmin(halves[edge], axis=1)
-    if not one_box:
-        halves[edge, axis] *= rng.choice([0.0, 1e-6, 1e-3], edge.size)
     r = np.linalg.norm(halves, axis=1)
 
     dirs = rng.normal(size=(n, 3))
@@ -438,68 +439,24 @@ def _grazing_rays(rng, n, tau, one_box=False):
     side = rng.choice([-1.0, 1.0], (edge.size, 3))
     origins[edge] = centers[edge] + side * halves[edge]
     origins[edge, axis] = centers[edge, axis] - along[edge]
-    return origins, dirs, centers - halves, centers + halves
+    return origins, dirs, centers[0] - halves[0], centers[0] + halves[0]
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.05, 0.5])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_cull_matches_unculled_kernels(seed, tau):
-    # the cull may only drop rays that neither hit nor near-miss: on rays
-    # built around the bound, prime_batch agrees with the kernels run on
-    # every ray, ray by ray, against per-ray boxes and against one box
-    rng = np.random.default_rng(seed)
-    for one_box in (False, True):
-        n = 200_000
-        origins, dirs, bmin, bmax = _grazing_rays(rng, n, tau, one_box)
-        if one_box:
-            bmin, bmax = bmin[0], bmax[0]
-        hit, near = prime_batch(origins, dirs, bmin, bmax, tau)
-        ref_hit, ref_near = _unculled(origins, dirs, bmin, bmax, tau)
-        assert np.array_equal(hit, ref_hit)
-        assert np.array_equal(near, ref_near)
-        if not one_box:  # the rays straddle the bound: some of each outcome
-            assert ref_hit.sum() > 1000 and ref_near.sum() > 1000
-            assert ((~ref_hit) & (~ref_near)).sum() > 1000
-
-
-@pytest.mark.parametrize("d_yz", [(0.9e-12, 0.0), (0.99e-12, 0.99e-12)],
-                         ids=["one_parallel_axis", "two_parallel_axes"])
-def test_cull_margin_grows_with_distance(d_yz):
-    # derived: a box flat in x (half-extents 1e-6, 1, 1, so r = sqrt(2)
-    # to 1e-12) and a ray from x = -1e7 along the box's y = z = 1 edge.
-    # Its y and z components are below PARALLEL_EPS, so the slab test
-    # leaves those axes to containment (the origin lies on both faces)
-    # and reports a hit. The line drifts 1e7 * d_y off that edge by x = 0,
-    # so it passes r + 6.4e-6 (one axis) or r + 1.4e-5 (two axes) from the
-    # center: more than (r + tau)(1 + 1e-9) + 1e-9 at tau = 0, and more
-    # than a single PARALLEL_EPS * (|t_closest| + r) = r + 1e-5 with two
-    # axes, but within 2 PARALLEL_EPS * (|t_closest| + r).
-    bmin, bmax = np.array([-1e-6, -1.0, -1.0]), np.array([1e-6, 1.0, 1.0])
-    origins = np.array([[-1e7, 1.0, 1.0]])
-    dirs = np.array([[1.0, *d_yz]])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    hit, near = prime_batch(origins, dirs, bmin, bmax, 0.0)
-    assert hit.tolist() == [True] and near.tolist() == [False]
-    assert _unculled(origins, dirs, bmin, bmax, 0.0)[0].tolist() == [True]
-    r = math.sqrt(2.0 + 1e-12)
-    t_closest = 1e7 * dirs[0, 0]
-    dist = np.linalg.norm(np.cross(-origins[0], dirs[0]))
-    assert dist > r * (1 + 1e-9) + 1e-9 + 1e-6
-    if d_yz[1]:
-        assert dist > r * (1 + 1e-9) + 1e-9 + PARALLEL_EPS * (t_closest + r)
-
-
-def test_prime_batch_checks_tau_when_nothing_survives():
-    # derived: the ray passes 10 m from a unit box, so the cull drops it
-    # and no kernel tests it; tau is still checked
-    origins, dirs = np.array([[0.0, 10.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+def test_prime_batch_near_misses_only_rays_that_miss():
+    # derived: against the box [-0.5, 0.5]^3, ray 0 runs through the
+    # center (a hit, and delta = 0 for the near-miss rule), ray 1 passes
+    # 3 cm above the top face (a near miss at tau = 0.05) and ray 2 passes
+    # 10 m away (neither). Ray 0 alone leaves the near-miss rule no ray,
+    # and a bad tau still raises
+    origins = np.array([[-5.0, 0.0, 0.0], [-5.0, 0.53, 0.0], [-5.0, 10.0, 0.0]])
+    dirs = np.tile([1.0, 0.0, 0.0], (3, 1))
     bmin, bmax = np.full(3, -0.5), np.full(3, 0.5)
+    assert near_miss_batch(origins, dirs, bmin, bmax, 0.05)[0].tolist() == [True, True, False]
     hit, near = prime_batch(origins, dirs, bmin, bmax, 0.05)
-    assert not hit[0] and not near[0]
+    assert hit.tolist() == [True, False, False] and near.tolist() == [False, True, False]
     for tau in (-1.0, math.nan):
         with pytest.raises(ValueError, match="tau"):
-            prime_batch(origins, dirs, bmin, bmax, tau)
-
+            prime_batch(origins[:1], dirs[:1], bmin, bmax, tau)
 
 # ---------------------------------------------------------------------------
 # The block cull of the priming scan: ray_blocks, blocks_near_box and their
@@ -610,12 +567,41 @@ def test_cancelling_block_is_kept_without_warning():
     assert keep.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("d_yz", [(0.9e-12, 0.0), (0.99e-12, 0.99e-12)],
+                         ids=["one_parallel_axis", "two_parallel_axes"])
+def test_cull_margin_grows_with_distance(d_yz):
+    # derived: a box flat in x (half-extents 1e-6, 1, 1, so r = sqrt(2)
+    # to 1e-12) and a block of 32 rays, one per 1/60 s, from x = -1e7
+    # along the box's y = z = 1 edge. Their y and z components are below
+    # PARALLEL_EPS, so the slab test leaves those axes to containment (the
+    # origins lie on both faces) and reports a hit. The lines drift
+    # 1e7 * d_y off that edge by x = 0, so they pass r + 6.4e-6 (one axis)
+    # or r + 1.4e-5 (two axes) from the center: more than
+    # (r + tau)(1 + 1e-6) + 1e-6 at tau = 0. The terms of the block test
+    # that grow with the distance (the cone's |Y| sin and the margin) keep
+    # the block, and the scan reports the first ray's hit
+    bmin, bmax = np.array([-1e-6, -1.0, -1.0]), np.array([1e-6, 1.0, 1.0])
+    n = 32
+    track = GazeTrack(np.arange(n) / 60.0, np.tile([1.0, *d_yz], (n, 1)),
+                      np.tile(np.eye(3), (n, 1, 1)), np.tile([-1e7, 1.0, 1.0], (n, 1)))
+    origins, dirs = track.world_rays()
+    assert slab_intersect_batch(origins, dirs, bmin, bmax)[0].all()
+    assert blocks_near_box(ray_blocks(origins, dirs, 32), bmin, bmax, 0.0).tolist() == [True]
+    event = InteractionEvent("pick", (n - 1) / 60.0, ObjectTarget("flat", box=Aabb(bmin, bmax)))
+    got = find_prime_time(track, event, w=1.0, tau=0.0)
+    assert (got.t_p, got.prime_mode) == (0.0, DIRECT_HIT)
+    r = math.sqrt(2.0 + 1e-12)
+    dist = np.linalg.norm(np.cross(-origins[0], dirs[0]))
+    assert dist > r * (1 + 1e-6) + 1e-6 + 3e-6
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("layout", ["tight", "sorted", "wide"])
 def test_block_cull_keeps_every_block_with_a_prime(layout, tau):
-    # rays built around prime_batch's bound, against one box, in blocks of
-    # 32. Tight: a grazing ray, kept as it is or moved away from the box
-    # center by a share f of its distance, and 31 copies moved by f to 2f
+    # rays built around the kernels' decision distances (_grazing_rays),
+    # against one box, in blocks of 32. Tight: a grazing ray, kept as it
+    # is or moved away from the box center by a share f of its distance,
+    # and 31 copies moved by f to 2f
     # with directions turned by about 0, 1e-12, 1e-9 or 1e-6 rad. Sorted: rays in
     # order of direction (close cones, scattered origins). Wide: random
     # order. A block that holds a hit or near miss of the kernels run on
@@ -623,8 +609,8 @@ def test_block_cull_keeps_every_block_with_a_prime(layout, tau):
     rng = np.random.default_rng(len(layout) + int(100 * tau))
     n = 131_072
     if layout == "tight":
-        origins, dirs, bmin, bmax = _grazing_rays(rng, n // 32, tau, one_box=True)
-        center = 0.5 * (bmin[0] + bmax[0])
+        origins, dirs, bmin, bmax = _grazing_rays(rng, n // 32, tau)
+        center = 0.5 * (bmin + bmax)
         along = np.sum((center - origins) * dirs, axis=1, keepdims=True)
         away = origins + along * dirs - center  # from the center to the closest point
         f = rng.choice([0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0], (n // 32, 1, 1))
@@ -635,17 +621,16 @@ def test_block_cull_keeps_every_block_with_a_prime(layout, tau):
         dirs = dirs[:, None] + turn * rng.normal(size=(n // 32, 32, 3))
         dirs = (dirs / np.linalg.norm(dirs, axis=2, keepdims=True)).reshape(n, 3)
     else:
-        origins, dirs, bmin, bmax = _grazing_rays(rng, n, tau, one_box=True)
+        origins, dirs, bmin, bmax = _grazing_rays(rng, n, tau)
         if layout == "sorted":
             order = np.lexsort((dirs[:, 2], np.round(dirs[:, 1], 2), np.round(dirs[:, 0], 2)))
             origins, dirs = origins[order], dirs[order]
-    bmin, bmax = bmin[0], bmax[0]
     hit, near = _unculled(origins, dirs, bmin, bmax, tau)
     primes = (hit | near).reshape(-1, 32).any(axis=1)
     keep = blocks_near_box(ray_blocks(origins, dirs, 32), bmin, bmax, tau)
     assert primes.sum() > 100
     assert not np.any(primes & ~keep)
-    if layout == "tight":  # blocks moved well past the bound are skipped
+    if layout == "tight":  # blocks moved well away from the box are skipped
         assert (~keep).sum() > 100
 
 
